@@ -2,7 +2,8 @@
 // connected by two loopback TCP rails used as a multi-rail pair, with
 // the paper's final strategy splitting a large message across both
 // connections. Demonstrates the real-time (non-simulated) path of the
-// library: wall-clock Clock, Poll/Wait progress, genuine bytes on real
+// library: wall-clock Clock, event-driven progress (each rail's I/O
+// goroutines complete requests while Wait parks), genuine bytes on real
 // file descriptors.
 package main
 

@@ -63,8 +63,8 @@ func (d *wallDuo) close() {
 }
 
 // pingpong measures the mean half-RTT at one size: warmup+iters full
-// round trips, the echo side on its own goroutine, both engines pumped
-// by Engine.Wait.
+// round trips, the echo side on its own goroutine, both sides blocking
+// in Engine.Wait.
 func (d *wallDuo) pingpong(size, warmup, iters int) (float64, error) {
 	msg := make([]byte, size)
 	for i := range msg {

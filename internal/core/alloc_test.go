@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"newmad/internal/core"
@@ -37,9 +38,10 @@ func benchDuo(tb testing.TB, rails int, strat func() core.Strategy) *duo {
 	return d
 }
 
-// pumpDone spins both engines until every request reaches a terminal
-// state. memdrv delivers synchronously, so this normally exits on the
-// first check without polling.
+// pumpDone spins until every request reaches a terminal state. memdrv
+// delivers synchronously, so this normally exits on the first check. It
+// does not Wait: a request's completion channel is allocated on first
+// use, which would break the zero-allocation figures.
 func pumpDone(d *duo, reqs ...core.Request) {
 	for {
 		done := true
@@ -52,8 +54,7 @@ func pumpDone(d *duo, reqs ...core.Request) {
 		if done {
 			return
 		}
-		d.engA.Poll()
-		d.engB.Poll()
+		runtime.Gosched()
 	}
 }
 

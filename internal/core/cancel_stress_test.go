@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,8 +52,7 @@ func TestCancelPoolSafetyStress(t *testing.T) {
 				}
 				deadline := time.Now().Add(10 * time.Second)
 				for !(sr.Done() && rr.Done()) {
-					d.engA.Poll()
-					d.engB.Poll()
+					runtime.Gosched()
 					if time.Now().After(deadline) {
 						t.Errorf("worker %d: iteration %d never reached a terminal state", w, i)
 						return

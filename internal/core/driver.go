@@ -45,8 +45,9 @@ type Events interface {
 }
 
 // BatchEvents is the optional batched extension of Events: drivers that
-// accumulate several completions and arrivals between polls (real
-// sockets) may deliver them as one EventBatch, costing a single progress
+// gather several events before handing them over (a receive loop that
+// drained a ring, a reliability layer's timer pass) may deliver them as
+// one EventBatch, costing a single progress
 // domain acquisition for the whole batch instead of one wakeup per
 // packet. Ownership of the batch transfers with the call; the sink
 // recycles it after dispatch. The engine's rail event sink implements
@@ -61,7 +62,12 @@ type BatchEvents interface {
 // Driver is the transmit-layer interface: one point-to-point rail to a
 // peer. The engine posts at most one outstanding Send per driver and
 // waits for SendComplete before posting the next, mirroring
-// NewMadeleine's one-packet-per-track discipline.
+// NewMadeleine's one-packet-per-track discipline. Drivers are
+// event-driven: every completion, arrival and failure is reported
+// through Events as it happens — from Send itself or from the driver's
+// own goroutines — and the engine never calls into a driver to make
+// progress. Close may wait for those goroutines, so a driver must not be
+// closed synchronously from inside one of its own event callbacks.
 type Driver interface {
 	// Name identifies the driver instance.
 	Name() string
@@ -74,16 +80,6 @@ type Driver interface {
 	// down) and no completion will follow. Send may invoke Events
 	// callbacks synchronously before returning.
 	Send(p *Packet) error
-	// NeedsPoll reports whether the driver requires Poll calls to make
-	// progress. Rails whose driver returns true join the engine's
-	// active-rail poll set; event-driven drivers (in-memory, simulated)
-	// return false and are never polled.
-	NeedsPoll() bool
-	// Poll makes progress and may invoke Events callbacks. Only called
-	// for drivers whose NeedsPoll reports true; it may be invoked
-	// concurrently from several waiting goroutines, so drivers must
-	// serialize their own delivery.
-	Poll()
 	// Close releases driver resources.
 	Close() error
 }

@@ -11,20 +11,18 @@
 // (internal/progress). Application calls and driver events for a gate run
 // mutually excluded within its domain, while different gates of the same
 // engine progress in parallel — the engine itself holds only a small
-// registry lock for gate creation and the active-rail poll set. Waiting
-// is event-driven: requests expose a completion channel, and Engine.Wait
-// blocks on it; only rails whose driver actually needs pumping
-// (Driver.NeedsPoll) are ever polled, and only by waiters.
+// registry lock for gate creation. Progress is event-driven end to end:
+// every driver reports completions and arrivals the moment they happen,
+// on whichever goroutine observed them, so the strategy is consulted as
+// soon as a NIC goes idle. Nothing polls: requests expose a completion
+// channel, and Engine.Wait blocks on it.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Config parameterizes an Engine.
@@ -65,24 +63,15 @@ type TraceEvent struct {
 }
 
 // Engine is one node's communication library instance. It owns only
-// registry state (the gate list and the active-rail poll set); all
-// per-peer scheduling state lives in the gates' progress domains.
+// registry state (the gate list); all per-peer scheduling state lives in
+// the gates' progress domains.
 type Engine struct {
 	cfg   Config
 	clock Clock
 	strat Strategy
 
-	mu    sync.Mutex // registry: gates, polled (writers)
+	mu    sync.Mutex // registry: gates
 	gates []*Gate
-	// polled is the active-rail poll set: rails whose driver needs
-	// pumping (Driver.NeedsPoll). Copy-on-write; readers load the
-	// pointer without taking the registry lock. Rails leave the set
-	// when they fail or the engine closes.
-	polled atomic.Pointer[[]*Rail]
-	// pollGen is closed and replaced whenever the poll set grows, so a
-	// Wait parked on a completion channel (because the set was empty)
-	// re-evaluates and starts pumping a late-added pollable rail.
-	pollGen chan struct{}
 }
 
 // ErrRailDown reports a send attempted on a failed rail.
@@ -118,7 +107,7 @@ func New(cfg Config) *Engine {
 	if cfg.MinChunk <= 0 {
 		cfg.MinChunk = 16 << 10
 	}
-	return &Engine{cfg: cfg, clock: cfg.Clock, strat: cfg.Strategy, pollGen: make(chan struct{})}
+	return &Engine{cfg: cfg, clock: cfg.Clock, strat: cfg.Strategy}
 }
 
 // Clock returns the engine clock.
@@ -143,97 +132,22 @@ func (e *Engine) Gates() []*Gate {
 	return append([]*Gate(nil), e.gates...)
 }
 
-// addPolled registers a rail in the active poll set (copy-on-write) and
-// wakes waiters parked while the set was empty.
-func (e *Engine) addPolled(r *Rail) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var next []*Rail
-	if cur := e.polled.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, r)
-	e.polled.Store(&next)
-	close(e.pollGen)
-	e.pollGen = make(chan struct{})
-}
-
-// removePolled drops a dead rail from the active poll set.
-func (e *Engine) removePolled(r *Rail) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.polled.Load()
-	if cur == nil {
-		return
-	}
-	next := make([]*Rail, 0, len(*cur))
-	for _, pr := range *cur {
-		if pr != r {
-			next = append(next, pr)
-		}
-	}
-	if len(next) == len(*cur) {
-		return
-	}
-	e.polled.Store(&next)
-}
-
-// retireRail takes a failed rail out of service: it leaves the active
-// poll set and its driver is drained and closed (asynchronously — driver
-// Close may wait on I/O goroutines). The drains matter: frames parsed
-// before the failure would otherwise sit undelivered forever now that no
-// waiter polls the rail. Closing matters beyond hygiene: a TCP rail that
+// retireRail takes a failed rail out of service by closing its driver.
+// The close is asynchronous: retireRail runs inside event handlers,
+// possibly on the driver's own I/O goroutine, and driver Close waits for
+// those goroutines. Closing matters beyond hygiene: a TCP rail that
 // failed on the receive side would otherwise keep accepting writes, so
 // the peer would never observe the failure and never run its own
-// recovery; and its reader would keep buffering frames unboundedly.
+// recovery.
 func (e *Engine) retireRail(r *Rail) {
-	e.removePolled(r)
-	go func(d Driver) {
-		d.Poll() // deliver events queued before the failure
-		_ = d.Close()
-		d.Poll() // deliver events the close itself flushed out
-	}(r.drv)
+	go r.drv.Close()
 }
 
-// polledRails returns the active poll set (never mutated in place).
-func (e *Engine) polledRails() []*Rail {
-	if cur := e.polled.Load(); cur != nil {
-		return *cur
-	}
-	return nil
-}
-
-// pollGenCh returns the channel closed at the next poll-set growth.
-func (e *Engine) pollGenCh() <-chan struct{} {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pollGen
-}
-
-// Poll pumps every rail in the active poll set — the rails whose driver
-// needs explicit progress calls (real sockets). Event-driven rails
-// (simulated, in-memory) are never polled: their completions and
-// arrivals are delivered into the gate's progress domain as they happen.
-// With nothing to pump, Poll yields the processor so legacy poll loops
-// cannot starve delivering goroutines.
-func (e *Engine) Poll() {
-	rails := e.polledRails()
-	if len(rails) == 0 {
-		runtime.Gosched()
-		return
-	}
-	for _, r := range rails {
-		r.drv.Poll()
-	}
-}
-
-// Wait blocks until the request completes and returns its error. On an
-// engine whose rails are all event-driven, Wait parks on the request's
-// completion channel and is woken by the completing event — no polling
-// happens at all. When pollable rails exist (TCP), Wait pumps the active
-// poll set: it spins for the latency-critical window, then backs off to
-// short sleeps so long rendezvous on shared CPUs don't starve the peer
-// process.
+// Wait blocks until the request completes and returns its error. It
+// parks on the request's completion channel and is woken by the
+// completing event, whichever goroutine delivered it (a driver's I/O
+// goroutine, a peer's Send, the application's next call): waiting costs
+// no CPU.
 func (e *Engine) Wait(req Request) error {
 	return e.WaitCtx(context.Background(), req)
 }
@@ -245,9 +159,9 @@ func (e *Engine) WaitAll(reqs ...Request) error {
 
 // WaitCtx blocks until every request completes, or until ctx is done —
 // whichever comes first. On ctx expiry it returns ctx.Err() immediately,
-// detaching cleanly: the waiter stops pumping the active-rail poll set
-// and the requests are left outstanding (Cancel them to abandon the
-// work; other waiters or driver events still complete them normally).
+// detaching cleanly: the requests are left outstanding (Cancel them to
+// abandon the work; other waiters or driver events still complete them
+// normally).
 // With all requests complete it returns the first request error.
 func (e *Engine) WaitCtx(ctx context.Context, reqs ...Request) error {
 	var first error
@@ -263,63 +177,27 @@ func (e *Engine) WaitCtx(ctx context.Context, reqs ...Request) error {
 	return first
 }
 
-// waitOne waits for a single request, pumping the active poll set while
-// it blocks; a ctx expiry is reported separately from a request error so
-// WaitCtx can distinguish "detached" from "completed with failure".
+// waitOne waits for a single request; a ctx expiry is reported
+// separately from a request error so WaitCtx can distinguish "detached"
+// from "completed with failure". A request that is already complete wins
+// over an expired ctx.
 func (e *Engine) waitOne(ctx context.Context, req Request) (reqErr, ctxErr error) {
-	done := req.Completion()
-	ctxDone := ctx.Done()
-	for spins := 0; ; spins++ {
-		select {
-		case <-done:
+	select {
+	case <-req.Completion():
+		return req.Err(), nil
+	case <-ctx.Done():
+		if req.Done() {
 			return req.Err(), nil
-		default:
 		}
-		if ctxDone != nil {
-			select {
-			case <-ctxDone:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		rails := e.polledRails()
-		if len(rails) == 0 {
-			// Capture the generation, then re-read the set: a rail
-			// added between the two closes this generation, so the
-			// select below wakes instead of missing it. The generation
-			// fetch takes the registry lock, so it is kept off the
-			// non-empty (pumping) path.
-			gen := e.pollGenCh()
-			if rails = e.polledRails(); len(rails) == 0 {
-				// Park on the completion channel — but re-evaluate if
-				// a pollable rail joins the engine while we sleep, and
-				// wake on ctx expiry (a nil ctxDone arm blocks forever,
-				// exactly what a background context wants).
-				select {
-				case <-done:
-					return req.Err(), nil
-				case <-gen:
-					continue
-				case <-ctxDone:
-					return nil, ctx.Err()
-				}
-			}
-		}
-		for _, r := range rails {
-			r.drv.Poll()
-		}
-		if spins < 2000 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
+		return nil, ctx.Err()
 	}
 }
 
-// Close closes every driver of every gate, fails each gate's
-// outstanding requests (so blocked waiters wake with ErrEngineClosed
-// instead of parking forever on rails nobody will pump again), and
-// empties the poll set.
+// Close closes every driver of every gate, then fails each gate's
+// outstanding requests, so blocked waiters wake with ErrEngineClosed
+// instead of parking forever. Driver Close joins the driver's I/O
+// goroutines, which deliver their final events before exiting: requests
+// that really finished complete truthfully before the rest are failed.
 func (e *Engine) Close() error {
 	var first error
 	for _, g := range e.Gates() {
@@ -334,18 +212,11 @@ func (e *Engine) Close() error {
 			if err := r.drv.Close(); err != nil && first == nil {
 				first = err
 			}
-			// Close flushed the driver's I/O goroutines; drain their
-			// final events so requests that really finished complete
-			// truthfully before failGate force-fails the rest.
-			r.drv.Poll()
 		}
 		g.dom.Lock()
 		e.failGate(g, ErrEngineClosed)
 		g.dom.Unlock()
 	}
-	e.mu.Lock()
-	e.polled.Store(&[]*Rail{})
-	e.mu.Unlock()
 	return first
 }
 
@@ -416,8 +287,10 @@ func (e *Engine) sendComplete(r *Rail) {
 	p := r.current
 	if p == nil {
 		if r.down.Load() {
-			// Late completion on a rail already failed (the in-flight
-			// packet was handled by railFailure).
+			// Late completion on a rail already failed: railFailure
+			// handled the packet's requests, and the driver is done with
+			// its bytes now.
+			r.releaseOrphan(r.orphan)
 			return
 		}
 		panic(fmt.Sprintf("core: SendComplete on idle %v", r))
@@ -487,6 +360,7 @@ func (e *Engine) failRail(r *Rail, p *Packet, err error) {
 	if r.current != p {
 		// The rail already failed through another path (e.g. corrupt
 		// inbound traffic) and its in-flight packet was handled there.
+		r.releaseOrphan(p)
 		return
 	}
 	g := r.gate
@@ -558,7 +432,9 @@ func (e *Engine) railFailure(r *Rail, err error) {
 		// send path (dead reader, async RailDown), so the driver's
 		// writer may still be transmitting this packet. Returning its
 		// lease to the arena here could hand the bytes to a new owner
-		// mid-write; the abandoned packet goes to the GC instead.
+		// mid-write; the driver's late completion releases it (a
+		// driver that never reports it leaves it to the GC).
+		r.orphan = p
 	} else {
 		e.trace("fail", g, r.index, Header{}, 0)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"newmad/internal/core"
@@ -75,8 +76,7 @@ func TestFailoverAllRailsDownErrorsRequests(t *testing.T) {
 	d.drvsA[1].SetDown(true)
 	sr := d.gateAB.Isend(1, fill(64, 1))
 	for i := 0; i < 100 && !sr.Done(); i++ {
-		d.engA.Poll()
-		d.engB.Poll()
+		runtime.Gosched()
 	}
 	if !sr.Done() || sr.Err() == nil {
 		t.Fatal("send with all rails down did not error")

@@ -104,9 +104,9 @@ func (g *Gate) Rails() []*Rail {
 // Backlog exposes the gate's backlog (mainly for tests and tooling).
 func (g *Gate) Backlog() *Backlog { return g.backlog }
 
-// AddRail attaches a driver as the gate's next rail and returns it. Rails
-// whose driver needs pumping (NeedsPoll) join the engine's active-rail
-// poll set; event-driven rails never will.
+// AddRail attaches a driver as the gate's next rail and returns it. The
+// driver is bound while the domain is held, so events it delivers from
+// its own goroutines at once are deferred until the rail is in place.
 //
 // Adding a rail to a dead gate revives it: the gate was dead only because
 // nothing could ever drain its work, and the new rail can (this is how
@@ -122,9 +122,6 @@ func (g *Gate) AddRail(drv Driver) *Rail {
 	g.dead = nil
 	drv.Bind(r.index, railEvents{r})
 	g.dom.Unlock()
-	if drv.NeedsPoll() {
-		g.eng.addPolled(r)
-	}
 	return r
 }
 

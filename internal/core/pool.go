@@ -214,7 +214,7 @@ type DriverEvent struct {
 }
 
 // EventBatch carries several driver events into a gate's progress domain
-// in one delivery, so a busy rail costs one domain acquisition per poll
+// in one delivery, so a busy rail costs one domain acquisition per batch
 // instead of one per packet. Batches are pooled: the driver fills one
 // with GetEventBatch/Add and hands it to Events.DeliverBatch (when the
 // sink implements BatchEvents); ownership transfers with the call and

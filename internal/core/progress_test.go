@@ -14,10 +14,9 @@ import (
 )
 
 // injectorDrv is an event-driven test driver: sends complete synchronously
-// and are recorded, Poll calls are counted, and tests can inject arbitrary
-// (including corrupt) arrivals through the captured Events.
+// and are recorded, and tests can inject arbitrary (including corrupt)
+// arrivals through the captured Events.
 type injectorDrv struct {
-	polls  atomic.Int32
 	closed atomic.Bool
 
 	mu   sync.Mutex
@@ -30,8 +29,6 @@ type injectorDrv struct {
 
 func (d *injectorDrv) Name() string          { return "injector" }
 func (d *injectorDrv) Profile() core.Profile { return memdrv.DefaultProfile() }
-func (d *injectorDrv) NeedsPoll() bool       { return false }
-func (d *injectorDrv) Poll()                 { d.polls.Add(1) }
 func (d *injectorDrv) Close() error          { d.closed.Store(true); return nil }
 func (d *injectorDrv) Bind(rail int, ev core.Events) {
 	d.mu.Lock()
@@ -71,9 +68,9 @@ func dataHdr(tag uint32, msg uint64, n int) core.Header {
 	}
 }
 
-// TestWaitBlocksEventDrivenNoPoll is the notification regression test: on
-// an engine whose rails are all event-driven, a blocked Wait is woken by
-// the completing event itself, with no Poll calls at all.
+// TestWaitBlocksEventDrivenNoPoll is the notification regression test: a
+// blocked Wait is woken by the completing event itself, delivered from
+// another goroutine, with nothing pumping the rail.
 func TestWaitBlocksEventDrivenNoPoll(t *testing.T) {
 	eng, g, drv := injectorGate(t)
 	buf := make([]byte, 8)
@@ -97,9 +94,6 @@ func TestWaitBlocksEventDrivenNoPoll(t *testing.T) {
 	}
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("payload mismatch")
-	}
-	if n := drv.polls.Load(); n != 0 {
-		t.Fatalf("event-driven rail was polled %d times", n)
 	}
 }
 
@@ -366,44 +360,26 @@ func TestRailFailurePurgesFailedRequestsUnits(t *testing.T) {
 	}
 }
 
-// queuedDrv models a pumped (NeedsPoll) driver: sends complete only when
-// Poll drains them.
-type queuedDrv struct {
-	injectorDrv
-	pending atomic.Int32
-}
-
-func (d *queuedDrv) NeedsPoll() bool { return true }
-func (d *queuedDrv) Send(p *core.Packet) error {
-	d.pending.Add(1)
-	return nil
-}
-func (d *queuedDrv) Poll() {
-	d.injectorDrv.Poll()
-	for d.pending.Load() > 0 {
-		d.pending.Add(-1)
-		d.mu.Lock()
-		rail, ev := d.rail, d.ev
-		d.mu.Unlock()
-		ev.SendComplete(rail)
-	}
-}
-
 // TestMarkDownWithInFlightOnPolledRail: MarkDown promises the in-flight
-// packet completes; for a pumped rail that means it must stay in the
-// poll set until the completion drains, or Wait would spin forever.
+// packet completes. On a rail whose completion arrives later from another
+// goroutine — as a socket driver's I/O goroutine delivers it — the driver
+// must stay open until that completion drains, and only then be retired.
 func TestMarkDownWithInFlightOnPolledRail(t *testing.T) {
 	eng := core.New(core.Config{Strategy: strategy.NewFIFO(0)})
 	g := eng.NewGate("peer")
-	drv := &queuedDrv{}
+	drv := &holdDrv{}
 	g.AddRail(drv)
 	sr := g.Isend(1, []byte("in flight"))
 	if sr.Done() {
-		t.Fatal("send completed before any Poll")
+		t.Fatal("send completed before its driver reported it")
 	}
 	g.Rails()[0].MarkDown()
+	if drv.closed.Load() {
+		t.Fatal("MarkDown closed the driver with a packet still in flight")
+	}
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- eng.Wait(sr) }()
+	go drv.completeOne()
 	select {
 	case err := <-waitErr:
 		if err != nil {
@@ -411,6 +387,13 @@ func TestMarkDownWithInFlightOnPolledRail(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait hung: MarkDown stranded the in-flight completion")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !drv.closed.Load() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !drv.closed.Load() {
+		t.Fatal("drained MarkDown'd rail was never retired")
 	}
 }
 
@@ -594,86 +577,6 @@ func TestMarkDownLastRailFailsGate(t *testing.T) {
 	sr := g.Isend(1, []byte("x"))
 	if !sr.Done() || sr.Err() == nil {
 		t.Fatal("send after MarkDown of last rail did not fail")
-	}
-}
-
-// failingPollDrv is a pollable rail whose sends are refused, so posting
-// on it fails the rail.
-type failingPollDrv struct{ injectorDrv }
-
-func (d *failingPollDrv) NeedsPoll() bool           { return true }
-func (d *failingPollDrv) Send(p *core.Packet) error { return fmt.Errorf("refused") }
-
-// TestFailedRailLeavesPollSet: a dead rail must drop out of the active
-// poll set instead of being pumped forever.
-func TestFailedRailLeavesPollSet(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
-	g := eng.NewGate("peer")
-	drv := &failingPollDrv{}
-	g.AddRail(drv)
-	eng.Poll()
-	if drv.polls.Load() == 0 {
-		t.Fatal("pollable rail was not polled")
-	}
-	sr := g.Isend(1, []byte("x")) // post fails → rail fails → leaves the set
-	if !sr.Done() || sr.Err() == nil {
-		t.Fatal("send on refusing rail did not error")
-	}
-	// Retirement itself drains the driver (a bounded number of Polls in
-	// a background goroutine); wait for that to settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		n := drv.polls.Load()
-		time.Sleep(20 * time.Millisecond)
-		if drv.closed.Load() && drv.polls.Load() == n {
-			break
-		}
-	}
-	before := drv.polls.Load()
-	eng.Poll()
-	eng.Poll()
-	if got := drv.polls.Load(); got != before {
-		t.Fatalf("failed rail still polled by the engine (%d → %d)", before, got)
-	}
-}
-
-// pollOnceDrv is a pollable rail that delivers one prepared arrival the
-// first time it is pumped.
-type pollOnceDrv struct {
-	injectorDrv
-	arrival *core.Packet
-	once    sync.Once
-}
-
-func (d *pollOnceDrv) NeedsPoll() bool { return true }
-func (d *pollOnceDrv) Poll() {
-	d.injectorDrv.Poll()
-	d.once.Do(func() { d.inject(d.arrival) })
-}
-
-// TestLateAddedPolledRailWakesParkedWait: a Wait parked on the completion
-// channel (empty poll set) must start pumping when a pollable rail is
-// attached afterwards, not sleep forever.
-func TestLateAddedPolledRailWakesParkedWait(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
-	g := eng.NewGate("peer")
-	buf := make([]byte, 4)
-	rr := g.Irecv(1, buf)
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- eng.Wait(rr) }()
-	time.Sleep(20 * time.Millisecond) // let the waiter park
-	drv := &pollOnceDrv{arrival: &core.Packet{Hdr: dataHdr(1, 0, 4), Payload: []byte("wake")}}
-	g.AddRail(drv)
-	select {
-	case err := <-waitErr:
-		if err != nil {
-			t.Fatalf("Wait: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait stayed parked after a pollable rail was added")
-	}
-	if !bytes.Equal(buf, []byte("wake")) {
-		t.Fatal("payload mismatch")
 	}
 }
 

@@ -25,6 +25,11 @@ type Rail struct {
 	// retiring marks a MarkDown'd rail whose healthy driver still owes
 	// the in-flight packet's completion; gate-domain owned.
 	retiring bool
+	// orphan is the in-flight packet of a rail that failed outside the
+	// send path (railFailure): the driver may still be writing it, so it
+	// is released only when the driver's late completion for it drains.
+	// Gate-domain owned.
+	orphan *Packet
 	// est models observed latency/bandwidth online; fed by sendComplete.
 	est *Estimator
 
@@ -65,8 +70,8 @@ func (r *Rail) Down() bool { return r.down.Load() }
 
 // MarkDown manually disables the rail; pending and future work is routed
 // to the remaining rails. An in-flight packet is left to complete (the
-// rail is healthy, just administratively retired): the rail stays in the
-// poll set until that completion drains, then sendComplete retires it.
+// rail is healthy, just administratively retired): its driver stays open
+// until that completion drains, then sendComplete retires it.
 // Disabling the last rail fails the gate's outstanding requests.
 func (r *Rail) MarkDown() {
 	g := r.gate
@@ -80,6 +85,16 @@ func (r *Rail) MarkDown() {
 	g.eng.retireRail(r)
 	if g.upRails() == 0 {
 		g.eng.failGate(g, ErrRailDown)
+	}
+}
+
+// releaseOrphan releases p if it is the packet railFailure left in
+// flight on the rail, now reported drained by the driver. Caller owns the
+// gate's domain.
+func (r *Rail) releaseOrphan(p *Packet) {
+	if p != nil && p == r.orphan {
+		r.orphan = nil
+		p.Release()
 	}
 }
 

@@ -14,8 +14,7 @@ type Request interface {
 	OnComplete(fn func())
 	// Completion returns a channel closed when the request completes.
 	// This is the engine's event-driven waiting primitive: Engine.Wait
-	// blocks here instead of spin-polling when every rail is
-	// event-driven.
+	// blocks here.
 	Completion() <-chan struct{}
 	// Cancel abandons the request: it completes with err (ErrCanceled
 	// when err is nil) instead of its normal outcome. Cancelling a send

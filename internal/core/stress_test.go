@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"newmad/internal/core"
@@ -139,10 +140,7 @@ func TestStressManyGates(t *testing.T) {
 		if done {
 			break
 		}
-		hub.Poll()
-		for _, pe := range peerEngines {
-			pe.Poll()
-		}
+		runtime.Gosched()
 	}
 	for i := 0; i < peers; i++ {
 		if !bytes.Equal(recvs[i], fill(10_000, byte(i))) {

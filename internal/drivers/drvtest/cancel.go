@@ -45,10 +45,10 @@ func newEngPair(t *testing.T, h Harness) *engPair {
 	return ep
 }
 
-// settle pumps the transport and polls both drivers until cond holds or
-// a real-time deadline passes. All engine events are delivered on this
-// goroutine (pumped drivers deliver from Poll; event-driven ones from
-// Send or the pump), so engine state read from cond is synchronized.
+// settle runs the transport's pump until cond holds or a real-time
+// deadline passes. Drivers may deliver engine events on their own
+// goroutines, so cond reads engine state only through synchronized
+// accessors (request Done, rail Busy, backlogEmpty).
 func (ep *engPair) settle(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -56,17 +56,19 @@ func (ep *engPair) settle(t *testing.T, cond func() bool, what string) {
 		if ep.p.Pump != nil {
 			ep.p.Pump()
 		}
-		if ep.p.A.NeedsPoll() {
-			ep.p.A.Poll()
-		}
-		if ep.p.B.NeedsPoll() {
-			ep.p.B.Poll()
-		}
 		if time.Now().After(deadline) {
 			t.Fatalf("timeout waiting for %s", what)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// backlogEmpty reads whether g's backlog is empty from inside the gate's
+// progress domain, where the engine mutates it.
+func backlogEmpty(g *core.Gate) bool {
+	empty := make(chan bool, 1)
+	g.Exec(func(o core.Ops) { empty <- o.Gate().Backlog().Empty() })
+	return <-empty
 }
 
 // rdvSize returns a payload size above the pair's eager thresholds, so a
@@ -102,7 +104,7 @@ func runCancel(t *testing.T, h Harness) {
 		if err := sr.Err(); !errors.Is(err, cause) {
 			t.Fatalf("cancelled send completed with %v, want %v", err, cause)
 		}
-		ep.settle(t, func() bool { return ep.gA.Backlog().Empty() }, "backlog to drain")
+		ep.settle(t, func() bool { return backlogEmpty(ep.gA) }, "backlog to drain")
 		// The peer must learn of the abandonment: its matching receive
 		// fails instead of waiting forever for a message nobody sends.
 		rr := ep.gB.Irecv(3, make([]byte, len(body)))

@@ -8,9 +8,9 @@
 //
 //   - send/recv ordering: packets posted on one rail arrive at the peer
 //     in posting order, bytes intact, one SendComplete per accepted Send;
-//   - NeedsPoll: drivers reporting false deliver every event without a
-//     single Poll call; drivers reporting true deliver events only from
-//     within Poll;
+//   - event-driven delivery: an arrival surfaces at the peer's sink with
+//     no call into the receiving driver — drivers report events as they
+//     happen, the engine never pumps them;
 //   - RailDown reporting: an asynchronous link failure is reported
 //     exactly once (drivers whose links cannot fail asynchronously skip
 //     this case);
@@ -41,8 +41,8 @@ import (
 type Pair struct {
 	A, B core.Driver
 	// Pump advances out-of-band progress the drivers depend on (a
-	// simulated world's event loop). May be nil. Pump must not call
-	// Driver.Poll: the NeedsPoll case relies on the distinction.
+	// simulated world's event loop). May be nil. Pump must not call into
+	// the drivers: the event-driven delivery case relies on it.
 	Pump func()
 	// Break severs the link abruptly so that A observes an asynchronous
 	// failure (Events.RailDown or Events.SendFailed). Nil when the
@@ -210,33 +210,12 @@ func Run(t *testing.T, h Harness) {
 		}
 	})
 
-	t.Run("NeedsPollContract", func(t *testing.T) {
+	t.Run("EventDrivenArrival", func(t *testing.T) {
 		leakCheck(t)
 		p := setup(t, h)
 		_, rb := bind(p)
-		send(t, p, p.A, pkt(1, 0, []byte("needspoll")))
-		if !p.A.NeedsPoll() {
-			// Event-driven: the arrival must show up without any Poll.
-			waitEvents(t, p, func() bool { arr, _, _, _ := rb.snapshot(); return arr >= 1 }, "event-driven arrival without Poll")
-			return
-		}
-		// Pumped: events are delivered only from Poll. Give the transport
-		// time to move bytes, then check nothing surfaced before Poll.
-		time.Sleep(50 * time.Millisecond)
-		if arr, _, _, _ := rb.snapshot(); arr != 0 {
-			t.Fatalf("pumped driver delivered %d arrivals before any Poll", arr)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			p.B.Poll()
-			if arr, _, _, _ := rb.snapshot(); arr >= 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("no arrival after polling for 5s")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		send(t, p, p.A, pkt(1, 0, []byte("unprompted")))
+		waitEvents(t, p, func() bool { arr, _, _, _ := rb.snapshot(); return arr >= 1 }, "arrival with no call into the receiving driver")
 	})
 
 	t.Run("RailDownReporting", func(t *testing.T) {
@@ -246,24 +225,12 @@ func Run(t *testing.T, h Harness) {
 		}
 		ra, _ := bind(p)
 		p.Break()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			p.A.Poll()
-			if p.Pump != nil {
-				p.Pump()
-			}
-			if _, _, fails, downs := ra.snapshot(); fails+downs >= 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("no RailDown/SendFailed within 5s of breaking the link")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// The failure must be reported exactly once, however often the
-		// rail is polled afterwards.
-		for i := 0; i < 50; i++ {
-			p.A.Poll()
+		waitEvents(t, p, func() bool { _, _, fails, downs := ra.snapshot(); return fails+downs >= 1 }, "RailDown/SendFailed after breaking the link")
+		// The failure must be reported exactly once: give a driver that
+		// would repeat it time to do so.
+		time.Sleep(50 * time.Millisecond)
+		if p.Pump != nil {
+			p.Pump()
 		}
 		if _, _, fails, downs := ra.snapshot(); fails+downs != 1 {
 			t.Fatalf("failure reported %d times, want exactly once", fails+downs)
@@ -331,21 +298,15 @@ func send(t *testing.T, p Pair, d core.Driver, pk *core.Packet) {
 	}
 }
 
-// waitEvents pumps and polls until cond holds or a real-time deadline
-// passes. For purely event-driven drivers with no pump, cond must hold
-// (eventually) through the deliveries triggered by Send itself.
+// waitEvents runs the pump until cond holds or a real-time deadline
+// passes. Without a pump, cond must hold (eventually) through the events
+// the drivers deliver on their own.
 func waitEvents(t *testing.T, p Pair, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if p.Pump != nil {
 			p.Pump()
-		}
-		if p.A.NeedsPoll() {
-			p.A.Poll()
-		}
-		if p.B.NeedsPoll() {
-			p.B.Poll()
 		}
 		if cond() {
 			return

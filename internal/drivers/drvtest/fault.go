@@ -63,12 +63,6 @@ func (ep *engPair) settleFault(t *testing.T, cond func() bool, what string) {
 		if ep.p.Pump != nil {
 			ep.p.Pump()
 		}
-		if ep.p.A.NeedsPoll() {
-			ep.p.A.Poll()
-		}
-		if ep.p.B.NeedsPoll() {
-			ep.p.B.Poll()
-		}
 		if i%16 == 0 {
 			if pa == nil || pa.Done() {
 				pa = ep.gA.Isend(probeTag, []byte("fault probe"))

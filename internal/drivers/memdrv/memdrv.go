@@ -1,10 +1,9 @@
 // Package memdrv provides an in-process loopback driver pair used by unit
 // and integration tests: two engines in one process exchange marshalled
 // packets, with optional fault injection. The driver is event-driven —
-// completions and arrivals are delivered synchronously from Send, and
-// Poll is a no-op — which is safe against the engine because driver
-// events route into the gate's progress domain and are deferred there
-// whenever the domain is busy.
+// completions and arrivals are delivered synchronously from Send — which
+// is safe against the engine because driver events route into the gate's
+// progress domain and are deferred there whenever the domain is busy.
 package memdrv
 
 import (
@@ -89,9 +88,8 @@ func (d *Driver) Bind(rail int, ev core.Events) {
 // synchronously — the arrival to the peer's Events, then the completion
 // (or injected failure) to this end's. Arrival-first keeps the rail
 // FIFO: anything the completion triggers (the engine kicking the next
-// packet) cannot reach the peer before this packet did. No Poll is
-// needed. A dropped send's lease is released here: nobody will ever
-// consume it.
+// packet) cannot reach the peer before this packet did. A dropped
+// send's lease is released here: nobody will ever consume it.
 func (d *Driver) Send(p *core.Packet) error {
 	d.mu.Lock()
 	if d.down {
@@ -207,13 +205,6 @@ func (d *Driver) deliver(f *core.Buf) {
 	}
 	ev.Arrive(rail, pkt)
 }
-
-// NeedsPoll implements core.Driver: the driver is event-driven.
-func (d *Driver) NeedsPoll() bool { return false }
-
-// Poll implements core.Driver; delivery is synchronous, so this is a
-// no-op.
-func (d *Driver) Poll() {}
 
 // Close implements core.Driver.
 func (d *Driver) Close() error {

@@ -36,12 +36,10 @@ func boundPair(t *testing.T) (*Driver, *Driver, *recorder, *recorder) {
 }
 
 func TestSendDeliversToPeer(t *testing.T) {
-	a, b, ra, rb := boundPair(t)
+	a, _, ra, rb := boundPair(t)
 	if err := a.Send(pkt("hello")); err != nil {
 		t.Fatal(err)
 	}
-	a.Poll()
-	b.Poll()
 	if ra.completes != 1 {
 		t.Fatalf("completes = %d", ra.completes)
 	}
@@ -51,7 +49,7 @@ func TestSendDeliversToPeer(t *testing.T) {
 }
 
 func TestPayloadIsCopiedAtSendTime(t *testing.T) {
-	a, b, _, rb := boundPair(t)
+	a, _, _, rb := boundPair(t)
 	data := []byte("mutate-me")
 	p := pkt(string(data))
 	p.Payload = data
@@ -59,8 +57,6 @@ func TestPayloadIsCopiedAtSendTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 'X' // mutation after Send must not reach the peer
-	a.Poll()
-	b.Poll()
 	if string(rb.arrivals[0].Payload) != "mutate-me" {
 		t.Fatalf("peer saw mutated payload %q", rb.arrivals[0].Payload)
 	}
@@ -79,13 +75,11 @@ func TestSendOnDownDriver(t *testing.T) {
 }
 
 func TestFailNextSend(t *testing.T) {
-	a, b, ra, rb := boundPair(t)
+	a, _, ra, rb := boundPair(t)
 	a.FailNextSend()
 	if err := a.Send(pkt("doomed")); err != nil {
 		t.Fatalf("FailNextSend should accept then fail, got sync error %v", err)
 	}
-	a.Poll()
-	b.Poll()
 	if len(ra.fails) != 1 {
 		t.Fatalf("fails = %d", len(ra.fails))
 	}
@@ -95,14 +89,12 @@ func TestFailNextSend(t *testing.T) {
 }
 
 func TestFailAfterSends(t *testing.T) {
-	a, b, ra, rb := boundPair(t)
+	a, _, ra, rb := boundPair(t)
 	a.FailAfterSends(2)
 	for i := 0; i < 3; i++ {
 		if err := a.Send(pkt("p")); err != nil {
 			t.Fatal(err)
 		}
-		a.Poll()
-		b.Poll()
 	}
 	if ra.completes != 2 || len(ra.fails) != 1 {
 		t.Fatalf("completes=%d fails=%d, want 2,1", ra.completes, len(ra.fails))
@@ -113,12 +105,10 @@ func TestFailAfterSends(t *testing.T) {
 }
 
 func TestDropNextSends(t *testing.T) {
-	a, b, ra, rb := boundPair(t)
+	a, _, ra, rb := boundPair(t)
 	a.DropNextSends(1)
 	_ = a.Send(pkt("lost"))
 	_ = a.Send(pkt("kept"))
-	a.Poll()
-	b.Poll()
 	if ra.completes != 2 {
 		t.Fatalf("completes = %d (drops still complete)", ra.completes)
 	}
@@ -136,7 +126,6 @@ func TestPollOrderCompletionsBeforeArrivals(t *testing.T) {
 	a.Bind(0, ra2)
 	_ = a.Send(pkt("x"))
 	_ = b.Send(pkt("y"))
-	a.Poll()
 	if len(order) != 2 || order[0] != "complete" || order[1] != "arrive" {
 		t.Fatalf("order = %v", order)
 	}

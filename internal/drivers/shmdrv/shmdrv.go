@@ -332,13 +332,6 @@ func (d *Driver) sendJumbo(tx *shmring.Dir, hdr, payload []byte, wireLen int) er
 	return nil
 }
 
-// NeedsPoll implements core.Driver: the receive loop is a goroutine,
-// events are pushed.
-func (d *Driver) NeedsPoll() bool { return false }
-
-// Poll implements core.Driver; a no-op for this event-driven driver.
-func (d *Driver) Poll() {}
-
 // heartbeat stamps this side's liveness and, on the creator side,
 // unlinks the segment file the moment the peer attaches — from then on
 // the rail exists only as the two mappings and no crash can leak it.

@@ -165,7 +165,11 @@ func TestRendezvousLeaseSingleOwner(t *testing.T) {
 	poolBefore := core.PoolStats()
 	arenaBefore := shmring.ArenaStats()
 	a, _, _, sb := testPair(t, testOptions())
+	// Under the sink's lock: the receiver goroutine reads hold in Arrive,
+	// and the shared-memory ring gives the race detector no ordering.
+	sb.mu.Lock()
 	sb.hold = true
+	sb.mu.Unlock()
 
 	payload := bytes.Repeat([]byte{0x5E}, 100<<10)
 	if err := a.Send(dataPkt(1, payload)); err != nil {

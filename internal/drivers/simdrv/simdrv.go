@@ -116,14 +116,6 @@ func (d *Driver) Send(p *core.Packet) error {
 	return nil
 }
 
-// NeedsPoll implements core.Driver: the simulation is event-driven, so
-// the rail never joins the engine's active poll set.
-func (d *Driver) NeedsPoll() bool { return false }
-
-// Poll implements core.Driver; the simulation is event-driven, so this is
-// a no-op.
-func (d *Driver) Poll() {}
-
 // Close implements core.Driver: later sends are refused. Idempotent. The
 // simulated world is shared with other NICs, so nothing is torn down;
 // packets already in flight still arrive at the peer.

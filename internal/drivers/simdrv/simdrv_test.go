@@ -126,17 +126,6 @@ func TestSmallMessageLatencyMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestPollIsNoOp(t *testing.T) {
-	_, da, _, ra, _ := simPair(t)
-	da.Poll()
-	if len(ra.completes) != 0 || ra.fails != 0 {
-		t.Fatal("Poll did something")
-	}
-	if err := da.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestName(t *testing.T) {
 	_, da, _, _, _ := simPair(t)
 	if da.Name() != "sim:A/myri10g" {

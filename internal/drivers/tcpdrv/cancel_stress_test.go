@@ -14,10 +14,10 @@ import (
 // TestCancelPoolSafetyStressTCP is the real-socket twin of core's
 // cancellation-storm stress: engines over loopback TCP rails, poison
 // canary armed, cancels racing eager and rendezvous transfers. The
-// pumped driver adds the paths the in-memory stress can't reach —
-// batched writev flushes, pooled read frames crossing goroutines, and
-// batched Poll delivery — all of which must stay safe while requests die
-// under them.
+// socket driver adds the paths the in-memory stress can't reach —
+// writev flushes of payloads the engine may abandon, pooled read frames
+// crossing goroutines, and events delivered from the I/O goroutines —
+// all of which must stay safe while requests die under them.
 func TestCancelPoolSafetyStressTCP(t *testing.T) {
 	core.SetPoolChecks(true)
 	t.Cleanup(func() { core.SetPoolChecks(false) })
@@ -92,8 +92,6 @@ func TestCancelPoolSafetyStressTCP(t *testing.T) {
 				}
 				deadline := time.Now().Add(20 * time.Second)
 				for !(sr.Done() && rr.Done()) {
-					engA.Poll()
-					engB.Poll()
 					time.Sleep(10 * time.Microsecond)
 					if time.Now().After(deadline) {
 						t.Errorf("worker %d: iteration %d never reached a terminal state", w, i)

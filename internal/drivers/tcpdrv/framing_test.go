@@ -3,6 +3,7 @@ package tcpdrv
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,7 +77,7 @@ func TestFramingSingleWritePerFrame(t *testing.T) {
 	if err := d.Send(pkt(payload)); err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, func() bool { _, _, arr := rp.snapshot(); return len(arr) == 1 }, d, peer)
+	waitUntil(t, func() bool { _, _, arr := rp.snapshot(); return len(arr) == 1 })
 
 	writes := cc.snapshot()
 	if len(writes) != 1 {
@@ -88,16 +89,13 @@ func TestFramingSingleWritePerFrame(t *testing.T) {
 	}
 }
 
-// TestFramingBatchedFlush pins the aggregated send path: packets queued
-// while the writer is blocked on the wire must flush together — one
-// write (one writev on a real TCP conn) carrying several whole frames.
-// net.Pipe's synchronous writes make the batching deterministic: the
-// first packet parks the writer in Write until the test reads, and the
-// packets sent meanwhile drain as one flush.
-func TestFramingBatchedFlush(t *testing.T) {
+// TestSendCompletesWhenWriteReturns pins the event-driven send path: the
+// writer reports SendComplete as soon as the frame's write returns, with
+// nothing pumping the driver. net.Pipe's synchronous writes make the
+// moment observable: the write cannot return before the peer reads.
+func TestSendCompletesWhenWriteReturns(t *testing.T) {
 	a, b := net.Pipe()
-	cc := &countingConn{Conn: a}
-	d := New(cc, Options{})
+	d := New(a, Options{})
 	t.Cleanup(func() {
 		d.Close()
 		b.Close()
@@ -105,68 +103,30 @@ func TestFramingBatchedFlush(t *testing.T) {
 	rd := &recorder{}
 	d.Bind(0, rd)
 
-	payloads := [][]byte{
-		bytes.Repeat([]byte{1}, 100),
-		bytes.Repeat([]byte{2}, 200),
-		bytes.Repeat([]byte{3}, 300),
-	}
-	if err := d.Send(pkt(payloads[0])); err != nil {
+	payload := bytes.Repeat([]byte{7}, 200)
+	if err := d.Send(pkt(payload)); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the writer to pick up packet 0 and park in its Write
-	// (countingConn records before forwarding, the pipe blocks after).
-	deadline := time.Now().Add(5 * time.Second)
-	for len(cc.snapshot()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never reached the wire")
-		}
-		time.Sleep(100 * time.Microsecond)
+	time.Sleep(20 * time.Millisecond)
+	if comp, _, _ := rd.snapshot(); comp != 0 {
+		t.Fatal("send completed before the peer read the frame")
 	}
-	// These two queue up behind the parked writer.
-	if err := d.Send(pkt(payloads[1])); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Send(pkt(payloads[2])); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain the pipe until all three frames arrived.
-	var stream []byte
-	buf := make([]byte, 32<<10)
-	want := 0
-	for _, p := range payloads {
-		want += 4 + core.HeaderLen + len(p)
-	}
+	want := 4 + core.HeaderLen + len(payload)
+	stream := make([]byte, want)
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for len(stream) < want {
-		n, err := b.Read(buf)
-		if err != nil {
-			t.Fatalf("pipe read: %v (got %d of %d bytes)", err, len(stream), want)
-		}
-		stream = append(stream, buf[:n]...)
+	if _, err := io.ReadFull(b, stream); err != nil {
+		t.Fatalf("pipe read: %v", err)
 	}
-
-	pkts := parseFrames(t, stream)
-	if len(pkts) != 3 {
-		t.Fatalf("parsed %d frames, want 3", len(pkts))
+	if pkts := parseFrames(t, stream); len(pkts) != 1 || !bytes.Equal(pkts[0].Payload, payload) {
+		t.Fatal("pipe did not carry exactly the frame")
 	}
-	for i, p := range pkts {
-		if !bytes.Equal(p.Payload, payloads[i]) {
-			t.Fatalf("frame %d corrupt or out of order", i)
-		}
-	}
-	writes := cc.snapshot()
-	if len(writes) != 2 {
-		t.Fatalf("three queued packets cost %d writes, want 2 (1 + batched 2)", len(writes))
-	}
-	if got := parseFrames(t, writes[1]); len(got) != 2 {
-		t.Fatalf("second flush carried %d frames, want the 2 queued ones", len(got))
-	}
+	waitUntil(t, func() bool { comp, _, _ := rd.snapshot(); return comp == 1 })
 }
 
 // BenchmarkTCPPingpong is the headline socket benchmark: one round trip
 // over loopback TCP per iteration, exercising the vectored send path,
-// the pooled reader and batched Poll delivery end to end.
+// the pooled reader and event delivery from the I/O goroutines end to
+// end. The benchmark goroutine parks on the sinks between legs.
 func BenchmarkTCPPingpong(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -190,7 +150,7 @@ func BenchmarkTCPPingpong(b *testing.B) {
 	}
 	defer client.Close()
 	defer server.Close()
-	rc, rs := &countSink{}, &countSink{}
+	rc, rs := newCountSink(), newCountSink()
 	client.Bind(0, rc)
 	server.Bind(0, rs)
 
@@ -202,29 +162,30 @@ func BenchmarkTCPPingpong(b *testing.B) {
 		if err := client.Send(pkt(payload)); err != nil {
 			b.Fatal(err)
 		}
-		// The brief sleep parks the polling goroutine so the runtime's
-		// netpoller can wake the drivers' I/O goroutines promptly even
-		// on single-core runners; a pure spin defers that wakeup to
-		// sysmon's 10ms forced poll.
-		for rs.arrivals.Load() <= int64(i) {
-			server.Poll()
-			time.Sleep(10 * time.Microsecond)
-		}
+		rs.await(int64(i + 1))
 		if err := server.Send(pkt(payload)); err != nil {
 			b.Fatal(err)
 		}
-		for rc.arrivals.Load() <= int64(i) {
-			client.Poll()
-			time.Sleep(10 * time.Microsecond)
-		}
+		rc.await(int64(i + 1))
 	}
 }
 
 // countSink is an Events sink that releases every arrival immediately —
-// the benchmark's stand-in for the engine's consume-and-release cycle.
+// the benchmark's stand-in for the engine's consume-and-release cycle —
+// and signals each one so a waiter can park instead of spinning.
 type countSink struct {
 	arrivals  atomic.Int64
 	completes atomic.Int64
+	arrived   chan struct{}
+}
+
+func newCountSink() *countSink { return &countSink{arrived: make(chan struct{}, 1)} }
+
+// await blocks until at least n arrivals were delivered.
+func (s *countSink) await(n int64) {
+	for s.arrivals.Load() < n {
+		<-s.arrived
+	}
 }
 
 func (s *countSink) SendComplete(int) { s.completes.Add(1) }
@@ -234,6 +195,10 @@ func (s *countSink) SendFailed(int, *core.Packet, error) {}
 func (s *countSink) Arrive(_ int, p *core.Packet) {
 	p.Release()
 	s.arrivals.Add(1)
+	select {
+	case s.arrived <- struct{}{}:
+	default:
+	}
 }
 
 func (s *countSink) RailDown(int, error) {}

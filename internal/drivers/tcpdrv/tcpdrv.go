@@ -5,19 +5,18 @@
 // (possibly over different physical interfaces) as heterogeneous rails.
 //
 // Framing is a 4-byte little-endian length followed by a marshalled
-// packet. A writer goroutine drains the send queue in batches: on a real
-// TCP connection every queued packet contributes two iovecs (a pooled
-// prefix+header staging buffer and the payload itself) to one
-// net.Buffers flush — a single writev(2) regardless of how many packets
-// were waiting, with zero payload copies. On other connections the batch
-// is coalesced into one pooled buffer and issued as a single Write, so a
-// frame never costs two syscalls either way. A reader goroutine parses
-// frames into arena leases; Poll drains completions and arrivals in one
-// batch per call and hands them to the engine through BatchEvents when
-// the sink supports it (one progress-domain acquisition for the whole
-// batch). This is the only pumped driver: its rails join the engine's
-// active poll set (NeedsPoll reports true) and waiting goroutines pump
-// them, while event-driven drivers are never polled.
+// packet. The driver is event-driven, with two I/O goroutines started by
+// Bind. Send encodes the length prefix and header into a pooled staging
+// buffer and hands the packet to the writer goroutine, which issues it
+// as one writev(2) of two iovecs — staging buffer and payload — with zero
+// payload copies (on connections without writev the frame is coalesced
+// into one pooled buffer and one Write). The moment the write returns,
+// the writer reports SendComplete (or SendFailed), so the engine hands
+// the idle rail its next packet without delay. The reader goroutine
+// parses frames into arena leases and delivers each through
+// Events.Arrive as soon as it is whole; a dead reader (peer gone,
+// corrupt frame) is reported once as RailDown. Frames the peer sends
+// before Bind wait in the kernel until the reader starts.
 package tcpdrv
 
 import (
@@ -37,10 +36,6 @@ import (
 
 // ErrClosed reports use of a closed driver.
 var ErrClosed = errors.New("tcpdrv: closed")
-
-// maxWriteBatch bounds how many queued packets one writer flush absorbs,
-// keeping the iovec count well under the kernel's IOV_MAX.
-const maxWriteBatch = 32
 
 // Options configures a TCP rail.
 type Options struct {
@@ -70,30 +65,28 @@ type Driver struct {
 	br   *bufio.Reader // reader-goroutine-only; batches length-prefix reads
 	prof core.Profile
 
+	// rail and ev are set by Bind before the I/O goroutines start.
 	rail int
 	ev   core.Events
 
-	sendq chan *core.Packet
+	// sendq holds the one packet the engine may have posted: the engine
+	// waits for SendComplete before posting the next.
+	sendq chan frame
+	// iov and bufs are the writer goroutine's scratch for one writev.
+	iov, bufs net.Buffers
 
-	mu          sync.Mutex
-	completions []completion
-	compSpare   []completion // recycled backing array for completions
-	inbox       []*core.Packet
-	inboxSpare  []*core.Packet // recycled backing array for inbox
-	closed      bool
-	rerr        error
-	rerrSent    bool // reader error already reported via Events.RailDown
-
-	// pollMu serializes Poll: several waiting goroutines may pump the
-	// rail concurrently, and per-rail event order must be preserved.
-	pollMu sync.Mutex
+	mu     sync.Mutex
+	closed bool
+	rerr   error
 
 	wg sync.WaitGroup
 }
 
-type completion struct {
+// frame is a posted packet with its length prefix and header already
+// encoded into a pooled staging buffer.
+type frame struct {
 	pkt *core.Packet
-	err error
+	hdr *core.Buf
 }
 
 // New wraps an established connection as a rail.
@@ -116,17 +109,14 @@ func New(conn net.Conn, opts Options) *Driver {
 	if tc != nil && !opts.NoDelayOff {
 		_ = tc.SetNoDelay(true)
 	}
-	d := &Driver{
+	return &Driver{
 		conn:  conn,
 		tc:    tc,
 		br:    bufio.NewReaderSize(conn, 64<<10),
 		prof:  prof,
-		sendq: make(chan *core.Packet, 64),
+		sendq: make(chan frame, 1),
+		iov:   make(net.Buffers, 0, 2),
 	}
-	d.wg.Add(2)
-	go d.writer()
-	go d.reader()
-	return d
 }
 
 // Dial connects to addr and returns the rail.
@@ -171,124 +161,97 @@ func (d *Driver) Name() string { return "tcp:" + d.conn.RemoteAddr().String() }
 // Profile implements core.Driver.
 func (d *Driver) Profile() core.Profile { return d.prof }
 
-// Bind implements core.Driver.
+// Bind implements core.Driver: it records the engine callbacks and
+// starts the writer and reader goroutines, so no event can reach an
+// unbound sink.
 func (d *Driver) Bind(rail int, ev core.Events) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ev != nil || d.closed {
+		return
+	}
 	d.rail = rail
 	d.ev = ev
+	d.wg.Add(2)
+	go d.writer()
+	go d.reader()
 }
 
-// Send implements core.Driver: enqueues the packet for the writer
-// goroutine. The payload is referenced, not copied, until written.
+// Send implements core.Driver: encodes the frame's length prefix and
+// header — here, where the caller owns the packet, so the writer only
+// ever reads it — and hands the packet to the writer goroutine. The
+// payload is referenced, not copied, until written.
 func (d *Driver) Send(p *core.Packet) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
+	hdr := core.GetBuf(4 + core.HeaderLen)
+	p.Hdr.PayLen = uint32(len(p.Payload))
+	binary.LittleEndian.PutUint32(hdr.B, uint32(p.WireLen()))
+	core.EncodeHeader(hdr.B[4:], &p.Hdr)
 	select {
-	case d.sendq <- p:
+	case d.sendq <- frame{pkt: p, hdr: hdr}:
 		return nil
 	default:
 		// The engine posts one packet at a time per rail, so a full
-		// queue means the contract was violated or the peer is gone.
+		// queue means the contract was violated.
+		hdr.Release()
 		return fmt.Errorf("tcpdrv: send queue full on %s", d.Name())
 	}
 }
 
+// writer writes each posted frame and reports its outcome the moment the
+// write returns. After Close it drains what is left, whose writes fail
+// on the closed connection and are reported as such.
 func (d *Driver) writer() {
 	defer d.wg.Done()
-	var batch []*core.Packet
-	var iov net.Buffers
-	var frames []*core.Buf
-	for p := range d.sendq {
-		batch = append(batch[:0], p)
-	drain:
-		// Opportunistically absorb everything already queued: the flush
-		// below carries the whole batch in one syscall.
-		for len(batch) < maxWriteBatch {
-			select {
-			case q, ok := <-d.sendq:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, q)
-			default:
-				break drain
-			}
-		}
+	for f := range d.sendq {
 		var err error
 		if d.tc != nil {
-			iov, frames, err = d.writeVectored(batch, iov, frames)
+			err = d.writeVectored(f)
 		} else {
-			err = d.writeCoalesced(batch)
+			err = d.writeCoalesced(f)
 		}
-		d.mu.Lock()
-		for i, q := range batch {
-			d.completions = append(d.completions, completion{pkt: q, err: err})
-			batch[i] = nil
-		}
-		closed := d.closed
-		d.mu.Unlock()
-		if err != nil && !closed {
-			return
+		f.hdr.Release()
+		if err != nil {
+			d.ev.SendFailed(d.rail, f.pkt, err)
+		} else {
+			d.ev.SendComplete(d.rail)
 		}
 	}
 }
 
-// writeVectored flushes the batch through one net.Buffers write — a
-// single writev on a TCP connection. Each packet contributes a pooled
-// prefix+header iovec and its payload iovec; payload bytes are never
-// copied. The iov and frames scratch slices are returned (emptied) for
-// reuse by the next flush.
-func (d *Driver) writeVectored(batch []*core.Packet, iov net.Buffers, frames []*core.Buf) (net.Buffers, []*core.Buf, error) {
-	iov = iov[:0]
-	frames = frames[:0]
-	for _, p := range batch {
-		f := core.GetBuf(4 + core.HeaderLen)
-		p.Hdr.PayLen = uint32(len(p.Payload))
-		binary.LittleEndian.PutUint32(f.B, uint32(p.WireLen()))
-		core.EncodeHeader(f.B[4:], &p.Hdr)
-		iov = append(iov, f.B)
-		if len(p.Payload) > 0 {
-			iov = append(iov, p.Payload)
-		}
-		frames = append(frames, f)
+// writeVectored sends the staging buffer and the payload as one writev;
+// payload bytes are never copied.
+func (d *Driver) writeVectored(f frame) error {
+	d.iov = append(d.iov[:0], f.hdr.B)
+	if len(f.pkt.Payload) > 0 {
+		d.iov = append(d.iov, f.pkt.Payload)
 	}
-	// WriteTo consumes its receiver, so flush through a copy and keep
-	// iov intact to zero the payload references afterwards.
-	bufs := iov
-	_, err := bufs.WriteTo(d.tc)
-	for i := range iov {
-		iov[i] = nil
-	}
-	for i, f := range frames {
-		f.Release()
-		frames[i] = nil
-	}
-	return iov[:0], frames[:0], err
-}
-
-// writeCoalesced flushes the batch as one buffered Write for connections
-// without writev support: every frame — length prefix, header, payload —
-// lands in a single pooled staging buffer, so even a lone packet costs
-// one syscall instead of the historical prefix-then-body pair.
-func (d *Driver) writeCoalesced(batch []*core.Packet) error {
-	total := 0
-	for _, p := range batch {
-		total += 4 + p.WireLen()
-	}
-	f := core.GetBuf(total)
-	off := 0
-	for _, p := range batch {
-		binary.LittleEndian.PutUint32(f.B[off:], uint32(p.WireLen()))
-		off += 4
-		off += p.EncodeTo(f.B[off:])
-	}
-	_, err := d.conn.Write(f.B)
-	f.Release()
+	// WriteTo consumes its receiver, so write through bufs and keep iov
+	// to drop the payload reference afterwards.
+	d.bufs = d.iov
+	_, err := d.bufs.WriteTo(d.tc)
+	clear(d.iov)
 	return err
 }
 
+// writeCoalesced sends the frame as one Write for connections without
+// writev support: prefix, header and payload land in a single pooled
+// staging buffer, so a frame never costs two syscalls.
+func (d *Driver) writeCoalesced(f frame) error {
+	b := core.GetBuf(len(f.hdr.B) + len(f.pkt.Payload))
+	n := copy(b.B, f.hdr.B)
+	copy(b.B[n:], f.pkt.Payload)
+	_, err := d.conn.Write(b.B)
+	b.Release()
+	return err
+}
+
+// reader parses frames and delivers each as it completes. It exits on
+// the first read or framing error.
 func (d *Driver) reader() {
 	defer d.wg.Done()
 	var lenBuf [4]byte
@@ -313,93 +276,23 @@ func (d *Driver) reader() {
 			d.readerDone(err)
 			return
 		}
-		d.mu.Lock()
-		d.inbox = append(d.inbox, pkt)
-		d.mu.Unlock()
+		d.ev.Arrive(d.rail, pkt)
 	}
 }
 
+// readerDone records the reader's terminal error and reports it as
+// RailDown — unless the driver was closed, which is what failed the
+// read. The reader exits right after, so the report happens once.
 func (d *Driver) readerDone(err error) {
 	d.mu.Lock()
-	if d.rerr == nil && !d.closed {
+	closed := d.closed
+	if !closed {
 		d.rerr = err
 	}
 	d.mu.Unlock()
-}
-
-// NeedsPoll implements core.Driver: real sockets need pumping, so the
-// rail joins the engine's active poll set.
-func (d *Driver) NeedsPoll() bool { return true }
-
-// Poll implements core.Driver: delivers queued completions and arrivals,
-// and reports a dead reader (peer gone, corrupt frame) as a rail failure
-// exactly once. When the bound Events sink supports batching (the
-// engine's does), the whole drain crosses into the progress domain as
-// one batch — one wakeup and one lock acquisition instead of one per
-// event. Safe for concurrent callers. The drained queues' backing arrays
-// are recycled, so a steady-state poll allocates nothing.
-func (d *Driver) Poll() {
-	d.pollMu.Lock()
-	defer d.pollMu.Unlock()
-	d.mu.Lock()
-	comps := d.completions
-	d.completions = d.compSpare[:0]
-	d.compSpare = nil
-	inbox := d.inbox
-	d.inbox = d.inboxSpare[:0]
-	d.inboxSpare = nil
-	rerr := d.rerr
-	if rerr != nil && !d.rerrSent {
-		d.rerrSent = true
-	} else {
-		rerr = nil
+	if !closed {
+		d.ev.RailDown(d.rail, err)
 	}
-	d.mu.Unlock()
-	if be, ok := d.ev.(core.BatchEvents); ok {
-		if len(comps)+len(inbox) > 0 || rerr != nil {
-			batch := core.GetEventBatch()
-			for i, c := range comps {
-				comps[i] = completion{}
-				if c.err != nil {
-					batch.Add(core.DriverEvent{Kind: core.EvSendFailed, Pkt: c.pkt, Err: c.err})
-				} else {
-					batch.Add(core.DriverEvent{Kind: core.EvSendComplete})
-				}
-			}
-			for i, pkt := range inbox {
-				inbox[i] = nil
-				batch.Add(core.DriverEvent{Kind: core.EvArrive, Pkt: pkt})
-			}
-			if rerr != nil {
-				batch.Add(core.DriverEvent{Kind: core.EvRailDown, Err: rerr})
-			}
-			be.DeliverBatch(d.rail, batch)
-		}
-	} else {
-		for i, c := range comps {
-			comps[i] = completion{}
-			if c.err != nil {
-				d.ev.SendFailed(d.rail, c.pkt, c.err)
-			} else {
-				d.ev.SendComplete(d.rail)
-			}
-		}
-		for i, pkt := range inbox {
-			inbox[i] = nil
-			d.ev.Arrive(d.rail, pkt)
-		}
-		if rerr != nil {
-			d.ev.RailDown(d.rail, rerr)
-		}
-	}
-	d.mu.Lock()
-	if d.compSpare == nil {
-		d.compSpare = comps[:0]
-	}
-	if d.inboxSpare == nil {
-		d.inboxSpare = inbox[:0]
-	}
-	d.mu.Unlock()
 }
 
 // Err reports a terminal reader error, if any (io.EOF after a clean peer
@@ -410,11 +303,15 @@ func (d *Driver) Err() error {
 	return d.rerr
 }
 
-// Close implements core.Driver.
+// Close implements core.Driver. Every call, the first or a repeat, returns
+// only once the I/O goroutines have exited, delivering their last events
+// on the way out; so Close must not be called synchronously from one of
+// the driver's own event callbacks.
 func (d *Driver) Close() error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
+		d.wg.Wait()
 		return nil
 	}
 	d.closed = true

@@ -44,7 +44,9 @@ func (r *recorder) snapshot() (int, int, []*core.Packet) {
 	return r.completes, len(r.fails), append([]*core.Packet(nil), r.arrivals...)
 }
 
-func tcpPair(t *testing.T) (*Driver, *Driver, *recorder, *recorder) {
+// dialPair connects a client and a server driver over loopback, both
+// still unbound; the drivers are closed when the test ends.
+func dialPair(t *testing.T) (*Driver, *Driver) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -66,13 +68,20 @@ func tcpPair(t *testing.T) (*Driver, *Driver, *recorder, *recorder) {
 	if serr != nil {
 		t.Fatal(serr)
 	}
-	rc, rs := &recorder{}, &recorder{}
-	client.Bind(0, rc)
-	server.Bind(0, rs)
 	t.Cleanup(func() {
 		client.Close()
 		server.Close()
 	})
+	return client, server
+}
+
+// tcpPair is dialPair with a recorder bound to each end.
+func tcpPair(t *testing.T) (*Driver, *Driver, *recorder, *recorder) {
+	t.Helper()
+	client, server := dialPair(t)
+	rc, rs := &recorder{}, &recorder{}
+	client.Bind(0, rc)
+	server.Bind(0, rs)
 	return client, server, rc, rs
 }
 
@@ -83,13 +92,11 @@ func pkt(payload []byte) *core.Packet {
 	}
 }
 
-func pollUntil(t *testing.T, cond func() bool, drivers ...*Driver) {
+// waitUntil waits for the drivers' I/O goroutines to make cond true.
+func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, d := range drivers {
-			d.Poll()
-		}
 		if cond() {
 			return
 		}
@@ -99,24 +106,43 @@ func pollUntil(t *testing.T, cond func() bool, drivers ...*Driver) {
 }
 
 func TestRoundTripSmallPacket(t *testing.T) {
-	c, s, rc, rs := tcpPair(t)
+	c, _, rc, rs := tcpPair(t)
 	payload := []byte("over the real wire")
 	if err := c.Send(pkt(payload)); err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == 1 }, c, s)
+	waitUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == 1 })
 	_, _, arr := rs.snapshot()
 	if !bytes.Equal(arr[0].Payload, payload) {
 		t.Fatalf("payload %q", arr[0].Payload)
 	}
-	comp, _, _ := rc.snapshot()
-	if comp != 1 {
-		t.Fatalf("completes = %d", comp)
+	waitUntil(t, func() bool { comp, _, _ := rc.snapshot(); return comp == 1 })
+}
+
+// TestFrameBeforeBindDeliveredAfter: the I/O goroutines start in Bind, so
+// a frame the peer sends earlier waits in the kernel and is delivered
+// once the driver is bound — nothing reaches a nil sink, nothing is lost.
+func TestFrameBeforeBindDeliveredAfter(t *testing.T) {
+	c, s := dialPair(t)
+	rc := &recorder{}
+	c.Bind(0, rc)
+	payload := []byte("sent before the peer bound")
+	if err := c.Send(pkt(payload)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, func() bool { comp, _, _ := rc.snapshot(); return comp == 1 })
+	time.Sleep(20 * time.Millisecond) // the frame sits in s's socket
+	rs := &recorder{}
+	s.Bind(0, rs)
+	waitUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == 1 })
+	_, _, arr := rs.snapshot()
+	if !bytes.Equal(arr[0].Payload, payload) {
+		t.Fatalf("payload %q", arr[0].Payload)
 	}
 }
 
 func TestRoundTripLargePacket(t *testing.T) {
-	c, s, _, rs := tcpPair(t)
+	c, _, _, rs := tcpPair(t)
 	payload := make([]byte, 4<<20)
 	for i := range payload {
 		payload[i] = byte(i * 13)
@@ -124,7 +150,7 @@ func TestRoundTripLargePacket(t *testing.T) {
 	if err := c.Send(pkt(payload)); err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == 1 }, c, s)
+	waitUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == 1 })
 	_, _, arr := rs.snapshot()
 	if !bytes.Equal(arr[0].Payload, payload) {
 		t.Fatal("large payload corrupted")
@@ -139,27 +165,26 @@ func TestBidirectional(t *testing.T) {
 	if err := s.Send(pkt([]byte("pong"))); err != nil {
 		t.Fatal(err)
 	}
-	pollUntil(t, func() bool {
+	waitUntil(t, func() bool {
 		_, _, a1 := rc.snapshot()
 		_, _, a2 := rs.snapshot()
 		return len(a1) == 1 && len(a2) == 1
-	}, c, s)
+	})
 }
 
 func TestManyPacketsInOrder(t *testing.T) {
-	c, s, _, rs := tcpPair(t)
+	c, _, rc, rs := tcpPair(t)
 	const n = 50
-	go func() {
-		for i := 0; i < n; i++ {
-			p := pkt([]byte{byte(i)})
-			p.Hdr.MsgID = uint64(i)
-			for c.Send(p) != nil {
-				time.Sleep(time.Millisecond)
-			}
-			c.Poll()
+	for i := 0; i < n; i++ {
+		p := pkt([]byte{byte(i)})
+		p.Hdr.MsgID = uint64(i)
+		if err := c.Send(p); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	pollUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == n }, c, s)
+		// One packet in flight, as the engine posts them.
+		waitUntil(t, func() bool { comp, _, _ := rc.snapshot(); return comp == i+1 })
+	}
+	waitUntil(t, func() bool { _, _, arr := rs.snapshot(); return len(arr) == n })
 	_, _, arr := rs.snapshot()
 	for i, p := range arr {
 		if p.Hdr.MsgID != uint64(i) {

@@ -12,8 +12,7 @@
 //
 // The engine sees an event-driven driver: relnet delivers completions
 // and arrivals from the reader goroutine (batched through EventBatch
-// when several events fall out of one datagram), so UDP rails never
-// join the engine's poll set.
+// when several events fall out of one datagram).
 package udpdrv
 
 import (

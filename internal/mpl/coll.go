@@ -299,18 +299,10 @@ func (c *Comm) collCtx(ctx context.Context, co *Coll) error {
 	return err
 }
 
-// Test reports whether the collective has completed, making one
-// non-blocking progress pass over the engine's pollable rails first. On
-// fully event-driven platforms progress is made by the completing events
-// themselves; under the discrete-event simulation a spinning Test never
-// advances virtual time, so simulated processes should Wait (or sleep
-// between Tests) instead.
-func (co *Coll) Test() bool {
-	if co.Done() {
-		return true
-	}
-	co.comm.eng.Poll()
-	return co.Done()
-}
+// Test reports whether the collective has completed. Progress is made by
+// the completing driver events themselves; under the discrete-event
+// simulation a spinning Test never advances virtual time, so simulated
+// processes should Wait (or sleep between Tests) instead.
+func (co *Coll) Test() bool { return co.Done() }
 
 var _ core.Request = (*Coll)(nil)

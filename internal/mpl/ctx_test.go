@@ -82,8 +82,8 @@ func newTCPDuo(t *testing.T, rails int) *tcpDuo {
 // must return the RailDown-derived error, not nothing.
 func TestBlockingSendSurfacesRailDeath(t *testing.T) {
 	d := newTCPDuo(t, 2)
-	// A rendezvous-sized message with no receiver posted: Send parks,
-	// pumping its rails, until the peer dies under it.
+	// A rendezvous-sized message with no receiver posted: Send parks
+	// until the peer dies under it.
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- d.commA.Send(1, 3, make([]byte, 1<<20))
@@ -118,13 +118,18 @@ func TestSendCtxDeadlineAbortsPeerTCP(t *testing.T) {
 		t.Fatalf("SendCtx = %v, want DeadlineExceeded", err)
 	}
 	// The cancel frees the sender's backlog (the KAbort control packet
-	// flushes out on the now-idle rails; pump until it has).
+	// flushes out on the now-idle rails). The rails' I/O goroutines
+	// mutate the backlog, so it is read inside the gate's domain.
+	backlogEmpty := func() bool {
+		empty := make(chan bool, 1)
+		d.gateAB.Exec(func(o core.Ops) { empty <- o.Gate().Backlog().Empty() })
+		return <-empty
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !d.gateAB.Backlog().Empty() {
+	for !backlogEmpty() {
 		if time.Now().After(deadline) {
 			t.Fatal("sender backlog not freed after SendCtx expiry")
 		}
-		d.engA.Poll()
 		time.Sleep(time.Millisecond)
 	}
 	// The peer's matching receive aborts instead of hanging.

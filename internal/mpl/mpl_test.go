@@ -12,13 +12,9 @@ import (
 	"newmad/internal/strategy"
 )
 
-// cluster builds n fully connected ranks over in-memory rails, with a
-// background pump goroutine per engine so blocking collectives work from
-// test goroutines.
+// cluster builds n fully connected ranks over in-memory rails.
 type cluster struct {
 	comms []*mpl.Comm
-	stop  chan struct{}
-	wg    sync.WaitGroup
 }
 
 func newCluster(t *testing.T, n int) *cluster {
@@ -40,7 +36,7 @@ func newCluster(t *testing.T, n int) *cluster {
 			gates[j][i] = gj
 		}
 	}
-	c := &cluster{stop: make(chan struct{})}
+	c := &cluster{}
 	for i := 0; i < n; i++ {
 		comm, err := mpl.New(engs[i], i, gates[i], nil)
 		if err != nil {
@@ -48,27 +44,6 @@ func newCluster(t *testing.T, n int) *cluster {
 		}
 		c.comms = append(c.comms, comm)
 	}
-	// One pump for all engines: Wait in mpl defaults to Engine.Wait,
-	// which polls its own engine; cross-engine progress needs the peers
-	// polled too.
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		for {
-			select {
-			case <-c.stop:
-				return
-			default:
-			}
-			for _, cm := range c.comms {
-				cm.Engine().Poll()
-			}
-		}
-	}()
-	t.Cleanup(func() {
-		close(c.stop)
-		c.wg.Wait()
-	})
 	return c
 }
 

@@ -244,14 +244,6 @@ func (d *Driver) Name() string { return "rel+" + d.tr.Name() }
 // Profile implements core.Driver.
 func (d *Driver) Profile() core.Profile { return d.tr.Profile() }
 
-// NeedsPoll implements core.Driver: delivery is event-driven — the
-// transport's callbacks and the retransmit timers push events into the
-// engine, so the rail never joins the active poll set.
-func (d *Driver) NeedsPoll() bool { return false }
-
-// Poll implements core.Driver (no-op; see NeedsPoll).
-func (d *Driver) Poll() {}
-
 // Bind implements core.Driver. Events raised before Bind (a fast peer's
 // datagrams can land between Wrap and gate attachment) were buffered
 // and are delivered on the next event.

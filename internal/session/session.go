@@ -12,9 +12,9 @@
 // point of the multi-rail design.
 //
 // Each session gate is its own progress domain: traffic to different
-// peers on one engine proceeds in parallel, and the gate's TCP rails
-// join the engine's active poll set, pumped by goroutines blocked in
-// Engine.Wait. If the peer process dies, the rails' readers fail, the
+// peers on one engine proceeds in parallel, and each rail's I/O
+// goroutines report its events into the gate as they happen. If the
+// peer process dies, the rails' readers fail, the
 // drivers report RailDown, and the engine fails the gate's outstanding
 // requests — waiters get an error instead of hanging.
 package session

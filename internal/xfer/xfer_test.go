@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"newmad/internal/core"
@@ -33,25 +32,6 @@ func newRig(t *testing.T) *rig {
 		r.gateBA.AddRail(b)
 		r.drvsA = append(r.drvsA, a)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r.engA.Poll()
-			r.engB.Poll()
-		}
-	}()
-	t.Cleanup(func() {
-		close(stop)
-		wg.Wait()
-	})
 	return r
 }
 

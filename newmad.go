@@ -14,9 +14,8 @@
 // peers proceeds in parallel — the engine itself keeps only a small
 // registry. Completion is event-driven: requests expose a completion
 // channel and Engine.Wait blocks on it, woken directly by the completing
-// driver event. Only rails whose driver genuinely needs pumping (TCP)
-// are ever polled, via the engine's active-rail set; in-memory and
-// simulated rails are never polled.
+// driver event. Every driver, TCP included, reports its events as they
+// happen, so nothing is ever polled.
 //
 // A minimal exchange over two simulated rails:
 //
@@ -28,8 +27,8 @@
 //
 // Real deployments replace the simulated rails with TCP rails (DialTCP /
 // AcceptTCP, or negotiated multi-rail sessions via ListenSession /
-// ConnectSession) and wait with Engine.Wait, which pumps the active poll
-// set while it blocks.
+// ConnectSession) and wait with Engine.Wait, which parks until the
+// rails' I/O goroutines complete the request.
 package newmad
 
 import (
