@@ -8,27 +8,24 @@
 // optimistic prior.
 //
 // Every revival — tcp and udp alike — is coordinated over one fresh TCP
-// connection to the resurrection listener, never over the rail's
-// original bring-up path, so revival cannot race a concurrent Accept's
-// handshake on the shared UDP preamble socket. The exchange:
+// connection to the resurrection listener. The exchange:
 //
 //	client                               server
 //	  |-- preamble {token,rail} ---------->     look up session, verify
 //	  |                                         the rail is down
 //	  |<-- ack {ok[,addr]} ----------------     tcp: this conn IS the rail
 //	  |                                         udp: addr = fresh data socket
-//	  |   (udp only)
+//	  |   (udp only: the leg of udp.go)
 //	  |-- preamble datagram --> addr            learns client's data addr
 //	  |<-- ack {ok} ------------------------    both ends attach
 //
 // A tcp rail reuses the coordination connection as the rail itself (the
 // server attaches after writing its ack, the client after reading it —
 // the ack is read unbuffered so engine frames right behind it survive).
-// A udp rail needs a datagram leg because both data addresses are fresh
-// sockets: the server's rides in the ack, the client's is learned from
-// the preamble datagram's source, exactly like the original bring-up in
-// udp.go. Shm rails are not resurrectable — the segment died with the
-// peer, and a same-host peer that can re-attach can just reconnect.
+// A udp rail runs the same datagram leg as its first bring-up, with the
+// coordination connection in the control connection's place. Shm rails
+// are not resurrectable — the segment died with the peer, and a
+// same-host peer that can re-attach can just reconnect.
 //
 // The old rail object stays in the gate, down forever; AddRail appends
 // a new one. Both ends must have observed the failure: a server whose
@@ -38,14 +35,13 @@
 package session
 
 import (
-	"encoding/json"
+	"bufio"
+	"context"
 	"net"
 	"sync"
 	"time"
 
 	"newmad/internal/core"
-	"newmad/internal/drivers/tcpdrv"
-	"newmad/internal/drivers/udpdrv"
 )
 
 // sessionRec is the server's per-session resurrection state: the gate
@@ -81,14 +77,6 @@ func (rec *sessionRec) finish(i int, r *core.Rail) {
 	}
 }
 
-// resurrectAck answers a resurrection preamble. Addr carries the
-// server's fresh UDP data socket for udp rails.
-type resurrectAck struct {
-	OK   bool   `json:"ok"`
-	Addr string `json:"addr,omitempty"`
-	Err  string `json:"err,omitempty"`
-}
-
 // resurrectLoop accepts revival connections until the listener closes.
 func (s *Server) resurrectLoop() {
 	for {
@@ -103,14 +91,14 @@ func (s *Server) resurrectLoop() {
 // resurrectConn serves one revival attempt. Refusals are answered (so
 // the client can log why) and never disturb the session.
 func (s *Server) resurrectConn(conn net.Conn) {
-	deadline := time.Now().Add(s.opts.handshakeTimeout())
+	deadline := s.opts.handshakeDeadline(context.Background())
 	conn.SetDeadline(deadline)
 	refuse := func(msg string) {
-		writeJSON(conn, resurrectAck{Err: msg})
+		writeJSON(conn, railAck{Err: msg})
 		conn.Close()
 	}
 	var pre preamble
-	if err := readJSONUnbuffered(conn, &pre); err != nil {
+	if err := readJSON(unbuffered{conn}, &pre); err != nil {
 		conn.Close()
 		return
 	}
@@ -135,64 +123,40 @@ func (s *Server) resurrectConn(conn net.Conn) {
 		return
 	}
 	if spec.Proto == "udp" {
-		rec.finish(pre.Rail, s.resurrectUDP(conn, rec, pre, spec, deadline))
+		rec.finish(pre.Rail, s.resurrectUDP(conn, rec, pre, deadline))
 		return
 	}
 	// TCP: the coordination connection becomes the rail. Attach after the
 	// ack so the driver's writer never races the handshake bytes.
-	if err := writeJSON(conn, resurrectAck{OK: true}); err != nil {
+	if err := writeJSON(conn, railAck{OK: true}); err != nil {
 		conn.Close()
 		rec.finish(pre.Rail, nil)
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	rec.finish(pre.Rail, rec.gate.AddRail(tcpdrv.New(conn, tcpdrv.Options{Profile: spec.Profile})))
+	rec.finish(pre.Rail, rec.gate.AddRail(railEndpoint{tcp: conn}.driver(spec.Profile)))
 }
 
-// resurrectUDP runs the datagram leg of a udp rail revival: open a
-// fresh data socket, tell the client where it is, learn the client's
-// data address from its preamble datagram, confirm, attach. Returns the
-// revived rail or nil.
-func (s *Server) resurrectUDP(conn net.Conn, rec *sessionRec, pre preamble, spec RailSpec, deadline time.Time) *core.Rail {
+// resurrectUDP serves a udp rail revival: open a fresh data socket,
+// name it in the ack, and run the server half of udp.go's leg over the
+// coordination connection. Returns the revived rail or nil.
+func (s *Server) resurrectUDP(conn net.Conn, rec *sessionRec, pre preamble, deadline time.Time) *core.Rail {
 	defer conn.Close()
-	la := s.rails[pre.Rail].udp.LocalAddr().(*net.UDPAddr)
-	s1, err := net.ListenUDP("udp", &net.UDPAddr{IP: la.IP})
+	s1, err := net.ListenUDP("udp", s.rails[pre.Rail].udp)
 	if err != nil {
-		writeJSON(conn, resurrectAck{Err: err.Error()})
+		writeJSON(conn, railAck{Err: err.Error()})
 		return nil
 	}
-	if err := writeJSON(conn, resurrectAck{OK: true, Addr: s1.LocalAddr().String()}); err != nil {
+	err = writeJSON(conn, railAck{OK: true, Addr: s1.LocalAddr().String()})
+	var peer *net.UDPAddr
+	if err == nil {
+		peer, err = confirmUDPRail(context.Background(), s1, conn, pre, deadline)
+	}
+	if err != nil {
 		s1.Close()
 		return nil
 	}
-	s1.SetReadDeadline(deadline)
-	buf := make([]byte, 2048)
-	for {
-		n, src, err := s1.ReadFromUDP(buf)
-		if err != nil {
-			s1.Close()
-			return nil
-		}
-		var p2 preamble
-		if json.Unmarshal(buf[:n], &p2) != nil || p2.Token != pre.Token || p2.Rail != pre.Rail {
-			continue // stray datagram; an open UDP port receives garbage
-		}
-		s1.SetReadDeadline(time.Time{})
-		if err := writeJSON(conn, resurrectAck{OK: true}); err != nil {
-			s1.Close()
-			return nil
-		}
-		return rec.gate.AddRail(udpdrv.New(s1, src, udpdrv.Options{Profile: spec.Profile}))
-	}
-}
-
-// handshakeTimeout is the relative form of handshakeDeadline, for
-// handshakes not bounded by any caller ctx (resurrection, probes).
-func (o Options) handshakeTimeout() time.Duration {
-	if o.HandshakeTimeout > 0 {
-		return o.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
+	return rec.gate.AddRail(railEndpoint{udp: s1, udpPeer: peer}.driver(s.specs[pre.Rail].Profile))
 }
 
 // prober is one client-side resurrection loop.
@@ -243,7 +207,7 @@ func (p *prober) run(g *core.Gate, srv hello, rails []*core.Rail, opts Options) 
 			if !rails[i].Down() {
 				continue
 			}
-			if r := reviveRail(g, srv, i, opts.handshakeTimeout()); r != nil {
+			if r := reviveRail(g, srv, i, opts.handshakeDeadline(context.Background())); r != nil {
 				rails[i] = r
 			}
 		}
@@ -253,7 +217,7 @@ func (p *prober) run(g *core.Gate, srv hello, rails []*core.Rail, opts Options) 
 // reviveRail attempts one revival of rail slot i against the server's
 // resurrection listener. Any failure returns nil; the prober retries
 // next tick.
-func reviveRail(g *core.Gate, srv hello, i int, timeout time.Duration) *core.Rail {
+func reviveRail(g *core.Gate, srv hello, i int, deadline time.Time) *core.Rail {
 	ri := srv.Rails[i]
 	switch ri.Proto {
 	case "", "tcp", "udp":
@@ -263,91 +227,33 @@ func reviveRail(g *core.Gate, srv hello, i int, timeout time.Duration) *core.Rai
 	if srv.ResurrectAddr == "" {
 		return nil // server does not offer resurrection
 	}
-	deadline := time.Now().Add(timeout)
-	conn, err := net.DialTimeout("tcp", srv.ResurrectAddr, timeout)
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.Dial("tcp", srv.ResurrectAddr)
 	if err != nil {
 		return nil
 	}
 	conn.SetDeadline(deadline)
-	if err := writeJSON(conn, preamble{Token: srv.Token, Rail: i}); err != nil {
-		conn.Close()
-		return nil
-	}
-	// Acks are read unbuffered: on a tcp revival the server's engine
-	// frames may already be queued right behind the ack on this very
+	pre := preamble{Token: srv.Token, Rail: i}
+	// The ack is read unbuffered: on a tcp revival the server's engine
+	// frames may already be queued right behind it on this very
 	// connection.
-	var ack resurrectAck
-	if err := readJSONUnbuffered(conn, &ack); err != nil || !ack.OK {
+	var ack railAck
+	err = writeJSON(conn, pre)
+	if err == nil {
+		err = readJSON(unbuffered{conn}, &ack)
+	}
+	if err != nil || !ack.OK {
 		conn.Close()
 		return nil
 	}
 	if ri.Proto == "udp" {
 		defer conn.Close()
-		return reviveUDP(g, conn, ack.Addr, srv.Token, i, ri.profile(), deadline)
+		uc, peer, err := attachUDPRail(bufio.NewReader(conn), ack.Addr, pre)
+		if err != nil {
+			return nil
+		}
+		return g.AddRail(railEndpoint{udp: uc, udpPeer: peer}.driver(ri.profile()))
 	}
 	conn.SetDeadline(time.Time{})
-	return g.AddRail(tcpdrv.New(conn, tcpdrv.Options{Profile: ri.profile()}))
-}
-
-// reviveUDP runs the client side of a udp revival's datagram leg: aim a
-// fresh socket at the server's advertised data address, announce it
-// with preamble datagrams (retried — datagrams drop), and wait for the
-// server's confirming ack on the coordination connection.
-func reviveUDP(g *core.Gate, conn net.Conn, addr, token string, rail int, prof core.Profile, deadline time.Time) *core.Rail {
-	raddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil
-	}
-	uc, err := net.ListenUDP("udp", nil)
-	if err != nil {
-		return nil
-	}
-	pre, err := jsonMarshal(preamble{Token: token, Rail: rail})
-	if err != nil {
-		uc.Close()
-		return nil
-	}
-	// The confirming ack may arrive split across retry deadlines; keep
-	// the partial line across reads.
-	var line []byte
-	var b [1]byte
-	readAck := func(until time.Time) (ok, timedOut bool) {
-		conn.SetReadDeadline(until)
-		for {
-			if _, err := conn.Read(b[:]); err != nil {
-				ne, isNet := err.(net.Error)
-				return false, isNet && ne.Timeout()
-			}
-			if b[0] != '\n' {
-				line = append(line, b[0])
-				continue
-			}
-			var done resurrectAck
-			ok := json.Unmarshal(line, &done) == nil && done.OK
-			return ok, false
-		}
-	}
-	for {
-		if !time.Now().Before(deadline) {
-			uc.Close()
-			return nil
-		}
-		if _, err := uc.WriteToUDP(pre, raddr); err != nil {
-			uc.Close()
-			return nil
-		}
-		try := time.Now().Add(udpRetryInterval)
-		if try.After(deadline) {
-			try = deadline
-		}
-		ok, timedOut := readAck(try)
-		if timedOut {
-			continue // resend the preamble datagram
-		}
-		if !ok {
-			uc.Close()
-			return nil
-		}
-		return g.AddRail(udpdrv.New(uc, raddr, udpdrv.Options{Profile: prof}))
-	}
+	return g.AddRail(railEndpoint{tcp: conn}.driver(ri.profile()))
 }

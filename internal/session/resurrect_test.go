@@ -140,8 +140,8 @@ func TestResurrectRefusals(t *testing.T) {
 	if err := writeJSON(conn, preamble{Token: "nonsense", Rail: 0}); err != nil {
 		t.Fatal(err)
 	}
-	var ack resurrectAck
-	if err := readJSONUnbuffered(conn, &ack); err != nil {
+	var ack railAck
+	if err := readJSON(unbuffered{conn}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	if ack.OK || ack.Err == "" {

@@ -1,15 +1,24 @@
 // Package session bootstraps real multi-rail connections between two
 // engine processes: one control TCP connection negotiates the session
 // (library version, peer names, rail addresses, protocols and
-// profiles), then each rail is dialed, authenticated with a preamble
+// profiles), then each rail is brought up, authenticated with a preamble
 // token, and attached to a gate in a deterministic order. It replaces
 // the hand-wiring of listeners and dials that cmd/nmad-pingpong does
 // manually. Rails are TCP streams by default; a RailSpec with Proto
 // "udp" brings the rail up over datagram sockets under the relnet
-// reliability layer (see udp.go for the handshake), Proto "shm" brings
-// it up over a shared-memory segment for same-host peers (see shm.go),
-// and a gate may mix all three kinds — heterogeneous rails are the
-// point of the multi-rail design.
+// reliability layer (see udp.go), Proto "shm" brings it up over a
+// shared-memory segment for same-host peers (see shm.go), and a gate
+// may mix all three kinds — heterogeneous rails are the point of the
+// multi-rail design.
+//
+// Between sessions the server holds only its TCP listeners. Accept
+// offers every other rail afresh per session — a new data socket per
+// udp rail, a new segment per shm rail — names it in the hello, and
+// confirms the rails in spec order: a tcp rail by the preamble on its
+// accepted connection, an shm rail by the client's preamble on the
+// control connection, a udp rail by the client's preamble datagram,
+// answered on the control connection. A revival runs the same tcp and
+// udp legs over a resurrection connection (see resurrect.go).
 //
 // Each session gate is its own progress domain: traffic to different
 // peers on one engine proceeds in parallel, and each rail's I/O
@@ -23,7 +32,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -34,6 +45,7 @@ import (
 	"newmad/internal/drivers/tcpdrv"
 	"newmad/internal/drivers/udpdrv"
 	"newmad/internal/netx"
+	"newmad/internal/shmring"
 )
 
 // Version is the wire protocol version; both ends must match. Bumped
@@ -44,8 +56,10 @@ import (
 // when rails gained the shm proto: an shm rail's Addr is a /dev/shm
 // segment name, not a socket address, and the rail is confirmed by a
 // preamble on the control channel — a version-3 peer would try to dial
-// the segment name as a hostname.
-const Version = 4
+// the segment name as a hostname. Bumped to 5 when a udp rail's
+// confirmation moved from an ack datagram to the control channel: a
+// version-4 client would wait for an ack datagram that never comes.
+const Version = 5
 
 // DefaultHandshakeTimeout bounds a session handshake when Options leaves
 // HandshakeTimeout zero.
@@ -101,7 +115,8 @@ var (
 // RailSpec declares one rail a server offers.
 type RailSpec struct {
 	// Addr is the listen address for this rail ("host:port", port 0 for
-	// ephemeral).
+	// ephemeral). A udp rail binds a fresh data socket per session on
+	// Addr's host, so its port must be 0.
 	Addr string
 	// Proto selects the rail transport: "" or "tcp" is a stream rail
 	// (tcpdrv); "udp" is a datagram rail whose loss, ordering and
@@ -152,6 +167,15 @@ type preamble struct {
 	Rail  int    `json:"rail"`
 }
 
+// railAck answers a rail handshake step on a TCP connection: a udp
+// rail's confirmation, and every answer of the resurrection listener,
+// whose Addr names a revived udp rail's fresh data socket.
+type railAck struct {
+	OK   bool   `json:"ok"`
+	Addr string `json:"addr,omitempty"`
+	Err  string `json:"err,omitempty"`
+}
+
 // Server accepts multi-rail sessions.
 type Server struct {
 	name  string
@@ -165,45 +189,21 @@ type Server struct {
 
 	mu     sync.Mutex
 	closed bool
-	// acked registers completed UDP rail handshakes for re-acking dup
-	// preambles (see udp.go).
-	acked map[string]*udpAckRec
 	// sessions registers accepted sessions by token for rail
 	// resurrection (see resurrect.go); nil unless Options.Resurrect.
 	sessions map[string]*sessionRec
 }
 
-// railListener is one advertised rail endpoint: a TCP listener or a UDP
-// preamble socket, per the spec's proto. An shm rail has no OS listener
-// at all (the zero railListener) — its per-session segment is created
-// inside Accept and named in the hello.
+// railListener is what the server keeps per rail between sessions: a
+// TCP listener for a tcp rail, the local address each session's data
+// socket binds for a udp rail, and nothing for an shm rail.
 type railListener struct {
 	tcp net.Listener
-	udp *net.UDPConn
-}
-
-func (rl railListener) addr() string {
-	if rl.udp != nil {
-		return rl.udp.LocalAddr().String()
-	}
-	if rl.tcp != nil {
-		return rl.tcp.Addr().String()
-	}
-	return "" // shm: the hello carries the segment name instead
-}
-
-func (rl railListener) close() error {
-	if rl.udp != nil {
-		return rl.udp.Close()
-	}
-	if rl.tcp != nil {
-		return rl.tcp.Close()
-	}
-	return nil
+	udp *net.UDPAddr
 }
 
 // Listen starts a server for the given engine: a control listener on
-// ctrlAddr plus one listener per rail spec. ctx bounds the listener
+// ctrlAddr plus one listener per tcp rail spec. ctx bounds the listener
 // setup; opts.HandshakeTimeout governs each subsequent Accept.
 func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails []RailSpec, opts Options) (*Server, error) {
 	if len(rails) == 0 {
@@ -216,31 +216,27 @@ func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails 
 	}
 	s := &Server{name: name, eng: eng, ctrl: ctrl, specs: rails, opts: opts}
 	for i, spec := range rails {
+		var rl railListener
 		switch spec.Proto {
 		case "", "tcp":
-			l, err := lc.Listen(ctx, "tcp", spec.Addr)
-			if err != nil {
-				s.Close()
-				return nil, fmt.Errorf("session: rail %d listen %s: %w", i, spec.Addr, err)
-			}
-			s.rails = append(s.rails, railListener{tcp: l})
+			rl.tcp, err = lc.Listen(ctx, "tcp", spec.Addr)
 		case "udp":
-			pc, err := lc.ListenPacket(ctx, "udp", spec.Addr)
-			if err != nil {
-				s.Close()
-				return nil, fmt.Errorf("session: rail %d listen %s: %w", i, spec.Addr, err)
+			rl.udp, err = net.ResolveUDPAddr("udp", spec.Addr)
+			if err == nil && rl.udp.Port != 0 {
+				err = fmt.Errorf("udp rail address %s: each session binds a fresh data socket, so the port must be 0", spec.Addr)
 			}
-			s.rails = append(s.rails, railListener{udp: pc.(*net.UDPConn)})
 		case "shm":
 			if !shmdrv.Supported() {
-				s.Close()
-				return nil, fmt.Errorf("session: rail %d: shm rails unsupported on this platform", i)
+				err = fmt.Errorf("shm rails unsupported on this platform")
 			}
-			s.rails = append(s.rails, railListener{})
 		default:
-			s.Close()
-			return nil, fmt.Errorf("session: rail %d: unknown proto %q", i, spec.Proto)
+			err = fmt.Errorf("unknown proto %q", spec.Proto)
 		}
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("session: rail %d: %w", i, err)
+		}
+		s.rails = append(s.rails, rl)
 	}
 	if opts.Resurrect {
 		host, _, err := net.SplitHostPort(ctrl.Addr().String())
@@ -291,106 +287,38 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 		return nil, "", fmt.Errorf("session: version mismatch: client %d, server %d", cli.Version, Version)
 	}
 	token := fmt.Sprintf("%08x%08x", rand.Uint32(), rand.Uint32())
-	// Shared-memory rails have no listener to accept on: each session
-	// gets a fresh segment, created here so its name can ride in the
-	// hello's Addr field. Ownership moves to eps as each rail is
-	// confirmed; anything left in shmPre on a failure path is closed.
-	shmPre, err := s.createShmRails()
+	// Bring every rail up and authenticate it before touching the
+	// engine: a mid-handshake failure or ctx cancellation must not leave
+	// a half-railed gate registered (the engine has no gate removal), so
+	// the gate is created only once the whole handshake has succeeded
+	// and every failure path closes the offered endpoints.
+	eps, infos, err := s.offerRails()
 	if err != nil {
 		return nil, "", err
 	}
-	srv := hello{Version: Version, Name: s.name, Token: token}
+	srv := hello{Version: Version, Name: s.name, Token: token, Rails: infos}
 	if s.res != nil {
 		srv.ResurrectAddr = s.res.Addr().String()
 	}
-	for i, spec := range s.specs {
-		prof := spec.Profile
-		addr := s.rails[i].addr()
-		if d, ok := shmPre[i]; ok {
-			// The hello advertises the driver's effective profile, so a
-			// zero spec profile crosses as shmdrv's defaults, not zeros.
-			addr, prof = d.SegName(), d.Profile()
-		}
-		srv.Rails = append(srv.Rails, railInfo{
-			Addr: addr, Proto: spec.Proto, Name: prof.Name,
-			LatencyNS: prof.Latency.Nanoseconds(), BandwidthBS: prof.Bandwidth,
-			EagerMax: prof.EagerMax, PIOMax: prof.PIOMax,
-		})
-	}
 	if err := writeJSON(conn, srv); err != nil {
-		closeShmRails(shmPre)
-		return nil, "", fmt.Errorf("session: write server hello: %w", err)
-	}
-	// Bring every rail connection up and authenticate it before touching
-	// the engine: a mid-handshake failure or ctx cancellation must not
-	// leave a half-railed gate registered (the engine has no gate
-	// removal), so the gate is created only once the whole handshake has
-	// succeeded and every failure path closes the accumulated endpoints.
-	eps := make([]railEndpoint, 0, len(s.specs))
-	closeEps := func() {
-		for _, e := range eps {
-			e.close()
-		}
-		closeShmRails(shmPre)
+		closeAll(eps)
+		return nil, "", fmt.Errorf("session: write server hello: %w", ctxErrOr(ctx, err))
 	}
 	for i, spec := range s.specs {
-		if spec.Proto == "shm" {
-			// The client confirms its attach with a preamble on the
-			// control channel — reading it here both orders the handshake
-			// (the client acks rails in spec order) and authenticates the
-			// attach with the session token.
-			if err := s.confirmShmRail(r, token, i); err != nil {
-				closeEps()
-				return nil, "", fmt.Errorf("session: rail %d shm confirm: %w", i, ctxErrOr(ctx, err))
-			}
-			eps = append(eps, railEndpoint{shm: shmPre[i]})
-			delete(shmPre, i)
-			continue
+		pre := preamble{Token: token, Rail: i}
+		switch spec.Proto {
+		case "shm":
+			// The client confirms its attach on the control channel.
+			err = expectPreamble(r, pre)
+		case "udp":
+			eps[i].udpPeer, err = confirmUDPRail(ctx, eps[i].udp, conn, pre, hsDeadline)
+		default:
+			eps[i].tcp, err = acceptTCPRail(ctx, s.rails[i].tcp, pre, hsDeadline)
 		}
-		if spec.Proto == "udp" {
-			s1, client, err := s.acceptUDPRail(ctx, i, token, hsDeadline)
-			if err != nil {
-				closeEps()
-				return nil, "", fmt.Errorf("session: rail %d udp handshake: %w", i, err)
-			}
-			eps = append(eps, railEndpoint{udp: s1, udpPeer: client})
-			continue
-		}
-		rc, err := acceptConn(ctx, s.rails[i].tcp, hsDeadline)
 		if err != nil {
-			closeEps()
-			return nil, "", fmt.Errorf("session: accept rail %d: %w", i, err)
+			closeAll(eps)
+			return nil, "", fmt.Errorf("session: rail %d handshake: %w", i, ctxErrOr(ctx, err))
 		}
-		rc.SetDeadline(hsDeadline)
-		railStop := guardCtx(ctx, rc)
-		var pre preamble
-		// The preamble must be read without buffering ahead: engine
-		// frames may already be queued behind it on this connection,
-		// and a buffered reader would swallow them before the driver
-		// takes over the socket.
-		if err := readJSONUnbuffered(rc, &pre); err != nil {
-			railStop()
-			rc.Close()
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d preamble: %w", i, ctxErrOr(ctx, err))
-		}
-		if pre.Token != token || pre.Rail != i {
-			railStop()
-			rc.Close()
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d bad preamble (rail %d)", i, pre.Rail)
-		}
-		// A false return means ctx was cancelled and its deadline poke is
-		// running (or already ran): it could land after the clear below
-		// and poison the rail for the driver. The handshake is void
-		// anyway — abort with ctx's error.
-		if !railStop() {
-			rc.Close()
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d: %w", i, ctx.Err())
-		}
-		rc.SetDeadline(time.Time{})
-		eps = append(eps, railEndpoint{tcp: rc})
 	}
 	gate := s.eng.NewGate(cli.Name)
 	rls := make([]*core.Rail, len(eps))
@@ -408,9 +336,94 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 	return gate, cli.Name, nil
 }
 
-// railEndpoint is one authenticated rail connection awaiting gate
-// attachment: a TCP stream, a UDP socket aimed at a fixed peer, or an
-// already-running shared-memory driver.
+// offerRails opens one session's per-session rail endpoints — a fresh
+// data socket per udp rail, a fresh segment (side 0) per shm rail — and
+// describes every rail for the hello. A tcp rail's endpoint stays empty
+// until its connection is accepted. On error nothing is left open.
+func (s *Server) offerRails() ([]railEndpoint, []railInfo, error) {
+	eps := make([]railEndpoint, len(s.specs))
+	infos := make([]railInfo, len(s.specs))
+	for i, spec := range s.specs {
+		var addr string
+		var err error
+		prof := spec.Profile
+		switch spec.Proto {
+		case "udp":
+			if eps[i].udp, err = net.ListenUDP("udp", s.rails[i].udp); err == nil {
+				addr = eps[i].udp.LocalAddr().String()
+			}
+		case "shm":
+			if eps[i].shm, err = shmdrv.Create(shmring.RandomName(), shmdrv.Options{Profile: prof}); err == nil {
+				// The hello advertises the driver's effective profile, so a
+				// zero spec profile crosses as shmdrv's defaults, not zeros.
+				addr, prof = eps[i].shm.SegName(), eps[i].shm.Profile()
+			}
+		default:
+			addr = s.rails[i].tcp.Addr().String()
+		}
+		if err != nil {
+			closeAll(eps)
+			return nil, nil, fmt.Errorf("session: rail %d offer: %w", i, err)
+		}
+		infos[i] = railInfo{
+			Addr: addr, Proto: spec.Proto, Name: prof.Name,
+			LatencyNS: prof.Latency.Nanoseconds(), BandwidthBS: prof.Bandwidth,
+			EagerMax: prof.EagerMax, PIOMax: prof.PIOMax,
+		}
+	}
+	return eps, infos, nil
+}
+
+// acceptTCPRail accepts one rail connection on l and authenticates its
+// preamble. The preamble is read without buffering ahead: engine frames
+// may already be queued behind it, and a buffered reader would swallow
+// them before the driver takes over the socket.
+func acceptTCPRail(ctx context.Context, l net.Listener, pre preamble, deadline time.Time) (net.Conn, error) {
+	rc, err := acceptConn(ctx, l, deadline)
+	if err != nil {
+		return nil, err
+	}
+	if err := guarded(ctx, rc, deadline, func() error { return expectPreamble(unbuffered{rc}, pre) }); err != nil {
+		rc.Close()
+		return nil, err
+	}
+	return rc, nil
+}
+
+// dialTCPRail dials one rail and sends its preamble.
+func dialTCPRail(ctx context.Context, d *net.Dialer, addr string, pre preamble, deadline time.Time) (net.Conn, error) {
+	rc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := guarded(ctx, rc, deadline, func() error { return writeJSON(rc, pre) }); err != nil {
+		rc.Close()
+		return nil, err
+	}
+	return rc, nil
+}
+
+// guarded runs one handshake step on a rail socket under the handshake
+// deadline and ctx's cancellation poke, then clears the deadline for
+// the driver. A false guard stop means ctx was cancelled and its poke is
+// running (or already ran): it could land after the clear and poison the
+// rail, so the step fails with ctx's error — the handshake is void.
+func guarded(ctx context.Context, c netx.Deadliner, deadline time.Time, step func() error) error {
+	c.SetDeadline(deadline)
+	stop := guardCtx(ctx, c)
+	err := step()
+	if !stop() && err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		c.SetDeadline(time.Time{})
+	}
+	return err
+}
+
+// railEndpoint is one rail awaiting gate attachment: a TCP stream, a
+// UDP socket aimed at a fixed peer, or an already-running
+// shared-memory driver. The zero value is a tcp rail not yet accepted.
 type railEndpoint struct {
 	tcp     net.Conn
 	udp     *net.UDPConn
@@ -419,15 +432,20 @@ type railEndpoint struct {
 }
 
 func (e railEndpoint) close() {
-	if e.shm != nil {
+	switch {
+	case e.shm != nil:
 		e.shm.Close()
-		return
-	}
-	if e.udp != nil {
+	case e.udp != nil:
 		e.udp.Close()
-		return
+	case e.tcp != nil:
+		e.tcp.Close()
 	}
-	e.tcp.Close()
+}
+
+func closeAll(eps []railEndpoint) {
+	for _, e := range eps {
+		e.close()
+	}
 }
 
 // driver builds the endpoint's rail driver. A UDP endpoint comes up
@@ -460,7 +478,10 @@ func (s *Server) Close() error {
 		}
 	}
 	for _, l := range s.rails {
-		if e := l.close(); err == nil {
+		if l.tcp == nil {
+			continue
+		}
+		if e := l.tcp.Close(); err == nil {
 			err = e
 		}
 	}
@@ -486,8 +507,11 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	if err := writeJSON(conn, hello{Version: Version, Name: name}); err != nil {
 		return nil, "", fmt.Errorf("session: write hello: %w", ctxErrOr(ctx, err))
 	}
+	// One reader for everything the server sends on the control
+	// connection: the hello, then each udp rail's confirmation.
+	r := bufio.NewReader(conn)
 	var srv hello
-	if err := readJSON(bufio.NewReader(conn), &srv); err != nil {
+	if err := readJSON(r, &srv); err != nil {
 		return nil, "", fmt.Errorf("session: read server hello: %w", ctxErrOr(ctx, err))
 	}
 	if srv.Version != Version {
@@ -496,60 +520,26 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	if len(srv.Rails) == 0 {
 		return nil, "", fmt.Errorf("session: server offered no rails")
 	}
-	// As in Accept: dial and authenticate every rail before creating the
-	// gate, so a failure mid-bring-up leaks neither conns nor a
+	// As in Accept: bring up and authenticate every rail before creating
+	// the gate, so a failure mid-bring-up leaks neither sockets nor a
 	// half-railed engine gate.
-	eps := make([]railEndpoint, 0, len(srv.Rails))
-	closeEps := func() {
-		for _, e := range eps {
-			e.close()
-		}
-	}
+	eps := make([]railEndpoint, len(srv.Rails))
 	for i, ri := range srv.Rails {
+		pre := preamble{Token: srv.Token, Rail: i}
 		switch ri.Proto {
 		case "", "tcp":
+			eps[i].tcp, err = dialTCPRail(ctx, &dialer, ri.Addr, pre, hsDeadline)
 		case "udp":
-			uc, peer, err := dialUDPRail(ctx, ri.Addr, srv.Token, i, hsDeadline)
-			if err != nil {
-				closeEps()
-				return nil, "", fmt.Errorf("session: rail %d udp handshake %s: %w", i, ri.Addr, err)
-			}
-			eps = append(eps, railEndpoint{udp: uc, udpPeer: peer})
-			continue
+			eps[i].udp, eps[i].udpPeer, err = attachUDPRail(r, ri.Addr, pre)
 		case "shm":
-			d, err := attachShmRail(conn, ri, srv.Token, i)
-			if err != nil {
-				closeEps()
-				return nil, "", fmt.Errorf("session: rail %d shm attach %s: %w", i, ri.Addr, ctxErrOr(ctx, err))
-			}
-			eps = append(eps, railEndpoint{shm: d})
-			continue
+			eps[i].shm, err = attachShmRail(conn, ri, pre)
 		default:
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d: unknown proto %q", i, ri.Proto)
+			err = fmt.Errorf("unknown proto %q", ri.Proto)
 		}
-		rc, err := dialer.DialContext(ctx, "tcp", ri.Addr)
 		if err != nil {
-			closeEps()
-			return nil, "", fmt.Errorf("session: dial rail %d %s: %w", i, ri.Addr, ctxErrOr(ctx, err))
+			closeAll(eps)
+			return nil, "", fmt.Errorf("session: rail %d %s: %w", i, ri.Addr, ctxErrOr(ctx, err))
 		}
-		rc.SetDeadline(hsDeadline)
-		railStop := guardCtx(ctx, rc)
-		if err := writeJSON(rc, preamble{Token: srv.Token, Rail: i}); err != nil {
-			railStop()
-			rc.Close()
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d preamble: %w", i, ctxErrOr(ctx, err))
-		}
-		// As in Accept: a false return means the cancel poke is in
-		// flight and could poison the cleared deadline under the driver.
-		if !railStop() {
-			rc.Close()
-			closeEps()
-			return nil, "", fmt.Errorf("session: rail %d: %w", i, ctx.Err())
-		}
-		rc.SetDeadline(time.Time{})
-		eps = append(eps, railEndpoint{tcp: rc})
 	}
 	gate := eng.NewGate(srv.Name)
 	rls := make([]*core.Rail, len(eps))
@@ -562,7 +552,7 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	return gate, srv.Name, nil
 }
 
-func writeJSON(w net.Conn, v any) error {
+func writeJSON(w io.Writer, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -572,34 +562,52 @@ func writeJSON(w net.Conn, v any) error {
 	return err
 }
 
-func readJSON(r *bufio.Reader, v any) error {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(line, v)
-}
+// maxLine caps one session JSON line: a hello naming hundreds of rails
+// fits, and a peer that never sends a newline cannot make a handshake
+// buffer without bound.
+const maxLine = 64 << 10
 
-// readJSONUnbuffered reads one newline-terminated JSON value a byte at a
-// time, consuming nothing past the newline. Used where the connection is
-// subsequently handed to a driver and over-reading would lose frames.
-func readJSONUnbuffered(c net.Conn, v any) error {
+var errLineTooLong = errors.New("session: control line longer than 64 KiB")
+
+// readJSON reads one newline-terminated JSON value of at most maxLine
+// bytes. ReadByte on a bufio.Reader is a memory read; unbuffered is the
+// reader for connections that must not be read ahead.
+func readJSON(r io.ByteReader, v any) error {
 	var line []byte
-	var b [1]byte
 	for {
-		if _, err := c.Read(b[:]); err != nil {
+		b, err := r.ReadByte()
+		if err != nil {
 			return err
 		}
-		if b[0] == '\n' {
-			break
+		if b == '\n' {
+			return json.Unmarshal(line, v)
 		}
-		line = append(line, b[0])
-		if len(line) > 4096 {
-			return fmt.Errorf("session: preamble too long")
+		if len(line) == maxLine {
+			return errLineTooLong
 		}
+		line = append(line, b)
 	}
-	return json.Unmarshal(line, v)
 }
 
-// jsonMarshal is a seam for tests building raw protocol bytes.
-func jsonMarshal(v any) ([]byte, error) { return json.Marshal(v) }
+// unbuffered reads a connection one byte per Read, consuming nothing
+// past the bytes it returns. Used where the connection is subsequently
+// handed to a driver and over-reading would lose frames.
+type unbuffered struct{ net.Conn }
+
+func (u unbuffered) ReadByte() (byte, error) {
+	var b [1]byte
+	_, err := io.ReadFull(u.Conn, b[:])
+	return b[0], err
+}
+
+// expectPreamble reads one preamble line and checks that it is want.
+func expectPreamble(r io.ByteReader, want preamble) error {
+	var got preamble
+	if err := readJSON(r, &got); err != nil {
+		return err
+	}
+	if got != want {
+		return fmt.Errorf("bad preamble (rail %d)", got.Rail)
+	}
+	return nil
+}

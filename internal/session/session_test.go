@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
 	"newmad/internal/core"
+	"newmad/internal/drivers/shmdrv"
+	"newmad/internal/shmring"
 	"newmad/internal/strategy"
 )
 
@@ -301,9 +306,90 @@ func TestDeadPeerFailsWaiters(t *testing.T) {
 
 // jsonLine marshals v with the session's newline framing.
 func jsonLine(v any) ([]byte, error) {
-	data, err := jsonMarshal(v)
+	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
+}
+
+// TestAcceptCapsHelloLine: a client that streams a hello with no newline
+// is cut off at the line cap, not buffered until the handshake deadline.
+func TestAcceptCapsHelloLine(t *testing.T) {
+	engA, _ := engines(t)
+	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", twoRails(), Options{HandshakeTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The write fails once the server hangs up; only Accept's error
+	// matters.
+	go conn.Write(bytes.Repeat([]byte{'x'}, 1<<20))
+	if _, _, err := srv.Accept(context.Background()); !errors.Is(err, errLineTooLong) {
+		t.Fatalf("Accept = %v, want the line-length error", err)
+	}
+}
+
+// TestAcceptHangupReleasesOffer: a client that reads the hello for a
+// tcp+udp+shm session and hangs up fails the Accept, which must close
+// the endpoints it offered: no file descriptor and no /dev/shm segment
+// stays behind.
+func TestAcceptHangupReleasesOffer(t *testing.T) {
+	specs := tripleRails()
+	if !shmdrv.Supported() {
+		specs = specs[:2]
+	}
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	engA, _ := engines(t)
+	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", specs, Options{HandshakeTimeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	before := openFDs()
+	accepted := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Accept(context.Background())
+		accepted <- err
+	}()
+	conn, err := net.Dial("tcp", srv.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(conn, hello{Version: Version, Name: "quitter"}); err != nil {
+		t.Fatal(err)
+	}
+	var srvHello hello
+	if err := readJSONConn(conn, &srvHello); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if err := <-accepted; err == nil {
+		t.Fatal("Accept succeeded after the client hung up")
+	}
+	if after := openFDs(); after > before {
+		t.Fatalf("open fds grew from %d to %d", before, after)
+	}
+	for _, ri := range srvHello.Rails {
+		if ri.Proto != "shm" {
+			continue
+		}
+		if _, err := os.Stat(shmring.SegPath(ri.Addr)); !os.IsNotExist(err) {
+			t.Fatalf("offered segment %s still in /dev/shm (stat: %v)", ri.Addr, err)
+		}
+	}
 }

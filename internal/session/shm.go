@@ -10,13 +10,14 @@
 //	  attach segment, side 1
 //	  |--- preamble {token,rail} --->| confirms the attach
 //
-// The server creates a fresh segment per accepted session — names are
-// random and single-use, so concurrent sessions never collide — and
-// the client's preamble on the (reliable, private) control channel both
-// orders the handshake and authenticates the attach with the session
-// token, exactly as TCP rail preambles do on their own sockets. Once
-// both sides are mapped, the creator unlinks the backing file (shmdrv's
-// unlink-on-attach), so an established rail leaves nothing in /dev/shm.
+// The server creates a fresh segment per accepted session (offerRails)
+// — names are random and single-use, so concurrent sessions never
+// collide — and the client's preamble on the (reliable, private)
+// control channel both orders the handshake and authenticates the
+// attach with the session token, exactly as TCP rail preambles do on
+// their own sockets. Once both sides are mapped, the creator unlinks
+// the backing file (shmdrv's unlink-on-attach), so an established rail
+// leaves nothing in /dev/shm.
 //
 // A client on a different host (or a platform without /dev/shm) fails
 // the attach and aborts its Connect; the server then sees the control
@@ -25,74 +26,22 @@
 package session
 
 import (
-	"bufio"
-	"fmt"
 	"net"
-	"time"
 
-	"newmad/internal/core"
 	"newmad/internal/drivers/shmdrv"
-	"newmad/internal/shmring"
 )
-
-// createShmRails builds one driver (segment side 0) per shm spec,
-// keyed by rail index. Called before the server hello is written, so
-// the segment names can ride in the hello's Addr fields.
-func (s *Server) createShmRails() (map[int]*shmdrv.Driver, error) {
-	var pre map[int]*shmdrv.Driver
-	for i, spec := range s.specs {
-		if spec.Proto != "shm" {
-			continue
-		}
-		d, err := shmdrv.Create(shmring.RandomName(), shmdrv.Options{Profile: spec.Profile})
-		if err != nil {
-			closeShmRails(pre)
-			return nil, fmt.Errorf("session: rail %d shm create: %w", i, err)
-		}
-		if pre == nil {
-			pre = make(map[int]*shmdrv.Driver)
-		}
-		pre[i] = d
-	}
-	return pre, nil
-}
-
-// closeShmRails tears down pre-created shm rails a failed handshake
-// never handed over.
-func closeShmRails(pre map[int]*shmdrv.Driver) {
-	for _, d := range pre {
-		d.Close()
-	}
-}
-
-// confirmShmRail reads the client's attach confirmation for rail i from
-// the control connection and validates it against the session token.
-func (s *Server) confirmShmRail(r *bufio.Reader, token string, i int) error {
-	var pre preamble
-	if err := readJSON(r, &pre); err != nil {
-		return err
-	}
-	if pre.Token != token || pre.Rail != i {
-		return fmt.Errorf("bad preamble (rail %d)", pre.Rail)
-	}
-	return nil
-}
 
 // attachShmRail joins the server's advertised segment as side 1 and
 // confirms the attach with a preamble on the control connection. The
 // rail profile crosses in the hello like any other rail's; it is baked
 // into the driver here because shm drivers start running at
 // construction.
-func attachShmRail(ctrl net.Conn, ri railInfo, token string, rail int) (*shmdrv.Driver, error) {
-	prof := core.Profile{
-		Name: ri.Name, Latency: time.Duration(ri.LatencyNS), Bandwidth: ri.BandwidthBS,
-		EagerMax: ri.EagerMax, PIOMax: ri.PIOMax,
-	}
-	d, err := shmdrv.Attach(ri.Addr, shmdrv.Options{Profile: prof})
+func attachShmRail(ctrl net.Conn, ri railInfo, pre preamble) (*shmdrv.Driver, error) {
+	d, err := shmdrv.Attach(ri.Addr, shmdrv.Options{Profile: ri.profile()})
 	if err != nil {
 		return nil, err
 	}
-	if err := writeJSON(ctrl, preamble{Token: token, Rail: rail}); err != nil {
+	if err := writeJSON(ctrl, pre); err != nil {
 		d.Close()
 		return nil, err
 	}

@@ -1,188 +1,102 @@
-// UDP rail bring-up. A udp RailSpec advertises one datagram socket (S0)
-// whose only job is to receive rail preambles; the data path never
-// touches it. The handshake:
+// UDP rail bring-up. The first bring-up and a revival run one leg; only
+// the connection that carries its TCP half differs (the session's
+// control connection, or a resurrection connection — see resurrect.go):
 //
-//	client                          server
-//	  |-- preamble {token,rail} ----> S0        (retried until acked)
-//	  |                               opens fresh data socket S1
-//	  |<---- preamble echo ×3 ------- S1        (source addr = S1)
+//	client                               server
+//	  |                                    opens fresh data socket S1
+//	  |<-- S1's address ------------------ in the hello (or revival ack)
+//	  |-- preamble {token,rail} --> S1      (resent until confirmed)
+//	  |                                    learns the client's address
+//	  |<-- ack {ok} ---------------------- on the TCP connection
 //	  |
-//	  aim rail at S1                  aim rail at client addr
+//	  aim rail at S1                       aim rail at the client
 //
-// The ack is the preamble echoed back, sent from S1 so its source
-// address tells the client where to aim the rail — no address field to
-// spoof-redirect, and the random session token authenticates it exactly
-// as it authenticates TCP rail preambles. There is no confirm leg: the
-// client retries the preamble because both legs are plain datagrams and
-// the client is the only end that can drive recovery (the server cannot
-// observe whether its ack burst landed). A dup preamble for an
-// already-completed rail is re-acked from that rail's data socket, so a
-// client whose entire ack burst was lost converges on retry; total ack
-// loss during one handshake is bounded by the handshake deadline and
-// fails loudly, never hangs.
-//
-// Stray datagrams are harmless on both ends: S0 skips anything that
-// does not authenticate (an open UDP port receives garbage and retries
-// from dead handshakes, and none of them may abort a live negotiation),
-// and ack-burst duplicates arriving after the driver owns the client
-// socket are dropped by relnet's frame decoder — a JSON '{' is not a
-// valid segment kind.
+// S1 belongs to one session (or one revival), so concurrent handshakes
+// never share a socket. Only the preamble rides a datagram, so only the
+// client retries; the confirmation rides TCP and cannot be lost. The
+// random session token authenticates the preamble exactly as it
+// authenticates TCP rail preambles, and the server skips any datagram
+// on S1 that does not authenticate: an open UDP port receives garbage,
+// and none of it may abort a live negotiation. Preamble resends that
+// reach S1 after the driver owns it are dropped by relnet's frame
+// decoder as garbage — a JSON '{' is not a valid segment kind.
 package session
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
+	"io"
 	"net"
 	"time"
 )
 
-// udpAckBurst is how many copies of the preamble echo the server sends:
-// plain redundancy for the one handshake leg only the server can send.
-const udpAckBurst = 3
-
-// udpRetryInterval paces the client's preamble retries.
+// udpRetryInterval paces the client's preamble resends.
 const udpRetryInterval = 250 * time.Millisecond
 
-// udpAckRec remembers a completed UDP rail handshake so dup preambles
-// (a client retrying because the ack burst was lost) can be re-acked
-// from the rail's data socket. Writes race the driver's reads on that
-// socket, which net.UDPConn permits.
-type udpAckRec struct {
-	s1 *net.UDPConn
+// confirmUDPRail is the server half of the leg: it waits on the data
+// socket s1 for the datagram carrying pre, confirms on conn, and
+// returns the client's data address.
+func confirmUDPRail(ctx context.Context, s1 *net.UDPConn, conn net.Conn, pre preamble, deadline time.Time) (*net.UDPAddr, error) {
+	var peer *net.UDPAddr
+	err := guarded(ctx, s1, deadline, func() error {
+		buf := make([]byte, 2048)
+		for {
+			n, src, err := s1.ReadFromUDP(buf)
+			if err != nil {
+				return err
+			}
+			var got preamble
+			if json.Unmarshal(buf[:n], &got) == nil && got == pre {
+				peer = src
+				return writeJSON(conn, railAck{OK: true})
+			}
+		}
+	})
+	return peer, err
 }
 
-// acceptUDPRail waits on rail i's advertised socket for a preamble
-// carrying token, opens a fresh data socket, acks the preamble from it,
-// and returns the socket plus the client's address.
-func (s *Server) acceptUDPRail(ctx context.Context, i int, token string, deadline time.Time) (*net.UDPConn, *net.UDPAddr, error) {
-	s0 := s.rails[i].udp
-	s0.SetReadDeadline(deadline)
-	stop := guardCtx(ctx, s0)
-	defer stop()
-	buf := make([]byte, 2048)
-	for {
-		n, src, err := s0.ReadFromUDP(buf)
-		if err != nil {
-			return nil, nil, ctxErrOr(ctx, err)
-		}
-		var pre preamble
-		if json.Unmarshal(buf[:n], &pre) != nil {
-			continue
-		}
-		if rec := s.ackedRail(pre); rec != nil {
-			_ = sendUDPAck(rec.s1, src, pre)
-			continue
-		}
-		if pre.Token != token || pre.Rail != i {
-			continue
-		}
-		la := s0.LocalAddr().(*net.UDPAddr)
-		s1, err := net.ListenUDP("udp", &net.UDPAddr{IP: la.IP})
-		if err != nil {
-			return nil, nil, fmt.Errorf("data socket: %w", err)
-		}
-		if err := sendUDPAck(s1, src, pre); err != nil {
-			s1.Close()
-			return nil, nil, fmt.Errorf("ack: %w", err)
-		}
-		s.recordAcked(pre, s1)
-		// As with TCP rails: a false return means the cancel poke is in
-		// flight and the handshake is void.
-		if !stop() {
-			s1.Close()
-			return nil, nil, ctx.Err()
-		}
-		s0.SetReadDeadline(time.Time{})
-		return s1, src, nil
-	}
-}
-
-// dialUDPRail brings one client-side UDP rail up against the server's
-// advertised address, returning the local socket and the server's data
-// socket address (learned from the ack's source).
-func dialUDPRail(ctx context.Context, addr, token string, rail int, deadline time.Time) (*net.UDPConn, *net.UDPAddr, error) {
+// attachUDPRail is the client half of the leg: it announces a fresh
+// socket to the server's data socket at addr, resending pre until the
+// confirmation arrives on r, the TCP connection's reader, whose
+// deadline bounds the wait. It returns the socket and the address to
+// aim the rail at.
+func attachUDPRail(r io.ByteReader, addr string, pre preamble) (*net.UDPConn, *net.UDPAddr, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := net.ListenUDP("udp", nil)
+	uc, err := net.ListenUDP("udp", nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	pre, err := jsonMarshal(preamble{Token: token, Rail: rail})
-	if err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	buf := make([]byte, 2048)
-	for {
-		if err := ctx.Err(); err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		if !time.Now().Before(deadline) {
-			c.Close()
-			return nil, nil, fmt.Errorf("no ack within handshake deadline")
-		}
-		if _, err := c.WriteToUDP(pre, raddr); err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-		try := time.Now().Add(udpRetryInterval)
-		if try.After(deadline) {
-			try = deadline
-		}
-		c.SetReadDeadline(try)
-		n, src, err := c.ReadFromUDP(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue // retry the preamble
+	data, _ := json.Marshal(pre) // a string and an int always marshal
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(udpRetryInterval)
+		defer t.Stop()
+		for {
+			// A failed send is just a lost datagram: the next tick
+			// resends, and the confirmation's deadline ends the leg.
+			uc.WriteToUDP(data, raddr)
+			select {
+			case <-stop:
+				return
+			case <-t.C:
 			}
-			c.Close()
-			return nil, nil, ctxErrOr(ctx, err)
 		}
-		var ack preamble
-		if json.Unmarshal(buf[:n], &ack) != nil || ack.Token != token || ack.Rail != rail {
-			continue // stray datagram; not our ack
-		}
-		c.SetReadDeadline(time.Time{})
-		return c, src, nil
+	}()
+	var ack railAck
+	err = readJSON(r, &ack)
+	close(stop)
+	<-done
+	if err == nil && !ack.OK {
+		err = errors.New("udp rail not confirmed")
 	}
-}
-
-// sendUDPAck echoes the preamble back to the client from the data
-// socket, udpAckBurst times.
-func sendUDPAck(s1 *net.UDPConn, client *net.UDPAddr, pre preamble) error {
-	data, err := jsonMarshal(pre)
 	if err != nil {
-		return err
+		uc.Close()
+		return nil, nil, err
 	}
-	for k := 0; k < udpAckBurst; k++ {
-		if _, err := s1.WriteToUDP(data, client); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ackedRail looks a preamble up in the completed-rail registry.
-func (s *Server) ackedRail(pre preamble) *udpAckRec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked[ackKey(pre)]
-}
-
-// recordAcked registers a completed UDP rail handshake for re-acking.
-func (s *Server) recordAcked(pre preamble, s1 *net.UDPConn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.acked == nil {
-		s.acked = make(map[string]*udpAckRec)
-	}
-	s.acked[ackKey(pre)] = &udpAckRec{s1: s1}
-}
-
-func ackKey(pre preamble) string {
-	return fmt.Sprintf("%s/%d", pre.Token, pre.Rail)
+	return uc, raddr, nil
 }

@@ -1,9 +1,11 @@
 package session
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -114,10 +116,10 @@ func TestSessionUDPOnly(t *testing.T) {
 	exchange(t, engA, engB, gateAB, gateBA, 3, msg)
 }
 
-// TestSessionUDPStraysSkipped floods the advertised preamble socket
-// with garbage and wrong-token datagrams while a real handshake runs:
-// an open UDP port receives strays, and none of them may abort a live
-// negotiation.
+// TestSessionUDPStraysSkipped throws garbage, forged-token and
+// wrong-rail datagrams at the per-session data socket named in the hello
+// ahead of the real preamble: an open UDP port receives strays, and none
+// of them may abort a live negotiation or capture the rail.
 func TestSessionUDPStraysSkipped(t *testing.T) {
 	engA, engB := engines(t)
 	rails := []RailSpec{{Addr: "127.0.0.1:0", Proto: "udp"}}
@@ -126,123 +128,119 @@ func TestSessionUDPStraysSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// Pre-load the preamble socket's buffer with strays before any
-	// client shows up.
-	stray, err := net.Dial("udp", srv.rails[0].udp.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
+	type acceptResult struct {
+		gate *core.Gate
+		err  error
 	}
-	defer stray.Close()
-	stray.Write([]byte("not even json"))
-	bad, _ := jsonMarshal(preamble{Token: "forged", Rail: 0})
-	stray.Write(bad)
-	wrongRail, _ := jsonMarshal(preamble{Token: "forged", Rail: 7})
-	stray.Write(wrongRail)
-
-	accepted := make(chan error, 1)
+	accepted := make(chan acceptResult, 1)
 	go func() {
-		_, _, err := srv.Accept(context.Background())
-		accepted <- err
+		g, _, err := srv.Accept(context.Background())
+		accepted <- acceptResult{g, err}
 	}()
-	if _, _, err := Connect(context.Background(), engB, "beta", srv.ControlAddr(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSessionUDPDupPreambleReacked pins the lost-ack recovery path: a
-// client whose rail completed in an earlier session retries its
-// preamble (it never saw the ack burst), and the server — mid-handshake
-// with a NEW client on the same rail socket — re-acks the dup from the
-// completed rail's data socket instead of aborting or ignoring it.
-func TestSessionUDPDupPreambleReacked(t *testing.T) {
-	engA, engB := engines(t)
-	rails := []RailSpec{{Addr: "127.0.0.1:0", Proto: "udp"}}
-	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Session 1, manual client: control hello, then the rail preamble.
-	go func() { srv.Accept(context.Background()) }()
+	// Manual client: the hello on the control connection...
 	conn, err := net.Dial("tcp", srv.ControlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeJSON(conn, hello{Version: Version, Name: "one"}); err != nil {
+	if err := writeJSON(conn, hello{Version: Version, Name: "beta"}); err != nil {
 		t.Fatal(err)
 	}
+	r := bufio.NewReader(conn)
 	var srvHello hello
-	if err := readJSONConn(conn, &srvHello); err != nil {
+	if err := readJSON(r, &srvHello); err != nil {
 		t.Fatal(err)
 	}
-	oldSock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	// ...strays at the data socket from another sender...
+	dataAddr := srvHello.Rails[0].Addr
+	stray, err := net.Dial("udp", dataAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oldSock.Close()
-	s0, err := net.ResolveUDPAddr("udp", srvHello.Rails[0].Addr)
+	defer stray.Close()
+	stray.Write([]byte("not even json"))
+	forged, _ := json.Marshal(preamble{Token: "forged", Rail: 0})
+	stray.Write(forged)
+	wrongRail, _ := json.Marshal(preamble{Token: srvHello.Token, Rail: 7})
+	stray.Write(wrongRail)
+	// ...then the real leg.
+	uc, peer, err := attachUDPRail(r, dataAddr, preamble{Token: srvHello.Token, Rail: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldPre, _ := jsonMarshal(preamble{Token: srvHello.Token, Rail: 0})
-	if _, err := oldSock.WriteToUDP(oldPre, s0); err != nil {
-		t.Fatal(err)
+	res := <-accepted
+	if res.err != nil {
+		t.Fatal(res.err)
 	}
-	// Drain the first ack burst so the next read sees only the re-ack.
-	readAck := func() preamble {
-		t.Helper()
-		buf := make([]byte, 2048)
-		oldSock.SetReadDeadline(time.Now().Add(5 * time.Second))
-		n, _, err := oldSock.ReadFromUDP(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ack preamble
-		if err := json.Unmarshal(buf[:n], &ack); err != nil {
-			t.Fatal(err)
-		}
-		return ack
-	}
-	for i := 0; i < udpAckBurst; i++ {
-		if ack := readAck(); ack.Token != srvHello.Token {
-			t.Fatalf("ack %d carries wrong token", i)
-		}
-	}
+	// The server aimed its rail at the real client, not at the stray
+	// sender: a payload crosses the rail intact.
+	gateBA := engB.NewGate("alpha")
+	gateBA.AddRail(railEndpoint{udp: uc, udpPeer: peer}.driver(core.Profile{}))
+	exchange(t, engA, engB, res.gate, gateBA, 4, bytes.Repeat([]byte("stray"), 1000))
+}
 
-	// Session 2 from a real client; while its handshake holds the rail
-	// socket, the old client retries its (already-completed) preamble.
-	accepted := make(chan error, 1)
-	go func() {
-		_, _, err := srv.Accept(context.Background())
-		accepted <- err
-	}()
-	// The retry may land before Accept 2 starts reading the rail socket;
-	// it queues in the socket buffer and is handled once the new
-	// handshake reaches the rail stage.
-	if _, err := oldSock.WriteToUDP(oldPre, s0); err != nil {
+// TestSessionConcurrentUDPSessions runs four handshakes at once on one
+// server with udp rails. Each session gets its own data sockets, so no
+// handshake sees another's preambles, and each gate pair carries its
+// own byte-verified exchange.
+func TestSessionConcurrentUDPSessions(t *testing.T) {
+	const sessions = 4
+	engA, engB := engines(t)
+	rails := []RailSpec{{Addr: "127.0.0.1:0", Proto: "udp"}, {Addr: "127.0.0.1:0", Proto: "udp"}}
+	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Connect(context.Background(), engB, "beta", srv.ControlAddr(), Options{}); err != nil {
-		t.Fatal(err)
+	defer srv.Close()
+	type result struct {
+		gate *core.Gate
+		peer string
+		err  error
 	}
-	if err := <-accepted; err != nil {
-		t.Fatal(err)
+	accepted := make(chan result, sessions)
+	connected := make(chan result, sessions)
+	for i := 0; i < sessions; i++ {
+		name := fmt.Sprintf("client-%d", i)
+		go func() {
+			g, peer, err := srv.Accept(context.Background())
+			accepted <- result{g, peer, err}
+		}()
+		go func() {
+			g, _, err := Connect(context.Background(), engB, name, srv.ControlAddr(), Options{})
+			connected <- result{g, name, err}
+		}()
 	}
-	if ack := readAck(); ack.Token != srvHello.Token || ack.Rail != 0 {
-		t.Fatalf("re-ack mismatch: %+v", ack)
+	srvGates := make(map[string]*core.Gate)
+	cliGates := make(map[string]*core.Gate)
+	for i := 0; i < sessions; i++ {
+		for _, c := range []chan result{accepted, connected} {
+			res := <-c
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			if c == accepted {
+				srvGates[res.peer] = res.gate
+			} else {
+				cliGates[res.peer] = res.gate
+			}
+		}
+	}
+	for i := 0; i < sessions; i++ {
+		name := fmt.Sprintf("client-%d", i)
+		msg := bytes.Repeat([]byte{byte(i + 1)}, 64<<10)
+		exchange(t, engB, engA, cliGates[name], srvGates[name], 7, msg)
+		exchange(t, engA, engB, srvGates[name], cliGates[name], 8, msg)
 	}
 }
 
-// TestListenRejectsUnknownProto pins the spec validation.
+// TestListenRejectsUnknownProto pins the spec validation, including a
+// udp rail with a fixed port: each session binds a fresh data socket, so
+// the port would be silently ignored.
 func TestListenRejectsUnknownProto(t *testing.T) {
 	engA, _ := engines(t)
-	rails := []RailSpec{{Addr: "127.0.0.1:0", Proto: "sctp"}}
-	if _, err := Listen(context.Background(), engA, "a", "127.0.0.1:0", rails, Options{}); err == nil {
-		t.Fatal("unknown proto accepted")
+	for _, spec := range []RailSpec{{Addr: "127.0.0.1:0", Proto: "sctp"}, {Addr: "127.0.0.1:7001", Proto: "udp"}} {
+		if _, err := Listen(context.Background(), engA, "a", "127.0.0.1:0", []RailSpec{spec}, Options{}); err == nil {
+			t.Fatalf("bad spec accepted: %+v", spec)
+		}
 	}
 }

@@ -364,9 +364,10 @@ type SessionServer = session.Server
 type SessionOptions = session.Options
 
 // ListenSession starts a session server: a control listener plus one
-// listener per offered rail. Accept(ctx) returns a ready multi-rail
-// gate; waiting for a client is bounded by ctx, the negotiation by
-// opts.HandshakeTimeout.
+// listener per offered tcp rail; udp and shm rails get a fresh data
+// socket or segment per accepted session. Accept(ctx) returns a ready
+// multi-rail gate; waiting for a client is bounded by ctx, the
+// negotiation by opts.HandshakeTimeout.
 func ListenSession(ctx context.Context, eng *Engine, name, ctrlAddr string, rails []RailSpec, opts SessionOptions) (*SessionServer, error) {
 	return session.Listen(ctx, eng, name, ctrlAddr, rails, opts)
 }
