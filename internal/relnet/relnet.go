@@ -160,8 +160,13 @@ type Driver struct {
 
 	// sender
 	nextSeq uint64 // next sequence number to assign (1-based)
-	win     map[uint64]*segState
-	txq     []*segState // segmented, not yet transmitted (window full)
+	// win is the sent-but-unacked window in sequence order: segments
+	// join at the tail as they are pumped and leave from the head as the
+	// cumulative ack passes them, so win[i].seq == win[0].seq+i. Every
+	// walk over it is in sequence order, which keeps the RTT estimator
+	// and the fast-retransmit batch deterministic.
+	win []*segState
+	txq []*segState // segmented, not yet transmitted (window full)
 
 	// adaptive RTO
 	srtt    time.Duration
@@ -192,7 +197,6 @@ func Wrap(tr Transport, cfg Config) *Driver {
 		mtu:     cfg.MTU,
 		window:  cfg.Window,
 		budget:  cfg.RetryBudget,
-		win:     make(map[uint64]*segState),
 		ooo:     make(map[uint64]*rseg),
 		nextSeq: 1,
 	}
@@ -209,6 +213,7 @@ func Wrap(tr Transport, cfg Config) *Driver {
 	if d.window <= 0 {
 		d.window = DefaultWindow
 	}
+	d.win = make([]*segState, 0, d.window)
 	if d.budget <= 0 {
 		d.budget = DefaultRetryBudget
 	}
@@ -344,12 +349,13 @@ func (d *Driver) Transport() Transport { return d.tr }
 
 // releaseStateLocked returns every lease the protocol holds.
 func (d *Driver) releaseStateLocked() {
-	for seq, s := range d.win {
+	for _, s := range d.win {
 		if s.data != nil {
 			s.data.Release()
 		}
-		delete(d.win, seq)
 	}
+	clear(d.win)
+	d.win = d.win[:0]
 	for _, s := range d.txq {
 		s.data.Release()
 	}
@@ -402,7 +408,7 @@ func (d *Driver) pumpLocked(out *[]*core.Buf) {
 		seg := d.txq[0]
 		d.txq[0] = nil
 		d.txq = d.txq[1:]
-		d.win[seg.seq] = seg
+		d.win = append(d.win, seg)
 		d.transmitLocked(seg, out)
 	}
 	if d.timer == nil && len(d.win) > 0 {
@@ -472,8 +478,9 @@ func (d *Driver) onTimer(gen uint64) {
 	d.timer = nil
 	var oldest *segState
 	for _, s := range d.win {
-		if s.data != nil && (oldest == nil || s.seq < oldest.seq) {
+		if s.data != nil {
 			oldest = s
+			break
 		}
 	}
 	if oldest == nil {
@@ -535,10 +542,10 @@ func (d *Driver) sampleRTTLocked(ns int64) {
 // count duplicate-ack hints and fast-retransmit on the third.
 func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.DriverEvent) {
 	now := d.clock.Now()
-	progress := false
-	for seq, seg := range d.win {
-		if seq > cum {
-			continue
+	acked := 0
+	for _, seg := range d.win {
+		if seg.seq > cum {
+			break
 		}
 		if seg.retries == 0 && seg.data != nil {
 			d.sampleRTTLocked(now - seg.sentAt)
@@ -546,8 +553,13 @@ func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.Dri
 		if seg.data != nil {
 			seg.data.Release()
 		}
-		delete(d.win, seq)
-		progress = true
+		acked++
+	}
+	progress := acked > 0
+	if progress {
+		n := copy(d.win, d.win[acked:])
+		clear(d.win[n:])
+		d.win = d.win[:n]
 	}
 	var maxSacked uint64
 	for i := 0; i < 64; i++ {
@@ -555,7 +567,7 @@ func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.Dri
 			continue
 		}
 		seq := cum + 1 + uint64(i)
-		if seg := d.win[seq]; seg != nil && !seg.sacked {
+		if seg := d.inWinLocked(seq); seg != nil && !seg.sacked {
 			seg.sacked = true
 			if seg.retries == 0 {
 				d.sampleRTTLocked(now - seg.sentAt)
@@ -593,6 +605,15 @@ func (d *Driver) onAckLocked(cum, sack uint64, out *[]*core.Buf, evs *[]core.Dri
 		// Restart the countdown from the latest forward progress.
 		d.armTimerLocked()
 	}
+}
+
+// inWinLocked returns the window's segment with sequence number seq, or
+// nil if seq is not in flight.
+func (d *Driver) inWinLocked(seq uint64) *segState {
+	if len(d.win) == 0 || seq < d.win[0].seq || seq-d.win[0].seq >= uint64(len(d.win)) {
+		return nil
+	}
+	return d.win[seq-d.win[0].seq]
 }
 
 // sackLocked builds the selective-ack bitmap over the 64 sequence

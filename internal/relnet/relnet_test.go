@@ -324,6 +324,78 @@ func TestDESTimersLeaveNoPhantomWakeups(t *testing.T) {
 	}
 }
 
+// tap records the sequence number of every DATA segment sent through
+// it and drops the first transmission of the segments in drop.
+type tap struct {
+	relnet.Transport
+	mu   sync.Mutex
+	drop map[uint64]bool
+	sent []uint64
+}
+
+func (t *tap) Send(f *core.Buf) error {
+	seq, data := relnet.DataSeq(f.B)
+	if !data {
+		return t.Transport.Send(f)
+	}
+	t.mu.Lock()
+	t.sent = append(t.sent, seq)
+	lost := t.drop[seq]
+	delete(t.drop, seq)
+	t.mu.Unlock()
+	if lost {
+		f.Release()
+		return nil
+	}
+	return t.Transport.Send(f)
+}
+
+// TestFastRetransmitsLeaveInSequenceOrder pins the DES determinism of
+// loss recovery: when one ack pushes several segments over the
+// duplicate-hint threshold at once, their retransmissions leave in
+// ascending sequence order, not in the order of a map walk.
+func TestFastRetransmitsLeaveInSequenceOrder(t *testing.T) {
+	leakCheck(t)
+	w := des.NewWorld()
+	ta, tb := memdrv.TransportPair(t.Name(), core.Profile{}, 512)
+	tp := &tap{Transport: ta, drop: map[uint64]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true}}
+	cfg := relnet.Config{RTO: time.Hour, Clock: relnet.DESClock{W: w}}
+	da, db := relnet.Wrap(tp, cfg), relnet.Wrap(tb, cfg)
+	sb := &sink{}
+	da.Bind(0, &sink{})
+	db.Bind(0, sb)
+	t.Cleanup(func() {
+		_ = da.Close()
+		_ = db.Close()
+	})
+	// Segments 7, 8 and 9 each ack with a sack above the six lost ones;
+	// the third hint fires all six fast retransmits from one ack.
+	const n = 9
+	for i := 0; i < n; i++ {
+		if err := da.Send(pkt(1, uint64(i), bytes.Repeat([]byte{byte(i)}, 100))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if a, _, _ := sb.counts(); a != n {
+		t.Fatalf("%d arrivals, want %d", a, n)
+	}
+	if st := da.Stats(); st.FastRetransmits != 6 || st.Timeouts != 0 {
+		t.Fatalf("fast retransmits %d, timeouts %d; want 6 and 0", st.FastRetransmits, st.Timeouts)
+	}
+	tp.mu.Lock()
+	retx := append([]uint64(nil), tp.sent[n:]...)
+	tp.mu.Unlock()
+	want := []uint64{1, 2, 3, 4, 5, 6}
+	if len(retx) != len(want) {
+		t.Fatalf("retransmitted %v, want %v", retx, want)
+	}
+	for i := range want {
+		if retx[i] != want[i] {
+			t.Fatalf("retransmitted %v, want ascending %v", retx, want)
+		}
+	}
+}
+
 func TestRTOBacksOffAndAdapts(t *testing.T) {
 	da, _, fa, _, _, sb := pair(t, relnet.Config{RTO: time.Millisecond, RetryBudget: 10}, 512)
 	fa.SetDropEvery(1)
