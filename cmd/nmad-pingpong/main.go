@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"newmad"
+	"newmad/internal/strategy"
 )
 
 const (
@@ -40,7 +41,7 @@ func main() {
 		serve     = flag.String("serve", "", "control address to serve a session on (server)")
 		rails     = flag.Int("rails", 2, "rails to offer (server)")
 		connect   = flag.String("connect", "", "control address to connect to (client)")
-		stratArg  = flag.String("strategy", "split", "strategy name (fifo, aggreg, balance, aggrail, split, split-iso, split-dyn)")
+		stratArg  = flag.String("strategy", "split", "strategy name ("+strings.Join(strategy.Names(), ", ")+")")
 		sizesArg  = flag.String("sizes", "64,4096,65536,1048576", "comma-separated message sizes in bytes")
 		segs      = flag.Int("segs", 2, "segments per message")
 		iters     = flag.Int("iters", 50, "iterations per size")

@@ -11,9 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"newmad"
+	"newmad/internal/strategy"
 	"newmad/internal/xfer"
 )
 
@@ -25,7 +27,7 @@ func main() {
 		outFile   = flag.String("o", "", "file to write")
 		rails     = flag.Int("rails", 2, "rails to offer (receiver)")
 		chunkKB   = flag.Int("chunk", 4096, "chunk size in KiB")
-		strat     = flag.String("strategy", "split", "scheduling strategy")
+		strat     = flag.String("strategy", "split", "scheduling strategy ("+strings.Join(strategy.Names(), ", ")+")")
 		handshake = flag.Duration("handshake-timeout", 30*time.Second, "session handshake timeout")
 	)
 	flag.Parse()

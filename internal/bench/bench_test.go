@@ -191,7 +191,7 @@ func TestSweepVerifiedIntegrity(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	run := func() []Point {
-		p := newPair(func() core.Strategy { return strategy.NewBalance() }, bothRails(), false)
+		p := newPair(func() core.Strategy { return strategy.Must("balance") }, bothRails(), false)
 		return p.SweepLatency([]int{64, 65536}, SweepOptions{Segments: 2, Warmup: 1, Iters: 3})
 	}
 	a, b := run(), run()

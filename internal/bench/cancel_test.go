@@ -159,7 +159,7 @@ func TestCollectiveCancelPreservesTagSpace(t *testing.T) {
 	c := NewCluster(ClusterConfig{
 		Nodes:    ranks,
 		NICs:     []simnet.NICParams{simnet.Myri10G()},
-		Strategy: func() core.Strategy { return strategy.NewAggRail() },
+		Strategy: func() core.Strategy { return strategy.Must("aggrail") },
 	})
 	barrierErrs := make([]error, ranks)
 	sums := make([]int64, ranks)

@@ -137,7 +137,7 @@ func TestChaosSplitDataIntact(t *testing.T) {
 	const iters = 4
 	w := des.NewWorld()
 	top := chaosPairTopo(w)
-	c := ClusterFromTopo(top, ClusterConfig{Strategy: func() core.Strategy { return strategy.NewSplitDyn() }})
+	c := ClusterFromTopo(top, ClusterConfig{Strategy: func() core.Strategy { return strategy.Must("split-dyn") }})
 	type res struct {
 		err error
 		got []byte

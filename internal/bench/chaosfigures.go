@@ -173,7 +173,7 @@ func chaosColls() []chaosOp {
 
 // chaosSplitOp is a point-to-point transfer from rank 0 to rank 1,
 // striped across both rails by the installed split strategy — the
-// operation whose mid-transfer failover the SplitDyn fix exists for.
+// operation whose mid-transfer failover the split-dyn fix exists for.
 func chaosSplitOp() chaosOp {
 	const tag = 7
 	return chaosOp{Name: "split-xfer", Run: func(ctx context.Context, c *mpl.Comm, size int) error {
@@ -356,7 +356,7 @@ func ExtChaosColl(q Quality) *Figure {
 // ExtChaosSplit builds the split-transfer chaos figure: a 2 MiB
 // transfer striped across both rails, static split versus dynamic
 // re-splitting on reliable rails, p50 and p99 makespan under each fault
-// scenario. The rail-down scenarios are where SplitDyn earns its keep:
+// scenario. The rail-down scenarios are where split-dyn earns its keep:
 // surviving iterations re-split the remainder over the live rail
 // instead of handing the dead rail its share. A raw-rail contrast
 // series rides along so the loss column keeps showing the asymmetry
@@ -376,7 +376,7 @@ func ExtChaosSplit(q Quality) *Figure {
 		cfg  ClusterConfig
 	}{
 		{"split", ClusterConfig{Strategy: split, Reliable: true}},
-		{"split-dyn", ClusterConfig{Strategy: func() core.Strategy { return strategy.NewSplitDyn() }, Reliable: true}},
+		{"split-dyn", ClusterConfig{Strategy: func() core.Strategy { return strategy.Must("split-dyn") }, Reliable: true}},
 		{"split-raw", ClusterConfig{Strategy: split}},
 	} {
 		p50, p99 := chaosSeries(chaosPairTopo, s.cfg, s.name, chaosSplitOp(), size, q.Warmup+q.Iters)

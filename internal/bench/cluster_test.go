@@ -97,7 +97,7 @@ func TestClusterLargeTransfersBetweenAllPairs(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	for _, cfg := range []ClusterConfig{
-		{Nodes: 1, NICs: bothRails(), Strategy: func() core.Strategy { return strategy.NewBalance() }},
+		{Nodes: 1, NICs: bothRails(), Strategy: func() core.Strategy { return strategy.Must("balance") }},
 		{Nodes: 2},
 		{Nodes: 2, NICs: bothRails()},
 	} {

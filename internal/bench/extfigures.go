@@ -10,8 +10,8 @@ import (
 )
 
 // Extension experiments beyond the paper's figures, registered in the
-// same harness (see DESIGN.md §5): the §4 future-work items and the
-// design-knob ablations, as sweepable figures.
+// same harness (the builders table in figures.go): the §4 future-work
+// items and the design-knob ablations, as sweepable figures.
 
 // ExtPIO measures the paper's §4 "multi-threaded implementation that
 // will process parallel PIO transfers": 2-segment greedy balancing with
@@ -19,7 +19,7 @@ import (
 // of multi-rail shrinks and the crossover moves left.
 func ExtPIO(q Quality) *Figure {
 	sizes := PowersOfTwo(4, 32<<10)
-	balance := func() core.Strategy { return strategy.NewBalance() }
+	balance := func() core.Strategy { return strategy.Must("balance") }
 	mk := func(lanes int) Series {
 		host := simnet.Opteron()
 		host.PIOLanes = lanes

@@ -96,7 +96,7 @@ func greedyFig(id, title string, segs int, sizes []int, bandwidth bool, q Qualit
 		ylabel = "MB/s"
 	}
 	aggreg := func() core.Strategy { return strategy.NewAggreg(0) }
-	balance := func() core.Strategy { return strategy.NewBalance() }
+	balance := func() core.Strategy { return strategy.Must("balance") }
 	pre := fmt.Sprintf("%d", segs)
 	return &Figure{
 		ID: id, Title: title, XLabel: "total data size (bytes)", YLabel: ylabel,
@@ -134,7 +134,7 @@ func Fig5b(q Quality) *Figure {
 func Fig6(q Quality) *Figure {
 	sizes := PowersOfTwo(4, 16<<10)
 	aggreg := func() core.Strategy { return strategy.NewAggreg(0) }
-	aggrail := func() core.Strategy { return strategy.NewAggRail() }
+	aggrail := func() core.Strategy { return strategy.Must("aggrail") }
 	return &Figure{
 		ID: "fig6", Title: "Aggregated eager messages on fastest NIC (latency)",
 		XLabel: "total data size (bytes)", YLabel: "us",

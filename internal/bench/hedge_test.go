@@ -80,7 +80,7 @@ func TestHedgedTransferByteVerified(t *testing.T) {
 	top := chaosPairTopo(w)
 	var hs []*strategy.Hedge
 	c := ClusterFromTopo(top, ClusterConfig{Strategy: func() core.Strategy {
-		h := strategy.NewHedge(strategy.NewSplitDynAdaptive())
+		h := strategy.NewHedge(strategy.Must("split-dyn-adaptive"))
 		hs = append(hs, h)
 		return h
 	}})

@@ -98,7 +98,7 @@ func scenarioXLabel(scs []chaosScenario) string {
 func runTail(sc chaosScenario, size, iters int, hedged bool) (chaosRun, strategy.HedgeStats) {
 	var hs []*strategy.Hedge
 	cfg := ClusterConfig{Strategy: func() core.Strategy {
-		inner := strategy.NewSplitDynAdaptive()
+		inner := strategy.Must("split-dyn-adaptive")
 		if !hedged {
 			return inner
 		}
@@ -124,9 +124,9 @@ func runTail(sc chaosScenario, size, iters int, hedged bool) (chaosRun, strategy
 func runAdaptive(sc chaosScenario, size, iters int, adaptive bool) chaosRun {
 	cfg := ClusterConfig{Strategy: func() core.Strategy {
 		if adaptive {
-			return strategy.NewSplitDynAdaptive()
+			return strategy.Must("split-dyn-adaptive")
 		}
-		return strategy.NewSplitDyn()
+		return strategy.Must("split-dyn")
 	}}
 	return runChaos(chaosPairTopo, cfg, sc, chaosSplitOp(), size, iters)
 }

@@ -309,7 +309,7 @@ func (d *nullDrv) Close() error { return nil }
 // multiGateThroughput measures wall-clock sends per second across gates
 // concurrent sender gates on one engine.
 func multiGateThroughput(gates int) float64 {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	payload := make([]byte, 1024)
 	const perGate = 20000
 	done := make(chan struct{}, gates)
@@ -384,7 +384,7 @@ func (d *memDuo) pump(reqs ...core.Request) {
 // exchange over memdrv. The hot path is pooled end to end, so the figure
 // is 0 and budgeted at 0.
 func pingpongAllocs() float64 {
-	d := newMemDuo(func() core.Strategy { return strategy.NewBalance() })
+	d := newMemDuo(func() core.Strategy { return strategy.Must("balance") })
 	ping := make([]byte, 1024)
 	pong := make([]byte, 1024)
 	recvA := make([]byte, 1024)

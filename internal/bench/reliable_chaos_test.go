@@ -115,7 +115,7 @@ func TestChaosBlackholeExhaustsAndFailsOver(t *testing.T) {
 		},
 	}
 	cfg := ClusterConfig{
-		Strategy: func() core.Strategy { return strategy.NewSplitDyn() },
+		Strategy: func() core.Strategy { return strategy.Must("split-dyn") },
 		Reliable: true,
 		Rel:      relnet.Config{RTO: 2 * time.Millisecond, RetryBudget: 3},
 	}

@@ -12,7 +12,7 @@ import (
 // backlogFixture builds a gate with rails but drives the backlog by hand.
 func backlogFixture(t *testing.T, rails int) (*core.Backlog, []*core.Rail) {
 	t.Helper()
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("peer")
 	for i := 0; i < rails; i++ {
 		a, _ := memdrv.Pair("x", memdrv.DefaultProfile())
@@ -244,7 +244,7 @@ func TestChunkFromDrainedPanics(t *testing.T) {
 }
 
 func TestBacklogThresholdAccessors(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance(), AggThreshold: 1234, MinChunk: 5678})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance"), AggThreshold: 1234, MinChunk: 5678})
 	g := eng.NewGate("p")
 	if g.Backlog().AggThreshold() != 1234 || g.Backlog().MinChunk() != 5678 {
 		t.Fatal("threshold accessors")
@@ -252,7 +252,7 @@ func TestBacklogThresholdAccessors(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("p")
 	if g.Backlog().AggThreshold() != 16<<10 || g.Backlog().MinChunk() != 16<<10 {
 		t.Fatalf("defaults: agg=%d chunk=%d", g.Backlog().AggThreshold(), g.Backlog().MinChunk())

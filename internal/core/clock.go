@@ -14,19 +14,11 @@ type Clock interface {
 	// Memcpy accounts a host memory copy of n bytes (used when a strategy
 	// aggregates segments into a contiguous packet).
 	Memcpy(n int)
-}
-
-// TimerClock is an optional Clock extension for clocks that can run a
-// callback after a delay in their own notion of time: wall time for the
-// real clock, virtual time for the DES hosts. Strategies that need timed
-// speculation (hedged sends) type-assert the engine clock to this
-// interface and degrade gracefully when it is absent.
-//
-// The callback may fire on any goroutine; callers must route any engine
-// work through Gate.Exec. The returned stop function cancels a timer that
-// has not fired yet; calling it after the timer fired is a harmless no-op.
-type TimerClock interface {
-	Clock
+	// AfterFunc runs fn after d nanoseconds of this clock's time (wall
+	// time, or virtual time under simulation); timed speculation such as
+	// hedged sends uses it. fn may run on any goroutine, so it must route
+	// engine work through Gate.Exec. The returned stop cancels a timer
+	// that has not fired yet; calling it after the fire is a no-op.
 	AfterFunc(d int64, fn func()) (stop func())
 }
 

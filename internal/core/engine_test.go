@@ -63,7 +63,7 @@ func fill(n int, seed byte) []byte {
 	return buf
 }
 
-func balanced() core.Strategy { return strategy.NewBalance() }
+func balanced() core.Strategy { return strategy.Must("balance") }
 
 func TestBasicSendRecv(t *testing.T) {
 	d := newDuo(t, 1, balanced)
@@ -401,8 +401,8 @@ func TestPropertyRoundTripAllStrategies(t *testing.T) {
 	strategies := map[string]func() core.Strategy{
 		"fifo":    func() core.Strategy { return strategy.NewFIFO(0) },
 		"aggreg":  func() core.Strategy { return strategy.NewAggreg(0) },
-		"balance": func() core.Strategy { return strategy.NewBalance() },
-		"aggrail": func() core.Strategy { return strategy.NewAggRail() },
+		"balance": func() core.Strategy { return strategy.Must("balance") },
+		"aggrail": func() core.Strategy { return strategy.Must("aggrail") },
 		"split":   func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) },
 	}
 	for name, strat := range strategies {

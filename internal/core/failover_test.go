@@ -129,7 +129,7 @@ func TestFailoverSplitStrategyReservesOrphanedShares(t *testing.T) {
 func TestFailoverSmallMessagesAfterFastestRailDies(t *testing.T) {
 	// aggrail favours the fastest rail for small messages; when it dies,
 	// smalls must flow over the survivor.
-	aggrail := func() core.Strategy { return strategy.NewAggRail() }
+	aggrail := func() core.Strategy { return strategy.Must("aggrail") }
 	d := newDuo(t, 2, aggrail)
 	d.drvsA[0].SetDown(true) // equal profiles: rail 0 is "fastest" by tie-break
 	msg := fill(256, 6)

@@ -25,7 +25,7 @@ func BenchmarkMultiGateSendThroughput(b *testing.B) {
 	payload := fill(1024, 9)
 	for _, gates := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("gates-%d", gates), func(b *testing.B) {
-			eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+			eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 			gs := make([]*core.Gate, gates)
 			for i := range gs {
 				gs[i] = eng.NewGate(fmt.Sprintf("peer%d", i))

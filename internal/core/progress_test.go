@@ -54,7 +54,7 @@ func (d *injectorDrv) inject(p *core.Packet) {
 
 func injectorGate(t *testing.T) (*core.Engine, *core.Gate, *injectorDrv) {
 	t.Helper()
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("peer")
 	drv := &injectorDrv{}
 	g.AddRail(drv)
@@ -304,7 +304,7 @@ func (d *holdDrv) Send(p *core.Packet) error { return nil }
 // (posted, completion never delivered) must be failed by Close, not left
 // for a Wait to park on forever.
 func TestCloseFailsInFlightRequests(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("peer")
 	g.AddRail(&holdDrv{})
 	sr := g.Isend(1, []byte("stuck"))
@@ -445,7 +445,7 @@ func (d *holdDrv) completeOne() {
 // rail's driver may still be reading the buffers — but must complete
 // (with the failure error) once that packet drains.
 func TestRailFailureDefersCompletionWhileInFlightElsewhere(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("peer")
 	dying := &holdDrv{}
 	busy := &holdDrv{}
@@ -597,7 +597,7 @@ func (d *slowDrv) Send(p *core.Packet) error {
 // driver send, traffic on a sibling gate must proceed immediately. Under
 // a global engine lock the second send would wait out the stall.
 func TestGateIsolationUnderLoad(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	slow := eng.NewGate("slow-peer")
 	stall := time.Second
 	slow.AddRail(&slowDrv{delay: stall})
@@ -631,7 +631,7 @@ func TestConcurrentGatesStress(t *testing.T) {
 		msgs    = 12
 	)
 	sizes := []int{0, 1, 700, 4 << 10, 33 << 10, 64 << 10} // spans eager and rdv
-	hub := core.New(core.Config{Strategy: strategy.NewBalance()})
+	hub := core.New(core.Config{Strategy: strategy.Must("balance")})
 
 	type side struct {
 		hubGate *core.Gate
@@ -640,7 +640,7 @@ func TestConcurrentGatesStress(t *testing.T) {
 	}
 	var ss []side
 	for i := 0; i < gates; i++ {
-		pe := core.New(core.Config{Strategy: strategy.NewBalance()})
+		pe := core.New(core.Config{Strategy: strategy.Must("balance")})
 		hg := hub.NewGate(fmt.Sprintf("peer%d", i))
 		pg := pe.NewGate("hub")
 		for r := 0; r < 2; r++ {

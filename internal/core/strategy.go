@@ -15,8 +15,9 @@ package core
 // strategies need nothing special, but a strategy holding state that
 // outlives one call (e.g. per-body split plans) must synchronize it.
 type Strategy interface {
-	// Name identifies the strategy ("fifo", "aggreg", "balance",
-	// "aggrail", "split").
+	// Name identifies the strategy by its registry name ("fifo",
+	// "aggreg", "balance", "aggrail", "split", "split-iso", "split-dyn",
+	// "split-dyn-adaptive", "hedge"; see strategy.Names).
 	Name() string
 	// Submit registers a new outgoing segment in the backlog.
 	Submit(b *Backlog, u *Unit)
@@ -26,9 +27,9 @@ type Strategy interface {
 
 // Discarder is an optional Strategy extension. The engine calls Discard
 // for each granted body it abandons (gate death), so strategies that
-// keep per-body state — like Split's pinned share plans — can release
-// it instead of leaking entries keyed by units that will never be
-// scheduled again.
+// keep per-body state — like the split rows' pinned share plans — can
+// release it instead of leaking entries keyed by units that will never
+// be scheduled again.
 type Discarder interface {
 	Discard(b *Backlog, u *Unit)
 }

@@ -22,10 +22,10 @@ func TestStressRandomTrafficWithFailures(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			strat := []func() core.Strategy{
-				func() core.Strategy { return strategy.NewBalance() },
-				func() core.Strategy { return strategy.NewAggRail() },
+				func() core.Strategy { return strategy.Must("balance") },
+				func() core.Strategy { return strategy.Must("aggrail") },
 				func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) },
-				func() core.Strategy { return strategy.NewSplitDyn() },
+				func() core.Strategy { return strategy.Must("split-dyn") },
 			}[rng.Intn(4)]
 			d := newDuo(t, 3, strat)
 
@@ -107,12 +107,12 @@ func TestStressRandomTrafficWithFailures(t *testing.T) {
 // (peers) without cross-talk.
 func TestStressManyGates(t *testing.T) {
 	const peers = 5
-	hub := core.New(core.Config{Strategy: strategy.NewBalance()})
+	hub := core.New(core.Config{Strategy: strategy.Must("balance")})
 	var hubGates []*core.Gate
 	var peerEngines []*core.Engine
 	var peerGates []*core.Gate
 	for i := 0; i < peers; i++ {
-		pe := core.New(core.Config{Strategy: strategy.NewBalance()})
+		pe := core.New(core.Config{Strategy: strategy.Must("balance")})
 		hg := hub.NewGate(fmt.Sprintf("peer%d", i))
 		pg := pe.NewGate("hub")
 		a, b := pairDrv(fmt.Sprintf("hub-%d", i))

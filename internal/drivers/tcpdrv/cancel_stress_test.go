@@ -22,8 +22,8 @@ func TestCancelPoolSafetyStressTCP(t *testing.T) {
 	core.SetPoolChecks(true)
 	t.Cleanup(func() { core.SetPoolChecks(false) })
 
-	engA := core.New(core.Config{Strategy: strategy.NewBalance()})
-	engB := core.New(core.Config{Strategy: strategy.NewBalance()})
+	engA := core.New(core.Config{Strategy: strategy.Must("balance")})
+	engB := core.New(core.Config{Strategy: strategy.Must("balance")})
 	gA := engA.NewGate("B")
 	gB := engB.NewGate("A")
 	for r := 0; r < 2; r++ {

@@ -326,7 +326,7 @@ func TestIBarrierTest(t *testing.T) {
 }
 
 func TestCollectivesSizeOne(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	cm, err := mpl.New(eng, 0, []*core.Gate{nil}, nil)
 	if err != nil {
 		t.Fatal(err)

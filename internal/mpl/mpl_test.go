@@ -22,7 +22,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	engs := make([]*core.Engine, n)
 	gates := make([][]*core.Gate, n)
 	for i := range engs {
-		engs[i] = core.New(core.Config{Strategy: strategy.NewBalance()})
+		engs[i] = core.New(core.Config{Strategy: strategy.Must("balance")})
 		gates[i] = make([]*core.Gate, n)
 	}
 	for i := 0; i < n; i++ {
@@ -168,7 +168,7 @@ func TestNonBlockingOps(t *testing.T) {
 }
 
 func TestCommValidation(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.NewBalance()})
+	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("x")
 	if _, err := mpl.New(eng, 5, []*core.Gate{nil, g}, nil); err == nil {
 		t.Fatal("out-of-range rank accepted")

@@ -17,7 +17,7 @@ import (
 )
 
 func ctxEngine() *core.Engine {
-	return core.New(core.Config{Strategy: strategy.NewBalance()})
+	return core.New(core.Config{Strategy: strategy.Must("balance")})
 }
 
 func oneRail() []RailSpec {

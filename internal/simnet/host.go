@@ -89,9 +89,9 @@ func (h *Host) Charge(d int64) { h.CPU.Charge(d) }
 func (h *Host) Memcpy(n int) { h.ChargeMemcpy(n) }
 
 // AfterFunc schedules fn after d nanoseconds of virtual time on a
-// cancellable DES timer, satisfying core.TimerClock so timed speculation
-// (hedged sends) runs identically over simulated hardware and real
-// sockets. The returned stop function cancels an unfired timer.
+// cancellable DES timer, completing the core.Clock interface so timed
+// speculation (hedged sends) runs identically over simulated hardware and
+// real sockets. The returned stop function cancels an unfired timer.
 func (h *Host) AfterFunc(d int64, fn func()) func() {
 	if d < 0 {
 		d = 0

@@ -3,7 +3,7 @@ package strategy_test
 // Rail-flap regressions for the stripping strategies: a rail that dies
 // with a granted body mid-transfer must never be handed more bytes, and
 // the surviving rails must drain everything the dead rail left behind.
-// SplitDyn's take() used to return the ENTIRE remainder for a downed
+// The split-dyn bite used to return the ENTIRE remainder for a downed
 // rail (zero live weight fell through to "take it all"), handing the
 // whole body to a rail that could no longer send it.
 
@@ -15,7 +15,7 @@ import (
 )
 
 func TestSplitDynDownedRailTakesNothing(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 1 << 20
 	u := seg(n, 0)
@@ -44,7 +44,7 @@ func TestSplitDynDownedRailTakesNothing(t *testing.T) {
 }
 
 func TestSplitDynFlapMidTransfer(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 1 << 20
 	u := seg(n, 0)
@@ -73,7 +73,7 @@ func TestSplitDynFlapMidTransfer(t *testing.T) {
 }
 
 func TestSplitDynAllRailsDownSchedulesNothing(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 1 << 20
 	u := seg(n, 0)

@@ -28,9 +28,8 @@ import (
 // duplicates never ride the primary's request: byte accounting on the
 // user's request stays exact.
 //
-// Requires the engine clock to implement core.TimerClock (the wall clock
-// and the DES hosts both do); otherwise hedging silently disables and the
-// inner strategy runs unmodified. Hedged sizes must stay within the
+// The stagger timer runs on the engine clock, so hedging works the same
+// in wall time and in DES virtual time. Hedged sizes must stay within the
 // rails' eager regime: duplicates are always sent eagerly, never through
 // rendezvous. The default cap (the engine's AggThreshold) guarantees
 // that.
@@ -179,7 +178,7 @@ func (h *Hedge) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
 
 // maybeArm starts the stagger timer for a hedge-eligible primary packet:
 // a small, single-segment, whole-message eager send on a user tag, with
-// at least one other rail to race on and a timer-capable clock.
+// at least one other rail to race on.
 func (h *Hedge) maybeArm(b *core.Backlog, r *core.Rail, p *core.Packet) {
 	hdr := p.Hdr
 	if hdr.Kind != core.KData || hdr.Agg != 0 || hdr.MsgSegs != 1 || hdr.Off != 0 || hdr.MsgOff != 0 {
@@ -209,16 +208,12 @@ func (h *Hedge) maybeArm(b *core.Backlog, r *core.Rail, p *core.Packet) {
 		return
 	}
 	g := b.Gate()
-	tc, ok := g.Engine().Clock().(core.TimerClock)
-	if !ok {
-		return
-	}
 	h.eligible.Add(1)
 	h.primBytes.Add(uint64(len(p.Payload)))
 	data := p.Payload // aliases the caller's buffer; stable until req completes
 	tag, msg := hdr.Tag, hdr.MsgID
 	primary := r.Index()
-	stop := tc.AfterFunc(int64(h.stagger(r)), func() {
+	stop := g.Engine().Clock().AfterFunc(int64(h.stagger(r)), func() {
 		g.Exec(func(o core.Ops) {
 			if req.Done() {
 				return

@@ -2,52 +2,80 @@ package strategy
 
 import (
 	"sort"
-	"sync"
 
 	"newmad/internal/core"
 )
 
-// SplitMode selects how Split carves a rendezvous body across rails.
+// SplitMode is a stripping row's weight source: how each rail's share
+// of a body is sized.
 type SplitMode int
 
 const (
-	// SplitRatio sizes each rail's chunk in proportion to its profiled
-	// bandwidth, so all chunks finish together (the paper's adaptive
-	// stripping, "hetero-splitted" in Figure 7).
+	// SplitRatio weighs rails by profiled bandwidth, so all shares
+	// finish together (the paper's adaptive stripping, "hetero-splitted"
+	// in Figure 7).
 	SplitRatio SplitMode = iota
 	// SplitIso gives every rail an equal share ("iso-splitted" in
-	// Figure 7, the strawman the adaptive ratio is compared against).
+	// Figure 7, the strawman the ratio is compared against).
 	SplitIso
+	// splitObserved weighs rails by the bandwidth their online
+	// estimators observe them deliver, re-fit as completions arrive. A
+	// rail with no observations yet — freshly added, or just resurrected
+	// — answers with its optimistic profile prior, so it is offered work
+	// instead of being starved of the samples it would need to earn a
+	// share.
+	splitObserved
 )
 
-// String implements fmt.Stringer.
-func (m SplitMode) String() string {
-	if m == SplitIso {
-		return "iso"
+// weight is rail rr's split weight under mode m (never below 1).
+func (m SplitMode) weight(rr *core.Rail) float64 {
+	w := 1.0
+	switch m {
+	case SplitRatio:
+		w = rr.Profile().Bandwidth
+	case splitObserved:
+		w = rr.Profile().Bandwidth
+		if est := rr.Estimator(); est != nil {
+			w = est.Bandwidth()
+		}
 	}
-	return "ratio"
+	if w <= 0 {
+		w = 1
+	}
+	return w
 }
 
-// Split is the paper's final strategy (§3.4, Figure 7): aggregation of
-// small segments onto the fastest rail, greedy balancing, plus stripping
-// of large bodies into per-rail chunks. When a body is granted, it is
-// split once into pinned per-rail shares — proportional to sampled
-// bandwidth in SplitRatio mode, equal in SplitIso mode — each share at
-// least MinChunk so stripping never falls back into the PIO regime; a
-// rail too slow to deserve MinChunk gets nothing. Shares orphaned by rail
-// failure are re-served greedily by the surviving rails.
-type Split struct {
-	mode SplitMode
-	// rdvMin forces segments larger than this through the rendezvous
-	// path even when a rail could send them eagerly, so they become
-	// strippable. 0 means AggThreshold.
-	rdvMin int
-	// mu guards plans: one Split instance serves every gate of an
-	// engine, and gates schedule concurrently from their own progress
-	// domains. A plan's entries are only mutated by the owning unit's
-	// gate, so the map is the sole cross-gate state.
-	mu    sync.Mutex
-	plans map[*core.Unit][]railShare
+// bite serves rail r its weighted share of the bytes remaining in the
+// first granted body, floored at MinChunk, taking everything when the
+// tail would drop below MinChunk.
+func (s *scheduler) bite(b *core.Backlog, r *core.Rail) *core.Packet {
+	var wSum, wR float64
+	for _, rr := range b.Rails() {
+		if rr.Down() {
+			continue
+		}
+		w := s.weights.weight(rr)
+		wSum += w
+		if rr == r {
+			wR = w
+		}
+	}
+	if wR <= 0 {
+		// r is down: it takes nothing and the body stays queued for the
+		// surviving rails. ChunkFrom treats 0 as "no limit", so a zero
+		// bite must not be passed through.
+		return nil
+	}
+	u := b.Body(0)
+	rem := u.Remaining()
+	n := max(int(float64(rem)*wR/wSum), b.MinChunk())
+	if rem-n < b.MinChunk() {
+		n = rem
+	}
+	if n <= 0 {
+		return nil
+	}
+	return b.ChunkFrom(u, n)
 }
 
 // railShare pins one byte range of a body to one rail.
@@ -57,74 +85,23 @@ type railShare struct {
 	taken    bool
 }
 
-// NewSplit returns the stripping strategy in the given mode.
-func NewSplit(mode SplitMode) *Split {
-	return &Split{mode: mode, plans: make(map[*core.Unit][]railShare)}
-}
-
-// NewSplitRdvMin returns a stripping strategy with an explicit rendezvous
-// floor.
-func NewSplitRdvMin(mode SplitMode, rdvMin int) *Split {
-	s := NewSplit(mode)
-	s.rdvMin = rdvMin
-	return s
-}
-
-// Name implements core.Strategy.
-func (s *Split) Name() string {
-	if s.mode == SplitIso {
-		return "split-iso"
-	}
-	return "split"
-}
-
-// Submit implements core.Strategy.
-func (*Split) Submit(b *core.Backlog, u *core.Unit) { b.PushSeg(u) }
-
-// Schedule implements core.Strategy.
-func (s *Split) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
-	if p := b.PopCtrl(); p != nil {
-		return p
-	}
-	if p := s.scheduleBody(b, r); p != nil {
-		return p
-	}
-	if r == fastest(b) {
-		if units := gatherSmalls(b); len(units) > 0 {
-			return b.MakeEager(units...)
-		}
-	}
-	u := firstLarge(b)
-	if u == nil {
-		return nil
-	}
-	rdvMin := s.rdvMin
-	if rdvMin <= 0 {
-		rdvMin = b.AggThreshold()
-	}
-	if u.Len() > rdvMin {
-		return b.StartRdv(u)
-	}
-	return sendSegment(b, r, u)
-}
-
-// scheduleBody serves rail r its pinned share of the first granted body
+// fromPlan serves rail r its pinned share of the first granted body
 // that has one, or mops up orphaned ranges greedily.
-func (s *Split) scheduleBody(b *core.Backlog, r *core.Rail) *core.Packet {
+func (s *scheduler) fromPlan(b *core.Backlog, r *core.Rail) *core.Packet {
 	for bi := 0; bi < b.BodyCount(); bi++ {
 		u := b.Body(bi)
 		s.mu.Lock()
-		plan, ok := s.plans[u]
+		shares, ok := s.plans[u]
 		s.mu.Unlock()
 		if !ok {
-			plan = s.makePlan(b, u, r)
+			shares = s.makePlan(b, u, r)
 			s.mu.Lock()
-			s.plans[u] = plan
+			s.plans[u] = shares
 			s.mu.Unlock()
 		}
 		open := 0
-		for j := range plan {
-			e := &plan[j]
+		for j := range shares {
+			e := &shares[j]
 			if e.taken {
 				continue
 			}
@@ -136,10 +113,8 @@ func (s *Split) scheduleBody(b *core.Backlog, r *core.Rail) *core.Packet {
 			}
 			if e.rail == r.Index() {
 				e.taken = true
-				if planDone(plan) {
-					s.mu.Lock()
-					delete(s.plans, u)
-					s.mu.Unlock()
+				if planDone(shares) {
+					s.Discard(b, u)
 				}
 				return b.ChunkSpan(u, e.from, e.to)
 			}
@@ -148,9 +123,7 @@ func (s *Split) scheduleBody(b *core.Backlog, r *core.Rail) *core.Packet {
 		if open > 0 {
 			continue // other rails still owe their shares of this body
 		}
-		s.mu.Lock()
-		delete(s.plans, u)
-		s.mu.Unlock()
+		s.Discard(b, u)
 		if from, to, ok := u.FirstSpan(); ok {
 			// Orphaned ranges after failures: greedy, MinChunk-bounded.
 			n := to - from
@@ -163,16 +136,8 @@ func (s *Split) scheduleBody(b *core.Backlog, r *core.Rail) *core.Packet {
 	return nil
 }
 
-// Discard implements core.Discarder: the engine abandoned the body
-// (gate death), so its plan must not leak.
-func (s *Split) Discard(b *core.Backlog, u *core.Unit) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.plans, u)
-}
-
-func planDone(plan []railShare) bool {
-	for _, e := range plan {
+func planDone(shares []railShare) bool {
+	for _, e := range shares {
 		if !e.taken {
 			return false
 		}
@@ -188,7 +153,7 @@ func railDown(b *core.Backlog, idx int) bool {
 // makePlan splits a freshly granted body into pinned per-rail shares.
 // requester is the rail whose Schedule call triggered the plan; it is
 // guaranteed a share so the body can always start moving immediately.
-func (s *Split) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail) []railShare {
+func (s *scheduler) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail) []railShare {
 	from, to, ok := u.FirstSpan()
 	if !ok {
 		return nil
@@ -204,13 +169,7 @@ func (s *Split) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail) []
 		if rr.Down() {
 			continue
 		}
-		w := 1.0
-		if s.mode == SplitRatio {
-			w = rr.Profile().Bandwidth
-			if w <= 0 {
-				w = 1.0
-			}
-		}
+		w := s.weights.weight(rr)
 		cands = append(cands, cand{rail: rr.Index(), w: w})
 		wSum += w
 	}
@@ -219,7 +178,7 @@ func (s *Split) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail) []
 	}
 	// Every participating rail gets at least MinChunk, so a body only
 	// spreads over as many rails as MinChunk-sized shares fit; the
-	// highest-bandwidth rails are kept when it does not fit all.
+	// highest-weight rails are kept when it does not fit all.
 	if maxRails := rem / b.MinChunk(); maxRails < len(cands) {
 		if maxRails < 1 {
 			return []railShare{{rail: requester.Index(), from: from, to: to}}
@@ -250,16 +209,11 @@ func (s *Split) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail) []
 		}
 		sizes[big] += rest
 	}
-	plan := make([]railShare, 0, len(cands))
+	shares := make([]railShare, 0, len(cands))
 	cursor := from
 	for i, c := range cands {
-		plan = append(plan, railShare{rail: c.rail, from: cursor, to: cursor + sizes[i]})
+		shares = append(shares, railShare{rail: c.rail, from: cursor, to: cursor + sizes[i]})
 		cursor += sizes[i]
 	}
-	return plan
+	return shares
 }
-
-var (
-	_ core.Strategy  = (*Split)(nil)
-	_ core.Discarder = (*Split)(nil)
-)

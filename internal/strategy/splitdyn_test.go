@@ -8,7 +8,7 @@ import (
 )
 
 func TestSplitDynFirstBiteIsBandwidthShare(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 2 << 20
 	u := seg(n, 0)
@@ -36,7 +36,7 @@ func TestSplitDynFirstBiteIsBandwidthShare(t *testing.T) {
 }
 
 func TestSplitDynDrainsCompletely(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 1 << 20
 	u := seg(n, 0)
@@ -63,7 +63,7 @@ func TestSplitDynDrainsCompletely(t *testing.T) {
 }
 
 func TestSplitDynSingleRailTakesAll(t *testing.T) {
-	s := strategy.NewSplitDyn()
+	s := strategy.Must("split-dyn")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	n := 1 << 20
 	u := seg(n, 0)
@@ -78,20 +78,11 @@ func TestSplitDynSingleRailTakesAll(t *testing.T) {
 }
 
 func TestSplitDynName(t *testing.T) {
-	if strategy.NewSplitDyn().Name() != "split-dyn" {
+	if strategy.Must("split-dyn").Name() != "split-dyn" {
 		t.Fatal("name")
 	}
 	s, err := strategy.New("split-dyn")
 	if err != nil || s.Name() != "split-dyn" {
 		t.Fatal("registry")
-	}
-}
-
-func TestSplitDynCustomRdvMin(t *testing.T) {
-	s := strategy.NewSplitDynRdvMin(64 << 10)
-	b, rails := fixture(t, s, myriProf(), quadProf())
-	s.Submit(b, seg(20<<10, 0))
-	if p := s.Schedule(b, rails[0]); p == nil || p.Hdr.Kind != core.KData {
-		t.Fatalf("rdvMin ignored: %v", p)
 	}
 }

@@ -1,23 +1,211 @@
-// Package strategy provides the optimizing schedulers studied in the
-// paper, in the order they were incrementally developed (§3.2–§3.4):
+// Package strategy provides the optimizing scheduler studied in the
+// paper. The paper builds it one feature at a time (§3.1–§3.4); here
+// each of its strategies is one row of a feature table, and a single
+// Schedule serves every row:
 //
-//	fifo     one packet per segment on a pinned rail (baseline)
-//	aggreg   opportunistic aggregation of small segments, pinned rail
-//	balance  greedy balancing: each idle NIC takes the next segment
-//	aggrail  aggregation of small messages onto the fastest rail,
-//	         greedy balancing of large ones
-//	split    aggrail plus adaptive stripping of large bodies across
-//	         idle rails in proportion to their sampled bandwidths
+//	name                pinned  aggregate  body   weights
+//	fifo                rail 0  -          whole  -
+//	aggreg              rail 0  yes        whole  -
+//	balance             -       -          whole  -
+//	aggrail             -       yes        whole  -
+//	split               -       yes        plan   declared
+//	split-iso           -       yes        plan   equal
+//	split-dyn           -       yes        steal  declared
+//	split-dyn-adaptive  -       yes        steal  observed
+//	hedge               split-dyn-adaptive wrapped in Hedge
 //
-// All strategies serve pending control packets (rendezvous CTS) before
-// data, and keep rendezvous chunks above the PIO threshold.
+// Every row serves pending control packets (rendezvous CTS) first, on
+// any rail. The columns:
+//
+//   - pinned: data leaves on rail 0 only — the single-network baselines
+//     of Figures 2 and 3.
+//   - aggregate: small segments that accumulated while the NIC was busy
+//     are copied into one packet (§3.1) on the small-message rail: the
+//     pinned rail, or else the lowest-latency up rail (§3.3). Large
+//     segments go to any idle rail, overtaking smalls if need be.
+//     Without aggregation every segment is its own packet, in order.
+//   - body: how a granted rendezvous body leaves. whole: in one chunk
+//     to whichever rail asks first (greedy balancing, §3.2). plan: split
+//     once into pinned per-rail shares by weight, each at least MinChunk
+//     so stripping never drops into the PIO regime (§3.4, Figure 7);
+//     shares orphaned by a rail failure are mopped up greedily. steal:
+//     every idle rail bites its weighted share of the bytes remaining,
+//     floored at MinChunk — not in the paper; it adapts to competing
+//     traffic and failures at the cost of a few more chunks. The
+//     stripping rows (plan, steal) send every large segment through
+//     rendezvous so that it can be stripped.
+//   - weights: each rail's share of a stripped body (SplitMode):
+//     declared profile bandwidth, equal, or the bandwidth the rail's
+//     online estimator observes it deliver.
 package strategy
 
 import (
+	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"newmad/internal/core"
 )
+
+// bodyPolicy is how a row serves granted rendezvous bodies.
+type bodyPolicy uint8
+
+const (
+	whole bodyPolicy = iota // one chunk to the first rail that asks
+	plan                    // pinned per-rail shares, orphans mopped up
+	steal                   // each idle rail bites its share of the rest
+)
+
+// row is one scheduler of the feature table.
+type row struct {
+	name      string
+	pinned    bool
+	aggregate bool
+	body      bodyPolicy
+	weights   SplitMode
+	// over names the row a Hedge wraps; a hedge row has no features of
+	// its own.
+	over string
+}
+
+// rows is the registry, in the order the paper develops the strategies.
+var rows = []row{
+	{name: "fifo", pinned: true},
+	{name: "aggreg", pinned: true, aggregate: true},
+	{name: "balance"},
+	{name: "aggrail", aggregate: true},
+	{name: "split", aggregate: true, body: plan, weights: SplitRatio},
+	{name: "split-iso", aggregate: true, body: plan, weights: SplitIso},
+	{name: "split-dyn", aggregate: true, body: steal, weights: SplitRatio},
+	{name: "split-dyn-adaptive", aggregate: true, body: steal, weights: splitObserved},
+	{name: "hedge", over: "split-dyn-adaptive"},
+}
+
+// New builds a strategy by its registry name (see the package doc).
+func New(name string) (core.Strategy, error) {
+	for _, r := range rows {
+		switch {
+		case r.name != name:
+		case r.over != "":
+			return NewHedge(Must(r.over)), nil
+		default:
+			s := &scheduler{row: r}
+			if r.body == plan {
+				s.plans = make(map[*core.Unit][]railShare)
+			}
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("strategy: unknown %q (have %v)", name, Names())
+}
+
+// Must is New for a name known to be registered; it panics otherwise.
+func Must(name string) core.Strategy {
+	s, err := New(name)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// Names lists the registered strategy names, sorted.
+func Names() []string {
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.name
+	}
+	sort.Strings(names)
+	return names
+}
+
+// NewFIFO returns the fifo row pinned to the given rail.
+func NewFIFO(rail int) core.Strategy { return pinnedTo("fifo", rail) }
+
+// NewAggreg returns the aggreg row pinned to the given rail.
+func NewAggreg(rail int) core.Strategy { return pinnedTo("aggreg", rail) }
+
+// NewSplit returns the split row (SplitRatio) or the split-iso row
+// (SplitIso).
+func NewSplit(mode SplitMode) core.Strategy {
+	if mode == SplitIso {
+		return Must("split-iso")
+	}
+	return Must("split")
+}
+
+func pinnedTo(name string, rail int) core.Strategy {
+	s := Must(name).(*scheduler)
+	s.pin = rail
+	return s
+}
+
+// scheduler serves every row of the table.
+type scheduler struct {
+	row
+	pin int // the rail a pinned row sends data on
+	// mu guards plans: one scheduler serves every gate of an engine, and
+	// gates schedule concurrently from their own progress domains. A
+	// plan's entries are only mutated by the owning unit's gate, so the
+	// map is the sole cross-gate state.
+	mu    sync.Mutex
+	plans map[*core.Unit][]railShare
+}
+
+// Name implements core.Strategy.
+func (s *scheduler) Name() string { return s.name }
+
+// Submit implements core.Strategy.
+func (*scheduler) Submit(b *core.Backlog, u *core.Unit) { b.PushSeg(u) }
+
+// Schedule implements core.Strategy.
+func (s *scheduler) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
+	if p := b.PopCtrl(); p != nil {
+		return p
+	}
+	if s.pinned && r.Index() != s.pin {
+		return nil
+	}
+	if b.BodyCount() > 0 {
+		switch s.body {
+		case whole:
+			return b.ChunkFrom(b.Body(0), 0)
+		case steal:
+			return s.bite(b, r)
+		case plan:
+			if p := s.fromPlan(b, r); p != nil {
+				return p
+			}
+		}
+	}
+	var u *core.Unit
+	if s.aggregate {
+		if s.pinned || r == fastest(b) {
+			if units := gatherSmalls(b); len(units) > 0 {
+				return b.MakeEager(units...)
+			}
+		}
+		u = firstLarge(b)
+	} else {
+		u = b.PopSeg()
+	}
+	switch {
+	case u == nil:
+		return nil
+	case s.body != whole && !small(b, u), !core.EagerOK(u, r):
+		return b.StartRdv(u)
+	default:
+		return b.MakeEager(u)
+	}
+}
+
+// Discard implements core.Discarder: the engine abandoned the body
+// (gate death), so its plan must not leak.
+func (s *scheduler) Discard(b *core.Backlog, u *core.Unit) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.plans, u)
+}
 
 // small reports whether a unit is in the aggregation regime.
 func small(b *core.Backlog, u *core.Unit) bool { return u.Len() <= b.AggThreshold() }
@@ -45,7 +233,7 @@ func fastest(b *core.Backlog) *core.Rail {
 // are skipped over, not disturbed — the paper allows reordering. Returns
 // an empty slice if no small segment is pending. The returned slice is
 // the backlog's reusable scratch: valid until the next Schedule call on
-// the same gate, which is fine because every caller hands it straight to
+// the same gate, which is fine because the caller hands it straight to
 // MakeEager.
 func gatherSmalls(b *core.Backlog) []*core.Unit {
 	budget := b.AggThreshold()
@@ -87,11 +275,7 @@ func firstLarge(b *core.Backlog) *core.Unit {
 	return nil
 }
 
-// sendSegment turns one popped segment into an eager packet or starts a
-// rendezvous, depending on the rail's eager limit.
-func sendSegment(b *core.Backlog, r *core.Rail, u *core.Unit) *core.Packet {
-	if core.EagerOK(u, r) {
-		return b.MakeEager(u)
-	}
-	return b.StartRdv(u)
-}
+var (
+	_ core.Strategy  = (*scheduler)(nil)
+	_ core.Discarder = (*scheduler)(nil)
+)

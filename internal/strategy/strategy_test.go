@@ -146,8 +146,26 @@ func TestAggregLargeBypassesAggregation(t *testing.T) {
 	}
 }
 
+// TestAggregSmallsOnPinnedRail: a pinned row aggregates on its pinned
+// rail even when another rail has lower latency, and the pin follows
+// the constructor's rail index.
+func TestAggregSmallsOnPinnedRail(t *testing.T) {
+	for pin := 0; pin < 2; pin++ {
+		s := strategy.NewAggreg(pin)
+		b, rails := fixture(t, s, myriProf(), quadProf()) // quad is fastest
+		s.Submit(b, seg(512, 0))
+		s.Submit(b, seg(512, 1))
+		if p := s.Schedule(b, rails[1-pin]); p != nil {
+			t.Fatalf("pin %d: data on the other rail: %v", pin, p)
+		}
+		if p := s.Schedule(b, rails[pin]); p == nil || p.Hdr.Agg != 2 {
+			t.Fatalf("pin %d: smalls not aggregated on the pinned rail: %v", pin, p)
+		}
+	}
+}
+
 func TestBalanceGreedyAnyRail(t *testing.T) {
-	s := strategy.NewBalance()
+	s := strategy.Must("balance")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	s.Submit(b, seg(4096, 0))
 	s.Submit(b, seg(4096, 1))
@@ -162,7 +180,7 @@ func TestBalanceGreedyAnyRail(t *testing.T) {
 }
 
 func TestBalanceRdvDependsOnRail(t *testing.T) {
-	s := strategy.NewBalance()
+	s := strategy.Must("balance")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	// 20K: eager for myri (32K), rendezvous for quadrics (16K).
 	s.Submit(b, seg(20<<10, 0))
@@ -178,7 +196,7 @@ func TestBalanceRdvDependsOnRail(t *testing.T) {
 }
 
 func TestAggRailSmallsOnlyOnFastest(t *testing.T) {
-	s := strategy.NewAggRail()
+	s := strategy.Must("aggrail")
 	b, rails := fixture(t, s, myriProf(), quadProf()) // quad has lower latency
 	s.Submit(b, seg(512, 0))
 	s.Submit(b, seg(512, 1))
@@ -192,7 +210,7 @@ func TestAggRailSmallsOnlyOnFastest(t *testing.T) {
 }
 
 func TestAggRailLargeBalancedToAnyRail(t *testing.T) {
-	s := strategy.NewAggRail()
+	s := strategy.Must("aggrail")
 	b, rails := fixture(t, s, myriProf(), quadProf())
 	s.Submit(b, seg(512, 0))    // small: reserved for quad
 	s.Submit(b, seg(64<<10, 1)) // large: anyone
@@ -295,16 +313,6 @@ func TestSplitForcesRdvAboveThreshold(t *testing.T) {
 	}
 }
 
-func TestSplitCustomRdvMin(t *testing.T) {
-	s := strategy.NewSplitRdvMin(strategy.SplitRatio, 64<<10)
-	b, rails := fixture(t, s, myriProf(), quadProf())
-	s.Submit(b, seg(20<<10, 0))
-	p := s.Schedule(b, rails[0])
-	if p == nil || p.Hdr.Kind != core.KData {
-		t.Fatalf("rdvMin override ignored: %v", p)
-	}
-}
-
 func TestSplitSmallsStillAggregateOnFastest(t *testing.T) {
 	s := strategy.NewSplit(strategy.SplitRatio)
 	b, rails := fixture(t, s, myriProf(), quadProf())
@@ -322,9 +330,7 @@ func TestSplitSmallsStillAggregateOnFastest(t *testing.T) {
 func TestStrategyNames(t *testing.T) {
 	cases := map[string]core.Strategy{
 		"fifo":      strategy.NewFIFO(0),
-		"aggreg":    strategy.NewAggreg(0),
-		"balance":   strategy.NewBalance(),
-		"aggrail":   strategy.NewAggRail(),
+		"aggreg":    strategy.NewAggreg(1),
 		"split":     strategy.NewSplit(strategy.SplitRatio),
 		"split-iso": strategy.NewSplit(strategy.SplitIso),
 	}
@@ -332,6 +338,10 @@ func TestStrategyNames(t *testing.T) {
 		if s.Name() != want {
 			t.Errorf("Name() = %q, want %q", s.Name(), want)
 		}
+	}
+	h, ok := strategy.Must("hedge").(*strategy.Hedge)
+	if !ok || h.Inner().Name() != "split-dyn-adaptive" {
+		t.Errorf("hedge does not wrap split-dyn-adaptive: %T", strategy.Must("hedge"))
 	}
 }
 
@@ -347,11 +357,5 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := strategy.New("bogus"); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-}
-
-func TestSplitModeString(t *testing.T) {
-	if strategy.SplitRatio.String() != "ratio" || strategy.SplitIso.String() != "iso" {
-		t.Fatal("SplitMode.String")
 	}
 }

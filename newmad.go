@@ -110,36 +110,37 @@ var (
 	ErrPeerRecvGone = core.ErrPeerRecvGone
 )
 
-// Strategies, in the order the paper develops them.
+// Strategies, in the order the paper develops them. Each is one row of
+// the strategy package's feature table, looked up by its registry name.
 
 // StrategyFIFO returns the baseline strategy: one packet per segment on
 // rail 0.
-func StrategyFIFO() Strategy { return strategy.NewFIFO(0) }
+func StrategyFIFO() Strategy { return strategy.Must("fifo") }
 
 // StrategyAggreg returns opportunistic aggregation on rail 0.
-func StrategyAggreg() Strategy { return strategy.NewAggreg(0) }
+func StrategyAggreg() Strategy { return strategy.Must("aggreg") }
 
 // StrategyBalance returns greedy multi-rail balancing (paper §3.2).
-func StrategyBalance() Strategy { return strategy.NewBalance() }
+func StrategyBalance() Strategy { return strategy.Must("balance") }
 
 // StrategyAggRail returns aggregation onto the fastest rail plus greedy
 // balancing of large segments (paper §3.3).
-func StrategyAggRail() Strategy { return strategy.NewAggRail() }
+func StrategyAggRail() Strategy { return strategy.Must("aggrail") }
 
 // StrategySplit returns the paper's final strategy (§3.4): aggregation on
 // the fastest rail plus adaptive bandwidth-ratio stripping of large
 // messages.
-func StrategySplit() Strategy { return strategy.NewSplit(strategy.SplitRatio) }
+func StrategySplit() Strategy { return strategy.Must("split") }
 
 // StrategySplitIso returns the equal-shares stripping variant used as the
 // Figure 7 comparison point.
-func StrategySplitIso() Strategy { return strategy.NewSplit(strategy.SplitIso) }
+func StrategySplitIso() Strategy { return strategy.Must("split-iso") }
 
 // StrategySplitDyn returns the dynamic work-stealing stripping extension:
 // idle rails repeatedly take their bandwidth share of the remaining body
 // rather than committing to a one-shot plan, adapting to competing
-// traffic and failures (not in the paper; see DESIGN.md §5).
-func StrategySplitDyn() Strategy { return strategy.NewSplitDyn() }
+// traffic and failures (not in the paper; see the strategy package doc).
+func StrategySplitDyn() Strategy { return strategy.Must("split-dyn") }
 
 // StrategySplitDynAdaptive returns the estimator-adaptive stripping
 // variant of StrategySplitDyn: each idle rail's bite is sized from the
@@ -147,7 +148,7 @@ func StrategySplitDyn() Strategy { return strategy.NewSplitDyn() }
 // its profile declared, so shares migrate as rails degrade, recover or
 // get resurrected (fresh rails start from an optimistic prior and are
 // never starved).
-func StrategySplitDynAdaptive() Strategy { return strategy.NewSplitDynAdaptive() }
+func StrategySplitDynAdaptive() Strategy { return strategy.Must("split-dyn-adaptive") }
 
 // HedgeStrategy wraps an inner strategy with tail-latency hedging: an
 // eligible small send whose primary packet blows past the rail's
