@@ -33,7 +33,10 @@
 // Peer death is loud and exactly once: each side stamps a heartbeat in
 // the segment header, and the receive loop — the only reporter — turns
 // a peer that closed, or whose heartbeat went stale, into a single
-// RailDown after draining what was already published. The creator
+// RailDown after draining what was already published. Everything read
+// out of the mapping is the peer's to forge, so a malformed ring record
+// or a frame that does not decode is the same single RailDown, with the
+// reason, never a panic. The creator
 // unlinks the segment file as soon as the peer attaches, so a crashed
 // process cannot leak /dev/shm files for established rails; segments
 // orphaned before attach are swept by shmring.ReapOrphans.
@@ -402,50 +405,61 @@ func (d *Driver) receiver() {
 		}
 	}()
 
+	// bad is the first frame the peer sent that failed to decode; like a
+	// malformed ring record (which PeerGone reports), it ends the rail.
+	var bad error
+	pop := func() bool {
+		return rx.TryPop(func(kind uint32, a, b []byte) {
+			if bad == nil {
+				bad = d.consume(&pending, &jb, kind, a, b)
+			}
+		}) && bad == nil
+	}
 	for {
 		select {
 		case <-d.stop:
 			return
 		default:
 		}
-		popped := rx.TryPop(func(kind uint32, a, b []byte) {
-			d.consume(&pending, &jb, kind, a, b)
-		})
-		if popped {
+		if pop() {
 			if len(pending) >= 32 {
 				flush()
 			}
 			continue
 		}
 		flush()
-		if gone, err := d.seg.PeerGone(); gone {
+		err := bad
+		if err == nil {
+			var gone bool
+			if gone, err = d.seg.PeerGone(); !gone {
+				rx.WaitData(0)
+				continue
+			}
 			// Drain what was already published before reporting: records
 			// may have landed between the last TryPop and the check.
-			for rx.TryPop(func(kind uint32, a, b []byte) {
-				d.consume(&pending, &jb, kind, a, b)
-			}) {
+			for pop() {
 			}
 			flush()
-			select {
-			case <-d.stop: // local close racing the peer's: stay silent
-			default:
-				d.downOnce.Do(func() { ev.RailDown(rail, fmt.Errorf("shmdrv: %w", err)) })
-			}
-			return
 		}
-		rx.WaitData(0)
+		select {
+		case <-d.stop: // local close racing the peer's: stay silent
+		default:
+			d.downOnce.Do(func() { ev.RailDown(rail, fmt.Errorf("shmdrv: %w", err)) })
+		}
+		return
 	}
 }
 
-// consume turns one ring record into pending arrivals.
-func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b []byte) {
+// consume turns one ring record into pending arrivals. It fails only on
+// a frame that does not decode.
+func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b []byte) error {
 	switch kind {
 	case shmring.RecInline:
 		n := len(a) + len(b)
 		f := core.GetBuf(n)
 		copy(f.B, a)
 		copy(f.B[len(a):], b)
-		d.arrive(pending, f)
+		return d.arrive(pending, f)
 
 	case shmring.RecRendezvous:
 		var ref [16]byte
@@ -463,7 +477,7 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 			rx.Free(off)
 			d.seg.Unref()
 		})
-		d.arrive(pending, f)
+		return d.arrive(pending, f)
 
 	case shmring.RecJumboStart:
 		var tot [8]byte
@@ -476,7 +490,7 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 
 	case shmring.RecJumboSeg:
 		if *jb == nil {
-			return // segment of a stream we never saw start; drop
+			return nil // segment of a stream we never saw start; drop
 		}
 		s := *jb
 		copy(s.buf.B[s.fill:], a)
@@ -485,20 +499,22 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 		if s.fill >= len(s.buf.B) {
 			f := s.buf
 			*jb = nil
-			d.arrive(pending, f)
+			return d.arrive(pending, f)
 		}
 	}
+	return nil
 }
 
 // arrive decodes one full frame lease into a pending packet. Ownership
 // of the lease passes to the packet (UnmarshalFrame releases it on
 // error).
-func (d *Driver) arrive(pending *[]*core.Packet, f *core.Buf) {
+func (d *Driver) arrive(pending *[]*core.Packet, f *core.Buf) error {
 	pkt, err := core.UnmarshalFrame(f)
 	if err != nil {
-		panic("shmdrv: corrupt packet: " + err.Error())
+		return fmt.Errorf("corrupt frame from peer: %w", err)
 	}
 	*pending = append(*pending, pkt)
+	return nil
 }
 
 // Kill abandons this side the way a crash would: goroutines stop, the

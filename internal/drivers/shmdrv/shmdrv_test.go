@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"newmad/internal/core"
 	"newmad/internal/shmring"
@@ -266,4 +269,77 @@ func TestAttachOrCreateRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "raced delivery", func() bool { n, _, _ := s2.counts(); return n >= 1 })
+}
+
+// ringBytes reaches a direction's ring through its unexported field, so
+// the test can play a hostile peer scribbling on the shared mapping.
+func ringBytes(d *shmring.Dir) []byte {
+	f := reflect.ValueOf(d).Elem().FieldByName("ring")
+	return *(*[]byte)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// TestHostileRecordsRailDownOnce: a ring record whose length word does
+// not fit what the peer published, and an inline record that does not
+// decode as a frame, each end the rail with exactly one RailDown naming
+// the cause, after delivering what came before — never a panic.
+func TestHostileRecordsRailDownOnce(t *testing.T) {
+	skipUnsupported(t)
+	cases := []struct {
+		name, reason string
+		forge        func(tx *shmring.Dir) error
+	}{
+		{"length word", "corrupt ring", func(tx *shmring.Dir) error {
+			if err := tx.Push(shmring.RecInline, []byte("sixteen bytes ok")); err != nil {
+				return err
+			}
+			ring := ringBytes(tx)
+			for i := 0; i < len(ring)-16; i += 16 {
+				// The forged record is the second one in the ring.
+				if string(ring[i+16:i+32]) == "sixteen bytes ok" {
+					putU64(ring[i+8:], 1<<40)
+					return nil
+				}
+			}
+			return errors.New("forged record not found in the ring")
+		}},
+		{"undecodable frame", "corrupt frame", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecInline, []byte("not a frame"))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b, err := Pair(testOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				a.Close()
+				b.Close()
+			})
+			a.Bind(0, &sink{})
+			if err := a.Send(dataPkt(1, []byte("before the forgery"))); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.forge(a.seg.TX()); err != nil {
+				t.Fatal(err)
+			}
+			sb := &sink{}
+			b.Bind(0, sb) // b's receiver starts consuming only now
+			waitFor(t, "rail-down report", func() bool { _, _, d := sb.counts(); return d >= 1 })
+			time.Sleep(50 * time.Millisecond)
+			arrivals, _, downs := sb.counts()
+			if downs != 1 || arrivals != 1 {
+				t.Fatalf("%d RailDowns and %d arrivals, want 1 and 1", downs, arrivals)
+			}
+			if got := sb.payload(0); string(got) != "before the forgery" {
+				t.Fatalf("pre-forgery payload: %q", got)
+			}
+			sb.mu.Lock()
+			err = sb.downs[0]
+			sb.mu.Unlock()
+			if !strings.Contains(err.Error(), c.reason) {
+				t.Fatalf("RailDown reason %q does not name %q", err, c.reason)
+			}
+		})
+	}
 }

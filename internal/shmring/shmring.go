@@ -218,6 +218,10 @@ type Seg struct {
 	closeDone atomic.Bool // Close ran (distinct from Kill's closed)
 	unlinked  atomic.Bool
 	unmapped  atomic.Bool
+	// corrupt holds the first malformed record TryPop found: the peer
+	// controls every byte of the mapping, so a bad record is hostile
+	// input, and from then on PeerGone reports the peer dead with it.
+	corrupt atomic.Pointer[error]
 }
 
 // Dir is one direction of a segment, bound to this side's role in it:
@@ -328,6 +332,9 @@ func (s *Seg) PeerGone() (bool, error) {
 		return true, ErrClosed
 	}
 	defer s.exit()
+	if err := s.corrupt.Load(); err != nil {
+		return true, *err
+	}
 	switch s.sideWord32(1-s.side, sideState).Load() {
 	case stateInit:
 		return false, nil
@@ -496,18 +503,35 @@ func (d *Dir) Push(kind uint32, parts ...[]byte) error {
 // TryPop consumes the oldest record if one is available, handing its
 // kind and payload — possibly split in two at the ring edge — to fn.
 // The bytes are valid only within fn; the slot is recycled on return.
+// The cursors and the record header live in the peer's mapping too, so
+// they are checked before anything is sliced: a record that does not
+// fit what the peer published is never consumed, and PeerGone reports
+// the peer dead from then on.
 func (d *Dir) TryPop(fn func(kind uint32, a, b []byte)) bool {
 	if !d.seg.enter() {
 		return false
 	}
 	defer d.seg.exit()
-	tail := d.tail.Load()
-	if d.head.Load() == tail {
+	if d.seg.corrupt.Load() != nil {
+		return false
+	}
+	head, tail := d.head.Load(), d.tail.Load()
+	if head == tail {
+		return false
+	}
+	avail := head - tail
+	if avail > uint64(len(d.ring)) || avail < recHdrLen || tail%recAlign != 0 {
+		d.seg.markCorrupt(fmt.Errorf("ring cursors head %d tail %d", head, tail))
 		return false
 	}
 	pos := tail & d.ringMask
 	kind := getU32(d.ring[pos:])
-	n := int(getU64(d.ring[pos+8:]))
+	ln := getU64(d.ring[pos+8:])
+	if ln > avail-recHdrLen || uint64(recHdrLen+align16(int(ln))) > avail {
+		d.seg.markCorrupt(fmt.Errorf("record length %d with %d bytes published", ln, avail))
+		return false
+	}
+	n := int(ln)
 	start := (tail + recHdrLen) & d.ringMask
 	var a, b []byte
 	if int(start)+n <= len(d.ring) {
@@ -521,6 +545,12 @@ func (d *Dir) TryPop(fn func(kind uint32, a, b []byte)) bool {
 	d.spcSeq.Add(1)
 	futexWake(d.spcSeq)
 	return true
+}
+
+// markCorrupt records the first malformed-record finding.
+func (s *Seg) markCorrupt(cause error) {
+	err := fmt.Errorf("%w: corrupt ring on segment %s: %v", ErrPeerGone, s.name, cause)
+	s.corrupt.CompareAndSwap(nil, &err)
 }
 
 // Empty reports whether the direction's ring has no pending records.

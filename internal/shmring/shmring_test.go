@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
@@ -352,4 +353,37 @@ func TestReapOrphans(t *testing.T) {
 		t.Fatalf("create over orphan: %v", err)
 	}
 	reborn.Close()
+}
+
+// TestCorruptRecordRefused plays a hostile peer scribbling on the shared
+// mapping: a record length or a cursor that does not fit what was
+// published must be refused without slicing past the ring, and from
+// then on the peer is reported gone with the reason.
+func TestCorruptRecordRefused(t *testing.T) {
+	skipUnsupported(t)
+	cases := map[string]func(tx *Dir){
+		"huge length":     func(tx *Dir) { putU64(tx.ring[8:], 1<<62) },
+		"length > pushed": func(tx *Dir) { putU64(tx.ring[8:], 64) },
+		"head past ring":  func(tx *Dir) { tx.head.Store(uint64(len(tx.ring)) + 16) },
+		"head below tail": func(tx *Dir) { tx.tail.Store(48) },
+		"misaligned tail": func(tx *Dir) { tx.tail.Store(8) },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair(t, Config{RingBytes: 4 << 10, ArenaBytes: 64 << 10})
+			if err := a.TX().Push(RecInline, []byte("sixteen bytes ok")); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(a.TX())
+			for i := 0; i < 2; i++ {
+				if b.RX().TryPop(func(uint32, []byte, []byte) { t.Fatal("corrupt record handed out") }) {
+					t.Fatal("corrupt record consumed")
+				}
+			}
+			gone, err := b.PeerGone()
+			if !gone || !errors.Is(err, ErrPeerGone) || !strings.Contains(err.Error(), "corrupt ring") {
+				t.Fatalf("PeerGone = %v, %v; want the corrupt ring reported", gone, err)
+			}
+		})
+	}
 }
