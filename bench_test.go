@@ -1,14 +1,15 @@
 // Benchmark harness: one testing.B benchmark per evaluation figure of
 // the paper (the paper has no tables; Figures 2-7 are its entire
-// evaluation), plus ablation benchmarks for the design knobs called out
-// in DESIGN.md and microbenchmarks of the hot code paths.
+// evaluation), plus ablation benchmarks for the design knobs (parallel
+// PIO, a third rail, the aggregation threshold, the minimum stripping
+// chunk) and microbenchmarks of the hot code paths.
 //
 // Figure benchmarks run the full simulated sweep per iteration and
 // report the headline metrics of the corresponding figure via
 // b.ReportMetric (latencies in us, bandwidths in MB/s), so
-// `go test -bench .` regenerates the paper's headline numbers and
-// EXPERIMENTS.md can be checked against the output. The complete series
-// (every curve, every size) are printed by cmd/nmad-bench.
+// `go test -bench .` regenerates the paper's headline numbers;
+// `nmad-bench -check` compares them with the paper's claims, and
+// `nmad-bench` prints the complete series (every curve, every size).
 package newmad_test
 
 import (

@@ -10,7 +10,7 @@ import (
 )
 
 // Extension experiments beyond the paper's figures, registered in the
-// same harness (the builders table in figures.go): the §4 future-work
+// same harness (the figure registry in figures.go): the §4 future-work
 // items and the design-knob ablations, as sweepable figures.
 
 // ExtPIO measures the paper's §4 "multi-threaded implementation that

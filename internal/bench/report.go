@@ -16,7 +16,7 @@ type Claim struct {
 
 // CheckClaims rebuilds the key figures and evaluates every quantitative
 // claim of the paper against the simulated measurements, returning one
-// row per claim. This is the executable form of EXPERIMENTS.md.
+// row per claim (`nmad-bench -check` prints the table).
 func CheckClaims(q Quality) []Claim {
 	var out []Claim
 	add := func(figure, what, paper string, measured string, ok bool) {

@@ -2,7 +2,7 @@
 // host CPUs, high-performance NICs with PIO and DMA send paths, a shared
 // I/O bus, and the per-NIC polling cost of a user-level communication
 // library's progress loop. It stands in for the Myri-10G/MX and Quadrics
-// QM500/Elan hardware the paper measured (see DESIGN.md §2).
+// QM500/Elan hardware the paper measured (Myri10G and QsNetII below).
 package simnet
 
 import (

@@ -17,8 +17,9 @@
 // Every row serves pending control packets (rendezvous CTS) first, on
 // any rail. The columns:
 //
-//   - pinned: data leaves on rail 0 only — the single-network baselines
-//     of Figures 2 and 3.
+//   - pinned: data leaves on one rail only — the single-network
+//     baselines of Figures 2 and 3. The registry pins rail 0; NewFIFO
+//     and NewAggreg take the rail index.
 //   - aggregate: small segments that accumulated while the NIC was busy
 //     are copied into one packet (§3.1) on the small-message rail: the
 //     pinned rail, or else the lowest-latency up rail (§3.3). Large
@@ -85,17 +86,17 @@ var rows = []row{
 // New builds a strategy by its registry name (see the package doc).
 func New(name string) (core.Strategy, error) {
 	for _, r := range rows {
-		switch {
-		case r.name != name:
-		case r.over != "":
-			return NewHedge(Must(r.over)), nil
-		default:
-			s := &scheduler{row: r}
-			if r.body == plan {
-				s.plans = make(map[*core.Unit][]railShare)
-			}
-			return s, nil
+		if r.name != name {
+			continue
 		}
+		if r.over != "" {
+			return NewHedge(Must(r.over)), nil
+		}
+		s := &scheduler{row: r}
+		if r.body == plan {
+			s.plans = make(map[*core.Unit][]railShare)
+		}
+		return s, nil
 	}
 	return nil, fmt.Errorf("strategy: unknown %q (have %v)", name, Names())
 }
