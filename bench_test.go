@@ -148,7 +148,7 @@ func BenchmarkFig7(b *testing.B) {
 // latencyOn runs a 2-segment ping-pong at one size on a configured pair.
 func latencyOn(cfg newmad.SimPairConfig, size, segs int) float64 {
 	p := newmad.NewSimPair(cfg)
-	pts := p.SweepLatency([]int{size}, bench.SweepOptions{Segments: segs, Warmup: 2, Iters: 6})
+	pts := p.SweepLatency([]int{size}, segs, quality)
 	return pts[0].Y
 }
 

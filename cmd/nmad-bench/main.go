@@ -5,7 +5,8 @@
 //
 //	nmad-bench                 # all figures, tables to stdout
 //	nmad-bench -fig fig7       # one figure
-//	nmad-bench -hedge -adaptive  # just the hedged/adaptive scheduling figures
+//	nmad-bench -fig ext-hedge,ext-adaptive  # a comma-separated list
+//	nmad-bench -plot -fig fig7 # ASCII plot
 //	nmad-bench -csv -out dir   # write <fig>.csv files into dir
 //	nmad-bench -iters 16       # more timed iterations per point
 //	nmad-bench -emit-json BENCH_6.json  # pinned perf report (exits 1
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	var (
-		figFlag  = flag.String("fig", "all", "figure id ("+strings.Join(bench.FigureIDs(), ", ")+") or 'all'")
+		figFlag  = flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(bench.FigureIDs(), ", ")+") or 'all'")
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plotFlag = flag.Bool("plot", false, "render ASCII log-log plots instead of tables")
 		outDir   = flag.String("out", "", "write one file per figure into this directory instead of stdout")
@@ -32,14 +33,16 @@ func main() {
 		iters    = flag.Int("iters", 8, "timed iterations per point")
 		verify   = flag.Bool("verify", false, "verify payload integrity during measurement")
 		check    = flag.Bool("check", false, "evaluate every paper claim and print a pass/fail table")
-		collAlgo = flag.String("coll-algo", "", "force the collective algorithm of ext-coll's selected series (linear, tree, pipeline; default auto)")
 		emitJSON = flag.String("emit-json", "", "write the pinned perf report (BENCH_*.json schema) to this path; exits 1 on an allocation budget regression")
-		hedge    = flag.Bool("hedge", false, "shortcut for the hedged-scheduling figure (ext-hedge); combines with -adaptive")
-		adaptive = flag.Bool("adaptive", false, "shortcut for the adaptive-selection figure (ext-adaptive); combines with -hedge")
 	)
 	flag.Parse()
+	if *iters < 1 || *warmup < 0 {
+		fmt.Fprintln(os.Stderr, "nmad-bench: -iters must be >= 1 and -warmup >= 0")
+		os.Exit(2)
+	}
+	q := bench.Quality{Warmup: *warmup, Iters: *iters, Verify: *verify}
 	if *emitJSON != "" {
-		report := bench.BuildPerfReport(bench.Quality{Warmup: *warmup, Iters: *iters, Verify: *verify})
+		report := bench.BuildPerfReport(q)
 		f, err := os.Create(*emitJSON)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "nmad-bench:", err)
@@ -61,7 +64,7 @@ func main() {
 		return
 	}
 	if *check {
-		claims := bench.CheckClaims(bench.Quality{Warmup: *warmup, Iters: *iters, Verify: *verify})
+		claims := bench.CheckClaims(q)
 		bench.WriteClaims(os.Stdout, claims)
 		for _, c := range claims {
 			if !c.OK {
@@ -79,22 +82,9 @@ func main() {
 	}
 	ids := bench.FigureIDs()
 	if *figFlag != "all" {
-		ids = []string{*figFlag}
+		ids = strings.Split(*figFlag, ",")
 	}
-	if *hedge || *adaptive {
-		// The shortcuts replace the default "all" set (and compose with
-		// each other); an explicit -fig still wins.
-		if *figFlag == "all" {
-			ids = nil
-			if *hedge {
-				ids = append(ids, "ext-hedge")
-			}
-			if *adaptive {
-				ids = append(ids, "ext-adaptive")
-			}
-		}
-	}
-	if err := run(ids, mode, *outDir, bench.Quality{Warmup: *warmup, Iters: *iters, Verify: *verify, Coll: *collAlgo}); err != nil {
+	if err := run(ids, mode, *outDir, q); err != nil {
 		fmt.Fprintln(os.Stderr, "nmad-bench:", err)
 		os.Exit(1)
 	}

@@ -177,8 +177,8 @@ func TestPairConfigValidation(t *testing.T) {
 func TestSweepVerifiedIntegrity(t *testing.T) {
 	// Run a small verified sweep on every strategy/rail combination the
 	// figures use; checkPayload panics on corruption.
-	p := newPair(func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) }, bothRails(), true)
-	pts := p.SweepLatency([]int{64, 4096, 256 << 10}, SweepOptions{Segments: 2, Warmup: 1, Iters: 2, Verify: true})
+	p := seriesRow{strategy: "split", rails: bothRails(), sample: true}.pair()
+	pts := p.SweepLatency([]int{64, 4096, 256 << 10}, 2, Quality{Warmup: 1, Iters: 2, Verify: true})
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -191,8 +191,8 @@ func TestSweepVerifiedIntegrity(t *testing.T) {
 
 func TestSweepDeterministic(t *testing.T) {
 	run := func() []Point {
-		p := newPair(func() core.Strategy { return strategy.Must("balance") }, bothRails(), false)
-		return p.SweepLatency([]int{64, 65536}, SweepOptions{Segments: 2, Warmup: 1, Iters: 3})
+		p := seriesRow{strategy: "balance", rails: bothRails()}.pair()
+		return p.SweepLatency([]int{64, 65536}, 2, Quality{Warmup: 1, Iters: 3})
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -203,8 +203,8 @@ func TestSweepDeterministic(t *testing.T) {
 }
 
 func TestSweepLatencyMonotoneAtLargeSizes(t *testing.T) {
-	p := newPair(func() core.Strategy { return strategy.NewFIFO(0) }, myriRails(), false)
-	pts := p.SweepLatency([]int{64 << 10, 256 << 10, 1 << 20, 4 << 20}, SweepOptions{Segments: 1, Warmup: 1, Iters: 2})
+	p := seriesRow{strategy: "fifo", rails: myriRails()}.pair()
+	pts := p.SweepLatency([]int{64 << 10, 256 << 10, 1 << 20, 4 << 20}, 1, Quality{Warmup: 1, Iters: 2})
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Y <= pts[i-1].Y {
 			t.Fatalf("latency not increasing with size: %v", pts)
@@ -231,6 +231,28 @@ func TestWritePlot(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if len(lines) < 13 {
 		t.Fatalf("plot too short: %d lines", len(lines))
+	}
+
+	// A scenario axis is a linear index from 0: the baseline column
+	// (X = 0) is drawn, and X = 1 of 0..2 lands mid-axis.
+	scen := &Figure{
+		ID: "figS", Title: "scenario plot", YLabel: "us", indexX: true,
+		Series: []Series{{Name: "p50", Points: []Point{{0, 1000}, {1, 2000}, {2, 4000}}}},
+	}
+	sb.Reset()
+	scen.WritePlot(&sb, 41, 10)
+	cols := map[int]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if i := strings.Index(line, "|"); i >= 0 {
+			for c, r := range line[i+1:] {
+				if r == '*' {
+					cols[c] = true
+				}
+			}
+		}
+	}
+	if !cols[0] || !cols[20] || !cols[40] {
+		t.Fatalf("scenario marks at columns %v, want 0, 20 and 40:\n%s", cols, sb.String())
 	}
 }
 

@@ -54,12 +54,15 @@ func wantChaosErr(t *testing.T, err error) {
 // scenario plus a rack partition, times every collective plus the split
 // transfer. runChaos returning at all proves no operation hung.
 func TestChaosOpsCompleteOrFailLoudly(t *testing.T) {
-	scenarios := append(chaosScenarios(), partitionScenario(0, 1, 50*time.Millisecond))
-	ops := append(chaosColls(), chaosSplitOp())
+	var scenarios []chaosScenario
+	for _, name := range chaosScenarios {
+		scenarios = append(scenarios, scenario(name, chaosAt))
+	}
+	scenarios = append(scenarios, partitionScenario(0, 1, 50*time.Millisecond))
 	for _, sc := range scenarios {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			for _, op := range ops {
+			for _, op := range chaosOps {
 				op := op
 				t.Run(op.Name, func(t *testing.T) {
 					run := runChaos(chaosTestTopo, ClusterConfig{Strategy: splitStrat}, sc, op, 4<<10, 3)
@@ -85,7 +88,7 @@ func TestChaosOpsCompleteOrFailLoudly(t *testing.T) {
 // iteration sails through, the schedule wasn't injecting anything.
 func TestChaosPartitionBites(t *testing.T) {
 	sc := partitionScenario(0, 1, time.Second)
-	run := runChaos(chaosTestTopo, ClusterConfig{Strategy: splitStrat}, sc, chaosColls()[1] /* bcast */, 4<<10, 3)
+	run := runChaos(chaosTestTopo, ClusterConfig{Strategy: splitStrat}, sc, chaosOpNamed("bcast"), 4<<10, 3)
 	if len(run.Errs) == 0 {
 		t.Fatal("partition injected no faults: every bcast iteration completed")
 	}
@@ -99,8 +102,9 @@ func TestChaosPartitionBites(t *testing.T) {
 // surviving Quadrics rail, hence strictly slower than the two-rail
 // baseline — and deliver intact data.
 func TestChaosRailDownFailsOver(t *testing.T) {
-	base := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, chaosScenarios()[0], chaosSplitOp(), 2<<20, 4)
-	down := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, railDownScenario(t), chaosSplitOp(), 2<<20, 4)
+	split := chaosOpNamed(splitXfer)
+	base := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, scenario("baseline", chaosAt), split, 2<<20, 4)
+	down := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, scenario("rail-down", chaosAt), split, 2<<20, 4)
 	if len(base.Makespans) != 4 || len(base.Errs) != 0 {
 		t.Fatalf("baseline: %d makespans, errs %v", len(base.Makespans), base.Errs)
 	}
@@ -113,19 +117,6 @@ func TestChaosRailDownFailsOver(t *testing.T) {
 	if worst, ref := percentile(down.Makespans, 0.99), percentile(base.Makespans, 0.99); worst <= ref {
 		t.Errorf("one-rail p99 %v not slower than two-rail baseline %v", worst, ref)
 	}
-}
-
-// railDownScenario fetches the rail-down entry from the figure
-// scenarios, so the test exercises exactly what the figure runs.
-func railDownScenario(t *testing.T) chaosScenario {
-	t.Helper()
-	for _, sc := range chaosScenarios() {
-		if sc.Name == "rail-down" {
-			return sc
-		}
-	}
-	t.Fatal("rail-down scenario missing")
-	return chaosScenario{}
 }
 
 // TestChaosSplitDataIntact verifies payload integrity end to end while
@@ -170,7 +161,7 @@ func TestChaosSplitDataIntact(t *testing.T) {
 			}
 		}
 	})
-	railDownScenario(t).Build(top).Arm(w)
+	scenario("rail-down", chaosAt).Build(top).Arm(w)
 	w.Run()
 
 	clean := 0

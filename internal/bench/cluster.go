@@ -112,9 +112,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes < 2 {
 		panic("bench: ClusterConfig.Nodes must be >= 2")
 	}
-	if cfg.Strategy == nil {
-		panic("bench: ClusterConfig.Strategy is required")
-	}
 	if len(cfg.NICs) == 0 {
 		panic("bench: ClusterConfig.NICs is empty")
 	}
@@ -122,27 +119,63 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg.Host = simnet.Opteron()
 	}
 	w := des.NewWorld()
-	c := &Cluster{W: w, Adaptive: cfg.Adaptive}
-	for i := 0; i < cfg.Nodes; i++ {
-		c.Hosts = append(c.Hosts, simnet.NewHost(w, fmt.Sprintf("n%d", i), cfg.Host))
+	hosts := make([]*simnet.Host, cfg.Nodes)
+	for i := range hosts {
+		hosts[i] = simnet.NewHost(w, fmt.Sprintf("n%d", i), cfg.Host)
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		eng := core.New(core.Config{
-			Strategy: cfg.Strategy(), Clock: c.Hosts[i],
+	c := wire(w, hosts, len(cfg.NICs), cfg, nil, func(i, j, k int) (*simnet.NIC, *simnet.NIC) {
+		a, b := hosts[i].NewNIC(cfg.NICs[k]), hosts[j].NewNIC(cfg.NICs[k])
+		simnet.Connect(a, b)
+		return a, b
+	})
+	c.seedSelector()
+	return c
+}
+
+// ClusterFromTopo wires engines, gates and rails over an already-built
+// topology: one engine per host, one gate per host pair, one rail per
+// link class. cfg.Nodes, cfg.NICs and cfg.Host are ignored — the
+// topology fixes them. The returned cluster shares the topology's world
+// and NIC mesh, so chaos schedules built against the topology perturb
+// the running cluster.
+func ClusterFromTopo(top *topo.Topology, cfg ClusterConfig) *Cluster {
+	c := wire(top.W, top.Hosts, top.Classes(), cfg, nil, top.LinkNICs)
+	c.seedSelector()
+	return c
+}
+
+// wire is the one wiring loop behind NewPair, NewCluster and
+// ClusterFromTopo: one engine per host (traces[i], when given, receives
+// engine i's events), then for every host pair i < j in order a gate
+// each way named after the peer host, and per link class k the NICs
+// link(i, j, k) returns, sampled (cfg.Sample) and added as rails.
+// Sampling charges the poll cost of every NIC already on the host, so
+// NewCluster's link creates a pair's NICs only when the loop reaches it.
+func wire(w *des.World, hosts []*simnet.Host, classes int, cfg ClusterConfig,
+	traces []func(core.TraceEvent), link func(i, j, k int) (*simnet.NIC, *simnet.NIC)) *Cluster {
+	if cfg.Strategy == nil {
+		panic("bench: a Strategy is required")
+	}
+	n := len(hosts)
+	c := &Cluster{W: w, Hosts: hosts, Adaptive: cfg.Adaptive}
+	for i, h := range hosts {
+		ec := core.Config{
+			Strategy: cfg.Strategy(), Clock: h,
 			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk,
-		})
-		c.Engines = append(c.Engines, eng)
-		c.Gates = append(c.Gates, make([]*core.Gate, cfg.Nodes))
-		c.NICs = append(c.NICs, make([][]*simnet.NIC, cfg.Nodes))
+		}
+		if traces != nil {
+			ec.Trace = traces[i]
+		}
+		c.Engines = append(c.Engines, core.New(ec))
+		c.Gates = append(c.Gates, make([]*core.Gate, n))
+		c.NICs = append(c.NICs, make([][]*simnet.NIC, n))
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		for j := i + 1; j < cfg.Nodes; j++ {
-			gi := c.Engines[i].NewGate(fmt.Sprintf("n%d", j))
-			gj := c.Engines[j].NewGate(fmt.Sprintf("n%d", i))
-			for _, np := range cfg.NICs {
-				ni := c.Hosts[i].NewNIC(np)
-				nj := c.Hosts[j].NewNIC(np)
-				simnet.Connect(ni, nj)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			gi := c.Engines[i].NewGate(hosts[j].Name)
+			gj := c.Engines[j].NewGate(hosts[i].Name)
+			for k := 0; k < classes; k++ {
+				ni, nj := link(i, j, k)
 				var prof core.Profile
 				if cfg.Sample {
 					prof = sampling.SampleNICPair(w, ni, nj, nil)
@@ -160,55 +193,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			c.Gates[j][i] = gj
 		}
 	}
-	c.seedSelector()
-	return c
-}
-
-// ClusterFromTopo wires engines, gates and rails over an already-built
-// topology: one engine per host, one gate per host pair, one rail per
-// link class. cfg.Nodes, cfg.NICs and cfg.Host are ignored — the
-// topology fixes them. The returned cluster shares the topology's world
-// and NIC mesh, so chaos schedules built against the topology perturb
-// the running cluster.
-func ClusterFromTopo(top *topo.Topology, cfg ClusterConfig) *Cluster {
-	if cfg.Strategy == nil {
-		panic("bench: ClusterConfig.Strategy is required")
-	}
-	n := top.Size()
-	c := &Cluster{W: top.W, Hosts: top.Hosts, Adaptive: cfg.Adaptive}
-	for i := 0; i < n; i++ {
-		eng := core.New(core.Config{
-			Strategy: cfg.Strategy(), Clock: top.Hosts[i],
-			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk,
-		})
-		c.Engines = append(c.Engines, eng)
-		c.Gates = append(c.Gates, make([]*core.Gate, n))
-		c.NICs = append(c.NICs, make([][]*simnet.NIC, n))
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			gi := c.Engines[i].NewGate(top.Hosts[j].Name)
-			gj := c.Engines[j].NewGate(top.Hosts[i].Name)
-			for k := 0; k < top.Classes(); k++ {
-				ni, nj := top.LinkNICs(i, j, k)
-				var prof core.Profile
-				if cfg.Sample {
-					prof = sampling.SampleNICPair(top.W, ni, nj, nil)
-				}
-				ri := gi.AddRail(c.newRailDriver(&cfg, ni))
-				rj := gj.AddRail(c.newRailDriver(&cfg, nj))
-				if cfg.Sample {
-					ri.SetProfile(prof)
-					rj.SetProfile(prof)
-				}
-			}
-			c.NICs[i][j] = top.NICs(i, j)
-			c.NICs[j][i] = top.NICs(j, i)
-			c.Gates[i][j] = gi
-			c.Gates[j][i] = gj
-		}
-	}
-	c.seedSelector()
 	return c
 }
 

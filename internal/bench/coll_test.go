@@ -21,8 +21,8 @@ import (
 func TestTreeBcastBeatsLinear(t *testing.T) {
 	q := Fast()
 	for _, ranks := range []int{8, 16} {
-		lin := BcastMakespan(ranks, 512<<10, mpl.AlgoLinear, q)
-		tree := BcastMakespan(ranks, 512<<10, mpl.AlgoTree, q)
+		lin := collMakespan(collCluster(ranks), bcast(mpl.AlgoLinear), 512<<10, q)
+		tree := collMakespan(collCluster(ranks), bcast(mpl.AlgoTree), 512<<10, q)
 		t.Logf("%d ranks, 512 KiB bcast: linear %.2f us, tree %.2f us", ranks, lin, tree)
 		if tree >= lin {
 			t.Errorf("%d ranks: tree bcast (%.2f us) not faster than linear (%.2f us)", ranks, tree, lin)
@@ -39,17 +39,23 @@ func TestSelectorMatchesBestRegime(t *testing.T) {
 	for _, size := range []int{2 << 10, 2 << 20} {
 		best := -1.0
 		for _, a := range []mpl.Algo{mpl.AlgoLinear, mpl.AlgoTree, mpl.AlgoPipeline} {
-			v := BcastMakespan(ranks, size, a, q)
+			v := collMakespan(collCluster(ranks), bcast(a), size, q)
 			if best < 0 || v < best {
 				best = v
 			}
 		}
-		auto := BcastMakespan(ranks, size, mpl.AlgoAuto, q)
+		auto := collMakespan(collCluster(ranks), bcast(mpl.AlgoAuto), size, q)
 		t.Logf("%7d B: auto %.2f us, best forced %.2f us", size, auto, best)
 		if auto > 1.3*best {
 			t.Errorf("size %d: auto bcast %.2f us, best forced algorithm %.2f us", size, auto, best)
 		}
 	}
+}
+
+// collCluster is the collective testbed of the ext-coll figure: one
+// rack of ranks hosts over Myri-10G + Quadrics under the split strategy.
+func collCluster(ranks int) *Cluster {
+	return ClusterFromTopo(mesh(des.NewWorld(), bothRails(), 0, ranks), ClusterConfig{Strategy: splitStrat})
 }
 
 func refSum(ranks, elems int) []byte {
@@ -223,7 +229,7 @@ func TestExtCollFigureBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure build is slow")
 	}
-	q := Quality{Warmup: 1, Iters: 1, Verify: true, Coll: "tree"}
+	q := Quality{Warmup: 1, Iters: 1, Verify: true}
 	fig, err := Build("ext-coll", q)
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +243,5 @@ func TestExtCollFigureBuilds(t *testing.T) {
 				t.Fatalf("series %q: non-positive makespan at %d", s.Name, pt.X)
 			}
 		}
-	}
-	if fmt.Sprint(fig.Series[3].Name) != "selected (tree)" {
-		t.Fatalf("coll knob not honored: %q", fig.Series[3].Name)
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// Point is one measurement: X is the total message size in bytes, Y the
-// metric (half-RTT ns for latency figures, MB/s for bandwidth figures).
+// Point is one measurement: X is the total message size in bytes (or
+// the figure's other axis unit, or a scenario index), Y the metric
+// (ns for "us" figures, MB/s for bandwidth figures).
 type Point struct {
 	X int
 	Y float64
@@ -26,6 +27,9 @@ type Figure struct {
 	XLabel string
 	YLabel string // "us" or "MB/s"
 	Series []Series
+	// indexX marks a scenario axis: X indexes a list from 0, so plots
+	// space it linearly.
+	indexX bool
 }
 
 // Y returns the series value at size x (and whether it exists).

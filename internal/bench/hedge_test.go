@@ -18,12 +18,11 @@ import (
 // bytes never exceed primary bytes). Same numbers CheckBudgets gates in
 // the pinned perf report.
 func TestHedgedTailBeatsUnhedgedUnderJitter(t *testing.T) {
-	jitter := tailScenarios()[1]
-	if jitter.Name != "jitter-30%" {
-		t.Fatalf("scenario order changed: %q", jitter.Name)
-	}
-	unhedged, _ := runTail(jitter, tailSize, tailIters, false)
-	hedged, st := runTail(jitter, tailSize, tailIters, true)
+	f := figureNamed("ext-hedge")
+	jitter := scenario("jitter-30%", f.at)
+	unhedged := f.series[0].runChaos(jitter, f.size, f.iters)
+	hedged := f.series[1].runChaos(jitter, f.size, f.iters)
+	st := hedged.Hedge
 	if len(unhedged.Errs) != 0 || len(hedged.Errs) != 0 {
 		t.Fatalf("errs: unhedged %v, hedged %v", unhedged.Errs, hedged.Errs)
 	}
@@ -45,16 +44,13 @@ func TestHedgedTailBeatsUnhedgedUnderJitter(t *testing.T) {
 // asymmetrically degraded, and cost at most 5% when the profiles are
 // right (the stationary guard).
 func TestAdaptiveSplitRecoversDegradedRail(t *testing.T) {
-	scs := adaptiveScenarios()
-	if scs[1].Name != "degrade-rail0-25%" {
-		t.Fatalf("scenario order changed: %q", scs[1].Name)
-	}
+	f := figureNamed("ext-adaptive")
 	for _, tc := range []struct {
 		sc      chaosScenario
 		degrade bool
-	}{{scs[0], false}, {scs[1], true}} {
-		static := runAdaptive(tc.sc, adaptSize, adaptIters, false)
-		adaptive := runAdaptive(tc.sc, adaptSize, adaptIters, true)
+	}{{scenario("baseline", f.at), false}, {scenario("degrade-rail0-25%", f.at), true}} {
+		static := f.series[0].runChaos(tc.sc, f.size, f.iters)
+		adaptive := f.series[1].runChaos(tc.sc, f.size, f.iters)
 		if len(static.Errs) != 0 || len(adaptive.Errs) != 0 {
 			t.Fatalf("%s: errs: static %v, adaptive %v", tc.sc.Name, static.Errs, adaptive.Errs)
 		}
@@ -109,7 +105,7 @@ func TestHedgedTransferByteVerified(t *testing.T) {
 			}
 		}
 	})
-	tailScenarios()[1].Build(top).Arm(w)
+	scenario("jitter-30%", 0).Build(top).Arm(w)
 	w.Run()
 	if t.Failed() {
 		return

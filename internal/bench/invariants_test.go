@@ -22,7 +22,7 @@ func tracedRun(t *testing.T, strat func() core.Strategy) *trace.Collector {
 		TraceA:   col.Hook(),
 	})
 	sizes := []int{64, 2048, 64 << 10, 2 << 20}
-	p.SweepLatency(sizes, SweepOptions{Segments: 2, Warmup: 1, Iters: 2, Verify: true})
+	p.SweepLatency(sizes, 2, Quality{Warmup: 1, Iters: 2, Verify: true})
 	return col
 }
 

@@ -1,6 +1,3 @@
-// Package bench builds the paper's experiments: ping-pong sweeps over
-// pairs of simulated hosts, one figure definition per evaluation figure,
-// and text/CSV rendering of the resulting series.
 package bench
 
 import (
@@ -10,8 +7,6 @@ import (
 
 	"newmad/internal/core"
 	"newmad/internal/des"
-	"newmad/internal/drivers/simdrv"
-	"newmad/internal/sampling"
 	"newmad/internal/simnet"
 )
 
@@ -42,11 +37,9 @@ type Pair struct {
 	GateAB, GateBA *core.Gate
 }
 
-// NewPair builds the platform described by cfg.
+// NewPair builds the platform described by cfg: the 2-node case of the
+// cluster wiring loop, with every NIC created before any is sampled.
 func NewPair(cfg PairConfig) *Pair {
-	if cfg.Strategy == nil {
-		panic("bench: PairConfig.Strategy is required")
-	}
 	if len(cfg.NICs) == 0 {
 		panic("bench: PairConfig.NICs is empty")
 	}
@@ -54,45 +47,22 @@ func NewPair(cfg PairConfig) *Pair {
 		cfg.Host = simnet.Opteron()
 	}
 	w := des.NewWorld()
-	p := &Pair{
-		W:     w,
-		HostA: simnet.NewHost(w, "A", cfg.Host),
-		HostB: simnet.NewHost(w, "B", cfg.Host),
+	hosts := []*simnet.Host{simnet.NewHost(w, "A", cfg.Host), simnet.NewHost(w, "B", cfg.Host)}
+	nics := make([][2]*simnet.NIC, len(cfg.NICs))
+	for k, np := range cfg.NICs {
+		nics[k] = [2]*simnet.NIC{hosts[0].NewNIC(np), hosts[1].NewNIC(np)}
+		simnet.Connect(nics[k][0], nics[k][1])
 	}
-	var nicsA, nicsB []*simnet.NIC
-	for _, np := range cfg.NICs {
-		na := p.HostA.NewNIC(np)
-		nb := p.HostB.NewNIC(np)
-		simnet.Connect(na, nb)
-		nicsA = append(nicsA, na)
-		nicsB = append(nicsB, nb)
-	}
-	var profiles []core.Profile
-	if cfg.Sample {
-		for i := range nicsA {
-			prof := sampling.SampleNICPair(w, nicsA[i], nicsB[i], nil)
-			profiles = append(profiles, prof)
-		}
-	}
-	p.EngA = core.New(core.Config{
-		Strategy: cfg.Strategy(), Clock: p.HostA,
-		AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Trace: cfg.TraceA,
+	c := wire(w, hosts, len(nics), ClusterConfig{
+		Strategy: cfg.Strategy, AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Sample: cfg.Sample,
+	}, []func(core.TraceEvent){cfg.TraceA, cfg.TraceB}, func(_, _, k int) (*simnet.NIC, *simnet.NIC) {
+		return nics[k][0], nics[k][1]
 	})
-	p.EngB = core.New(core.Config{
-		Strategy: cfg.Strategy(), Clock: p.HostB,
-		AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Trace: cfg.TraceB,
-	})
-	p.GateAB = p.EngA.NewGate("B")
-	p.GateBA = p.EngB.NewGate("A")
-	for i := range nicsA {
-		ra := p.GateAB.AddRail(simdrv.New(nicsA[i]))
-		rb := p.GateBA.AddRail(simdrv.New(nicsB[i]))
-		if cfg.Sample {
-			ra.SetProfile(profiles[i])
-			rb.SetProfile(profiles[i])
-		}
+	return &Pair{
+		W: w, HostA: hosts[0], HostB: hosts[1],
+		EngA: c.Engines[0], EngB: c.Engines[1],
+		GateAB: c.Gates[0][1], GateBA: c.Gates[1][0],
 	}
-	return p
 }
 
 // WaitReqs parks the process until every request has completed,

@@ -6,39 +6,37 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"newmad/internal/core"
 	"newmad/internal/drivers/memdrv"
 	"newmad/internal/mpl"
-	"newmad/internal/simnet"
-	"newmad/internal/simnet/chaos"
-	"newmad/internal/simnet/topo"
 	"newmad/internal/strategy"
 )
 
 // This file is the pinned performance trajectory: BuildPerfReport runs a
 // fixed set of headline measurements and serializes them as a
 // BENCH_<n>.json report checked in at the repo root, so every growth
-// step leaves a comparable perf record behind. Three figure families:
+// step leaves a comparable perf record behind. Two figure families:
 //
-//   - DES figures (pingpong latency, allreduce makespan) are virtual
-//     time — fully deterministic, comparable across machines;
-//   - wall-clock figures (multi-gate send throughput) depend on the
-//     machine and are informational;
+//   - DES figures (pingpong latency, allreduce makespan, loss recovery,
+//     tail latency, adaptive split) are virtual time — fully
+//     deterministic, comparable across machines;
 //   - allocation figures (allocs/op on the pooled hot paths) are
 //     deterministic and carry budgets: a report whose measured allocs
 //     exceed a budget is a regression, and nmad-bench -emit-json exits
 //     nonzero.
+//
+// Wall-clock measurements live in the nmbench module, which repeats
+// them and reports their spread.
 
 // PerfSchema identifies the report layout. /2 added the loss_recovery
 // family (reliable-rail split transfers under per-packet loss). /3
-// added the shm_latency family (shared-memory rail pingpong and
-// bandwidth against a TCP-loopback rail on the same host). /4 added the
-// tail_latency family (hedged vs unhedged small sends under jitter and
-// degradation) and the adaptive_split family (estimator-adaptive vs
-// profile-static split weights).
-const PerfSchema = "newmad-perf/4"
+// added the shm_latency family. /4 added the tail_latency family
+// (hedged vs unhedged small sends under jitter and degradation) and the
+// adaptive_split family (estimator-adaptive vs profile-static split
+// weights). /5 removed the wall-clock families, shm_latency and
+// multigate_throughput.
+const PerfSchema = "newmad-perf/5"
 
 // LatencyPoint is one DES pingpong measurement.
 type LatencyPoint struct {
@@ -72,7 +70,7 @@ type LossRecoveryPoint struct {
 
 // TailLatencyPoint is one DES tail-latency measurement: 1 KiB sends
 // between two hosts over both rails, p50/p99 makespan, hedged or not,
-// under a fixed fault scenario armed from t=0 (see tailScenarios).
+// under a fixed fault scenario armed from t=0 (the ext-hedge figure row).
 // Deterministic, fixed iteration count. DupBytes over PrimaryBytes is
 // the duplicate-send overhead hedging paid for its tail win; the budget
 // check pins it at or below 1x (at most one duplicate per primary, so
@@ -91,20 +89,14 @@ type TailLatencyPoint struct {
 
 // AdaptiveSplitPoint is one DES adaptive-split measurement: a 2 MiB
 // transfer striped across both rails with profile-static or
-// estimator-adaptive split weights, under a fixed scenario (see
-// adaptiveScenarios). Deterministic, fixed iteration count.
+// estimator-adaptive split weights, under a fixed scenario (the
+// ext-adaptive figure row). Deterministic, fixed iteration count.
 type AdaptiveSplitPoint struct {
 	Scenario  string  `json:"scenario"`
 	SizeBytes int     `json:"size_bytes"`
 	Adaptive  bool    `json:"adaptive"`
 	P50Us     float64 `json:"p50_us"`
 	P99Us     float64 `json:"p99_us"`
-}
-
-// ThroughputPoint is one wall-clock engine throughput measurement.
-type ThroughputPoint struct {
-	Gates   int     `json:"gates"`
-	MsgsSec float64 `json:"msgs_per_sec"`
 }
 
 // AllocFigure is one allocs-per-operation measurement with its budget.
@@ -123,10 +115,6 @@ type PerfReport struct {
 	LossRecovery      []LossRecoveryPoint  `json:"loss_recovery"`
 	TailLatency       []TailLatencyPoint   `json:"tail_latency"`
 	AdaptiveSplit     []AdaptiveSplitPoint `json:"adaptive_split"`
-	// Wall-clock figures: machine-dependent, informational only.
-	// shm_latency is empty on platforms without /dev/shm.
-	ShmLatency          []ShmLatencyPoint `json:"shm_latency,omitempty"`
-	MultiGateThroughput []ThroughputPoint `json:"multigate_throughput"`
 	// Allocation figures: deterministic, budgeted.
 	AllocsPerOp []AllocFigure `json:"allocs_per_op"`
 }
@@ -137,59 +125,67 @@ func BuildPerfReport(q Quality) *PerfReport {
 
 	// DES pingpong over the paper's heterogeneous two-rail platform,
 	// sampled profiles, adaptive stripping — the headline configuration.
-	split := func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) }
-	p := newPair(split, bothRails(), true)
-	for _, pt := range p.SweepLatency([]int{64, 1 << 10, 64 << 10, 1 << 20}, q.opts(1)) {
+	headline := seriesRow{strategy: "split", rails: bothRails(), sample: true}
+	for _, pt := range headline.pair().SweepLatency([]int{64, 1 << 10, 64 << 10, 1 << 20}, 1, q) {
 		r.PingpongLatency = append(r.PingpongLatency, LatencyPoint{SizeBytes: pt.X, HalfRTTNs: pt.Y})
 	}
 
+	auto := seriesRow{strategy: "split", rails: bothRails(), op: allreduce(mpl.AlgoAuto)}
 	for _, size := range []int{1 << 10, 64 << 10} {
 		r.AllreduceMakespan = append(r.AllreduceMakespan, MakespanPoint{
-			Ranks: 8, SizeBytes: size,
-			MeanUs: AllreduceMakespan(8, size, mpl.AlgoAuto, q),
+			Ranks: collRanks, SizeBytes: size, MeanUs: collMakespan(auto.cluster(), auto.op, size, q),
 		})
 	}
 
-	for _, loss := range []int{0, 10, 20} {
-		r.LossRecovery = append(r.LossRecovery, lossRecovery(loss, 1<<20, q.Warmup+q.Iters))
+	// Loss recovery: a 1 MiB split transfer over relnet-wrapped rails,
+	// loss on every class from t=0 so no iteration escapes it.
+	lossy := seriesRow{strategy: "split", rails: bothRails(), reliable: true, op: underChaos(splitXfer)}
+	for _, l := range []struct {
+		pct      int
+		scenario string
+	}{{0, "baseline"}, {10, "loss-all-10%"}, {20, "loss-all-20%"}} {
+		const size = 1 << 20
+		iters := q.Warmup + q.Iters
+		run := lossy.runChaos(scenario(l.scenario, 0), size, iters)
+		r.LossRecovery = append(r.LossRecovery, LossRecoveryPoint{
+			LossPct: l.pct, SizeBytes: size,
+			P50Us:       percentile(run.Makespans, 0.50) / 1e3,
+			P99Us:       percentile(run.Makespans, 0.99) / 1e3,
+			Retransmits: run.Retransmits,
+			Completed:   len(run.Makespans),
+			Iters:       iters,
+		})
 	}
 
-	// Tail latency and adaptive split run at fixed internal iteration
-	// counts (see hedgefigures.go): the p99 gates in CheckBudgets pin
-	// deterministic values that must not drift with the CLI -iters knob.
-	for _, sc := range tailScenarios() {
-		for _, hedged := range []bool{false, true} {
-			run, st := runTail(sc, tailSize, tailIters, hedged)
+	// Tail latency and adaptive split rerun the ext-hedge and
+	// ext-adaptive figure rows at their fixed iteration counts: the p99
+	// gates in CheckBudgets pin deterministic values that must not drift
+	// with the CLI -iters knob.
+	hedge := figureNamed("ext-hedge")
+	for _, name := range hedge.scenarios {
+		for _, s := range hedge.series {
+			run := s.runChaos(scenario(name, hedge.at), hedge.size, hedge.iters)
 			r.TailLatency = append(r.TailLatency, TailLatencyPoint{
-				Scenario: sc.Name, SizeBytes: tailSize, Hedged: hedged,
+				Scenario: name, SizeBytes: hedge.size, Hedged: s.strategy == "hedge",
 				P50Us:        percentile(run.Makespans, 0.50) / 1e3,
 				P99Us:        percentile(run.Makespans, 0.99) / 1e3,
-				DupBytes:     st.DupBytes,
-				PrimaryBytes: st.PrimaryBytes,
+				DupBytes:     run.Hedge.DupBytes,
+				PrimaryBytes: run.Hedge.PrimaryBytes,
 				Completed:    len(run.Makespans),
-				Iters:        tailIters,
+				Iters:        hedge.iters,
 			})
 		}
 	}
-	for _, sc := range adaptiveScenarios() {
-		for _, adaptive := range []bool{false, true} {
-			run := runAdaptive(sc, adaptSize, adaptIters, adaptive)
+	adapt := figureNamed("ext-adaptive")
+	for _, name := range adapt.scenarios {
+		for _, s := range adapt.series {
+			run := s.runChaos(scenario(name, adapt.at), adapt.size, adapt.iters)
 			r.AdaptiveSplit = append(r.AdaptiveSplit, AdaptiveSplitPoint{
-				Scenario: sc.Name, SizeBytes: adaptSize, Adaptive: adaptive,
+				Scenario: name, SizeBytes: adapt.size, Adaptive: s.strategy == "split-dyn-adaptive",
 				P50Us: percentile(run.Makespans, 0.50) / 1e3,
 				P99Us: percentile(run.Makespans, 0.99) / 1e3,
 			})
 		}
-	}
-
-	if pts, err := ShmLatencyFamily(ShmLatencySizes(), q); err == nil {
-		r.ShmLatency = pts
-	}
-
-	for _, gates := range []int{1, 4} {
-		r.MultiGateThroughput = append(r.MultiGateThroughput, ThroughputPoint{
-			Gates: gates, MsgsSec: multiGateThroughput(gates),
-		})
 	}
 
 	r.AllocsPerOp = []AllocFigure{
@@ -197,36 +193,6 @@ func BuildPerfReport(q Quality) *PerfReport {
 		{Name: "memdrv-aggregation", AllocsPerOp: aggregationAllocs(), Budget: 0},
 	}
 	return r
-}
-
-// lossRecovery runs the loss_recovery figure at one loss rate: the
-// split transfer over relnet-wrapped rails, loss on every class from
-// t=0 so no iteration escapes it.
-func lossRecovery(lossPct, size, iters int) LossRecoveryPoint {
-	p := float64(lossPct) / 100
-	sc := chaosScenario{
-		Name: fmt.Sprintf("loss-%d%%", lossPct),
-		Build: func(top *topo.Topology) *chaos.Schedule {
-			s := chaos.NewSchedule("loss")
-			if p > 0 {
-				eachLink(top, -1, func(a, b *simnet.NIC) { s.DropOnLink(0, chaosHold, p, a, b) })
-			}
-			return s
-		},
-	}
-	cfg := ClusterConfig{
-		Strategy: func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) },
-		Reliable: true,
-	}
-	run := runChaos(chaosPairTopo, cfg, sc, chaosSplitOp(), size, iters)
-	return LossRecoveryPoint{
-		LossPct: lossPct, SizeBytes: size,
-		P50Us:       percentile(run.Makespans, 0.50) / 1e3,
-		P99Us:       percentile(run.Makespans, 0.99) / 1e3,
-		Retransmits: run.Retransmits,
-		Completed:   len(run.Makespans),
-		Iters:       iters,
-	}
 }
 
 // CheckBudgets returns an error naming every figure over its budget:
@@ -287,84 +253,35 @@ func (r *PerfReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// nullDrv is an event-driven rail that completes every send immediately
-// and discards the bytes: the multi-gate throughput figure isolates the
-// engine's own send path exactly as the core benchmarks do.
-type nullDrv struct {
-	rail int
-	ev   core.Events
-}
-
-func (d *nullDrv) Name() string          { return "null" }
-func (d *nullDrv) Profile() core.Profile { return memdrv.DefaultProfile() }
-func (d *nullDrv) Bind(rail int, ev core.Events) {
-	d.rail, d.ev = rail, ev
-}
-func (d *nullDrv) Send(p *core.Packet) error {
-	d.ev.SendComplete(d.rail)
-	return nil
-}
-func (d *nullDrv) Close() error { return nil }
-
-// multiGateThroughput measures wall-clock sends per second across gates
-// concurrent sender gates on one engine.
-func multiGateThroughput(gates int) float64 {
-	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
-	payload := make([]byte, 1024)
-	const perGate = 20000
-	done := make(chan struct{}, gates)
-	gs := make([]*core.Gate, gates)
-	for i := range gs {
-		gs[i] = eng.NewGate(fmt.Sprintf("peer%d", i))
-		gs[i].AddRail(&nullDrv{})
-	}
-	start := time.Now()
-	for _, g := range gs {
-		g := g
-		go func() {
-			for i := 0; i < perGate; i++ {
-				sr := g.Isend(1, payload)
-				for !sr.Done() {
-				}
-				sr.Recycle()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range gs {
-		<-done
-	}
-	elapsed := time.Since(start)
-	return float64(gates*perGate) / elapsed.Seconds()
-}
-
-// memDuo is a two-engine in-memory platform for the allocation figures,
-// mirroring the fixtures of the core alloc-regression tests.
-type memDuo struct {
+// duo is two engines joined by one real driver pair, for the
+// allocation figures and the same-host wall-clock pingpong.
+type duo struct {
 	engA, engB     *core.Engine
 	gateAB, gateBA *core.Gate
-	drvA           *memdrv.Driver
 }
 
-func newMemDuo(strat func() core.Strategy) *memDuo {
-	d := &memDuo{
+func newDuo(strat func() core.Strategy, a, b core.Driver) *duo {
+	d := &duo{
 		engA: core.New(core.Config{Strategy: strat()}),
 		engB: core.New(core.Config{Strategy: strat()}),
 	}
 	d.gateAB = d.engA.NewGate("B")
 	d.gateBA = d.engB.NewGate("A")
-	a, b := memdrv.Pair("perf", memdrv.DefaultProfile())
 	d.gateAB.AddRail(a)
 	d.gateBA.AddRail(b)
-	d.drvA = a
 	return d
+}
+
+func (d *duo) close() {
+	d.engA.Close()
+	d.engB.Close()
 }
 
 // pump spins until every request is done. memdrv delivers synchronously,
 // so this normally returns at the first check; it does not Wait because
 // a request's completion channel is allocated on first use, which would
 // show up in the allocation figures.
-func (d *memDuo) pump(reqs ...core.Request) {
+func (d *duo) pump(reqs ...core.Request) {
 	for {
 		done := true
 		for _, r := range reqs {
@@ -384,7 +301,8 @@ func (d *memDuo) pump(reqs ...core.Request) {
 // exchange over memdrv. The hot path is pooled end to end, so the figure
 // is 0 and budgeted at 0.
 func pingpongAllocs() float64 {
-	d := newMemDuo(func() core.Strategy { return strategy.Must("balance") })
+	a, b := memdrv.Pair("perf", memdrv.DefaultProfile())
+	d := newDuo(func() core.Strategy { return strategy.Must("balance") }, a, b)
 	ping := make([]byte, 1024)
 	pong := make([]byte, 1024)
 	recvA := make([]byte, 1024)
@@ -410,7 +328,8 @@ func pingpongAllocs() float64 {
 // aggregationAllocs measures steady-state allocs per aggregated flush of
 // four small messages piled behind a held rail.
 func aggregationAllocs() float64 {
-	d := newMemDuo(func() core.Strategy { return strategy.NewAggreg(0) })
+	a, b := memdrv.Pair("perf", memdrv.DefaultProfile())
+	d := newDuo(func() core.Strategy { return strategy.NewAggreg(0) }, a, b)
 	const k = 4
 	var msgs, recvs [k][]byte
 	for i := range msgs {
@@ -423,11 +342,11 @@ func aggregationAllocs() float64 {
 		for i := 0; i < k; i++ {
 			rrs[i] = d.gateBA.Irecv(5, recvs[i])
 		}
-		d.drvA.HoldCompletions()
+		a.HoldCompletions()
 		for i := 0; i < k; i++ {
 			srs[i] = d.gateAB.Isend(5, msgs[i])
 		}
-		d.drvA.ReleaseCompletions()
+		a.ReleaseCompletions()
 		for i := 0; i < k; i++ {
 			d.pump(srs[i], rrs[i])
 			srs[i].Recycle()

@@ -12,35 +12,10 @@ import (
 
 const pingTag = 7
 
-// SweepOptions controls a ping-pong sweep.
-type SweepOptions struct {
-	// Segments per message (>= 1); segment size = total size / Segments.
-	Segments int
-	// Warmup iterations discarded before timing (default 2).
-	Warmup int
-	// Iters timed iterations per size (default 8).
-	Iters int
-	// Verify checks payload integrity on every iteration.
-	Verify bool
-}
-
-func (o *SweepOptions) defaults() {
-	if o.Segments <= 0 {
-		o.Segments = 1
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = 2
-	}
-	if o.Iters <= 0 {
-		o.Iters = 8
-	}
-}
-
 // SweepLatency runs the ping-pong for every size and returns the measured
 // half round-trip time (ns) per size. Sizes are total message bytes
-// across all segments.
-func (p *Pair) SweepLatency(sizes []int, opts SweepOptions) []Point {
-	opts.defaults()
+// across all segs segments (segs <= 1 sends one segment).
+func (p *Pair) SweepLatency(sizes []int, segs int, q Quality) []Point {
 	if len(sizes) == 0 {
 		return nil
 	}
@@ -58,13 +33,13 @@ func (p *Pair) SweepLatency(sizes []int, opts SweepOptions) []Point {
 
 	p.W.Spawn("pong", func(pr *des.Proc) {
 		for _, size := range sizes {
-			for it := 0; it < opts.Warmup+opts.Iters; it++ {
+			for it := 0; it < q.Warmup+q.Iters; it++ {
 				rr := p.GateBA.Irecv(pingTag, recvB)
 				WaitReqs(pr, rr)
-				if opts.Verify {
+				if q.Verify {
 					checkPayload(recvB[:size], 0xA5)
 				}
-				sr := p.GateBA.Isendv(pingTag, segments(sendB, size, opts.Segments))
+				sr := p.GateBA.Isendv(pingTag, segments(sendB, size, segs))
 				WaitReqs(pr, sr)
 			}
 		}
@@ -72,34 +47,23 @@ func (p *Pair) SweepLatency(sizes []int, opts SweepOptions) []Point {
 	p.W.Spawn("ping", func(pr *des.Proc) {
 		for si, size := range sizes {
 			var t0 des.Time
-			for it := 0; it < opts.Warmup+opts.Iters; it++ {
-				if it == opts.Warmup {
+			for it := 0; it < q.Warmup+q.Iters; it++ {
+				if it == q.Warmup {
 					t0 = pr.Now()
 				}
 				rr := p.GateAB.Irecv(pingTag, recvA)
-				sr := p.GateAB.Isendv(pingTag, segments(sendA, size, opts.Segments))
+				sr := p.GateAB.Isendv(pingTag, segments(sendA, size, segs))
 				WaitReqs(pr, sr, rr)
-				if opts.Verify {
+				if q.Verify {
 					checkPayload(recvA[:size], 0x5A)
 				}
 			}
 			elapsed := pr.Now() - t0
-			pts[si] = Point{X: size, Y: float64(elapsed) / float64(opts.Iters) / 2}
+			pts[si] = Point{X: size, Y: float64(elapsed) / float64(q.Iters) / 2}
 		}
 	})
 	p.W.Run()
 	return pts
-}
-
-// SweepBandwidth runs the same ping-pong and converts half-RTT into MB/s
-// (decimal megabytes, as in the paper).
-func (p *Pair) SweepBandwidth(sizes []int, opts SweepOptions) []Point {
-	pts := p.SweepLatency(sizes, opts)
-	out := make([]Point, len(pts))
-	for i, pt := range pts {
-		out[i] = Point{X: pt.X, Y: toMBps(pt.X, pt.Y)}
-	}
-	return out
 }
 
 // toMBps converts size bytes moved in ns nanoseconds to MB/s.

@@ -11,7 +11,8 @@ import (
 var plotMarks = []byte{'*', '+', 'x', 'o', '#', '@', '%'}
 
 // WritePlot renders the figure as an ASCII log-log chart (the paper's
-// figures are all log-log), width x height characters of plot area.
+// figures are all log-log), width x height characters of plot area. A
+// scenario axis is linear instead: its X is an index from 0.
 func (f *Figure) WritePlot(w io.Writer, width, height int) {
 	if width < 20 {
 		width = 64
@@ -19,12 +20,16 @@ func (f *Figure) WritePlot(w io.Writer, width, height int) {
 	if height < 5 {
 		height = 20
 	}
-	fmt.Fprintf(w, "# %s — %s  [Y: %s, log-log]\n", f.ID, f.Title, f.YLabel)
+	scale, scaleName, minXOK := math.Log2, "log-log", 1
+	if f.indexX {
+		scale, scaleName, minXOK = func(x float64) float64 { return x }, "lin-log", 0
+	}
+	fmt.Fprintf(w, "# %s — %s  [Y: %s, %s]\n", f.ID, f.Title, f.YLabel, scaleName)
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			if p.X <= 0 || p.Y <= 0 {
+			if p.X < minXOK || p.Y <= 0 {
 				continue
 			}
 			minX = math.Min(minX, float64(p.X))
@@ -38,7 +43,7 @@ func (f *Figure) WritePlot(w io.Writer, width, height int) {
 		fmt.Fprintln(w, "(no data)")
 		return
 	}
-	lx0, lx1 := math.Log2(minX), math.Log2(maxX)
+	lx0, lx1 := scale(minX), scale(maxX)
 	ly0, ly1 := math.Log10(minY), math.Log10(maxY)
 	if lx1 == lx0 {
 		lx1 = lx0 + 1
@@ -53,10 +58,10 @@ func (f *Figure) WritePlot(w io.Writer, width, height int) {
 	for si, s := range f.Series {
 		mark := plotMarks[si%len(plotMarks)]
 		for _, p := range s.Points {
-			if p.X <= 0 || p.Y <= 0 {
+			if p.X < minXOK || p.Y <= 0 {
 				continue
 			}
-			cx := int(math.Round((math.Log2(float64(p.X)) - lx0) / (lx1 - lx0) * float64(width-1)))
+			cx := int(math.Round((scale(float64(p.X)) - lx0) / (lx1 - lx0) * float64(width-1)))
 			cy := int(math.Round((math.Log10(f.value(p.Y)) - ly0) / (ly1 - ly0) * float64(height-1)))
 			row := height - 1 - cy
 			if grid[row][cx] == ' ' {

@@ -27,44 +27,22 @@ func reliableCfg() ClusterConfig {
 	return ClusterConfig{Strategy: splitStrat, Reliable: true}
 }
 
-// lossScenario fetches the loss-20% entry from the figure scenarios, so
-// the tests exercise exactly what the figure runs.
-func lossScenario(t *testing.T) chaosScenario {
-	t.Helper()
-	for _, sc := range chaosScenarios() {
-		if sc.Name == "loss-20%" {
-			return sc
-		}
-	}
-	t.Fatal("loss-20% scenario missing")
-	return chaosScenario{}
-}
-
-// lossFromStart injects per-packet loss on every class-k link from
-// t=0: unlike the figure schedule (which waits for steady state at
-// chaosAt, a window short collective runs can finish before, and which
-// spares the Quadrics rail as a failover target — an escape hatch for
-// the small eager messages that ride the lowest-latency rail), loss
-// from the first packet on k=-1 (all classes) guarantees every
-// operation runs lossy with nowhere to hide.
-func lossFromStart(p float64, k int) chaosScenario {
-	return chaosScenario{
-		Name: "loss-from-start",
-		Build: func(top *topo.Topology) *chaos.Schedule {
-			s := chaos.NewSchedule("loss-from-start")
-			eachLink(top, k, func(a, b *simnet.NIC) { s.DropOnLink(0, chaosHold, p, a, b) })
-			return s
-		},
-	}
-}
+// lossScenario is the ext-chaos figures' loss-20% entry, so the tests
+// exercise exactly what the figures run.
+func lossScenario() chaosScenario { return scenario("loss-20%", chaosAt) }
 
 // TestChaosLossSurvivableOnReliableRails pins the tentpole payoff:
 // under 20% loss every collective AND the two-rail split completes at
 // least one iteration on relnet-wrapped rails — no zero-survivor rows —
 // and the completions were paid for with actual retransmissions.
 func TestChaosLossSurvivableOnReliableRails(t *testing.T) {
-	sc := lossFromStart(0.20, -1)
-	for _, op := range append(chaosColls(), chaosSplitOp()) {
+	// Loss on every class from the first packet: unlike the figure
+	// schedule (which waits for steady state at chaosAt, a window short
+	// collective runs can finish before, and which spares the Quadrics
+	// rail as a failover target), every operation runs lossy with
+	// nowhere to hide.
+	sc := scenario("loss-all-20%", 0)
+	for _, op := range chaosOps {
 		op := op
 		t.Run(op.Name, func(t *testing.T) {
 			run := runChaos(chaosTestTopo, reliableCfg(), sc, op, 4<<10, 3)
@@ -86,7 +64,7 @@ func TestChaosLossSurvivableOnReliableRails(t *testing.T) {
 // transfer with no surviving iterations (a 2 MiB striped transfer
 // cannot dodge 20% per-packet loss), every failure loud.
 func TestChaosLossZeroesOutRawRails(t *testing.T) {
-	run := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, lossScenario(t), chaosSplitOp(), 2<<20, 3)
+	run := runChaos(chaosPairTopo, ClusterConfig{Strategy: splitStrat}, lossScenario(), chaosOpNamed(splitXfer), 2<<20, 3)
 	if len(run.Makespans) != 0 {
 		t.Skipf("raw rails survived loss %d times; contrast not observable at this size", len(run.Makespans))
 	}
@@ -119,7 +97,7 @@ func TestChaosBlackholeExhaustsAndFailsOver(t *testing.T) {
 		Reliable: true,
 		Rel:      relnet.Config{RTO: 2 * time.Millisecond, RetryBudget: 3},
 	}
-	run := runChaos(chaosPairTopo, cfg, blackhole, chaosSplitOp(), 1<<20, 6)
+	run := runChaos(chaosPairTopo, cfg, blackhole, chaosOpNamed(splitXfer), 1<<20, 6)
 	for _, err := range run.Errs {
 		wantChaosErr(t, err)
 	}
@@ -177,7 +155,7 @@ func TestReliableRailsLeaveNoPhantomTimers(t *testing.T) {
 // the protocol counters show both the loss (retransmits) and the
 // recovery (more segments sent than a clean run would need).
 func TestReliableSplitCompletesUnderLossWithStats(t *testing.T) {
-	run := runChaos(chaosPairTopo, reliableCfg(), lossScenario(t), chaosSplitOp(), 2<<20, 4)
+	run := runChaos(chaosPairTopo, reliableCfg(), lossScenario(), chaosOpNamed(splitXfer), 2<<20, 4)
 	for _, err := range run.Errs {
 		wantChaosErr(t, err)
 	}

@@ -22,6 +22,13 @@ func CheckClaims(q Quality) []Claim {
 	add := func(figure, what, paper string, measured string, ok bool) {
 		out = append(out, Claim{Figure: figure, What: what, Paper: paper, Measured: measured, OK: ok})
 	}
+	build := func(id string) *Figure {
+		f, err := Build(id, q)
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
 	y := func(f *Figure, series string, x int) float64 {
 		for _, s := range f.Series {
 			if s.Name == series {
@@ -33,7 +40,7 @@ func CheckClaims(q Quality) []Claim {
 		return -1
 	}
 
-	fig2a, fig2b := Fig2a(q), Fig2b(q)
+	fig2a, fig2b := build("fig2a"), build("fig2b")
 	lat := y(fig2a, "regular", 4) / 1e3
 	add("fig2a", "Myri-10G 4B latency", "2.8 us", fmt.Sprintf("%.2f us", lat), lat > 2.2 && lat < 3.4)
 	bw := y(fig2b, "regular", 8<<20)
@@ -43,7 +50,7 @@ func CheckClaims(q Quality) []Claim {
 	add("fig2a", "aggregation recovers multi-segment overhead", "yes, cheap copies",
 		fmt.Sprintf("%.2f -> %.2f us", raw4/1e3, agg4/1e3), agg4 < raw4)
 
-	fig3a, fig3b := Fig3a(q), Fig3b(q)
+	fig3a, fig3b := build("fig3a"), build("fig3b")
 	lat = y(fig3a, "regular", 4) / 1e3
 	add("fig3a", "Quadrics 4B latency", "1.7 us", fmt.Sprintf("%.2f us", lat), lat > 1.3 && lat < 2.2)
 	bw = y(fig3b, "regular", 8<<20)
@@ -53,7 +60,7 @@ func CheckClaims(q Quality) []Claim {
 	add("fig3a", "aggregation gain bigger on Quadrics", "yes",
 		fmt.Sprintf("%.2fx vs %.2fx", gq, gm), gq > gm)
 
-	fig4a, fig4b := Fig4a(q), Fig4b(q)
+	fig4a, fig4b := build("fig4a"), build("fig4b")
 	balS := y(fig4a, "2-seg balanced", 1<<10)
 	quadS := y(fig4a, "2-agg over quadrics", 1<<10)
 	add("fig4a", "greedy balancing hurts small messages", "worse below 16 KB",
@@ -67,19 +74,19 @@ func CheckClaims(q Quality) []Claim {
 	add("fig4b", "balanced beats best single rail", "1675 vs 1200 MB/s",
 		fmt.Sprintf("%.0f vs %.0f MB/s", balBW, myriBW), balBW > 1.15*myriBW)
 
-	fig5b := Fig5b(q)
+	fig5b := build("fig5b")
 	bal4BW := y(fig5b, "4-seg balanced", 8<<20)
 	add("fig5b", "4-segment bandwidth stays high", "still rather high",
 		fmt.Sprintf("%.0f MB/s (2-seg: %.0f)", bal4BW, balBW), bal4BW > 0.95*balBW)
 
-	fig6 := Fig6(q)
+	fig6 := build("fig6")
 	strat := y(fig6, "2-seg aggrail", 4)
 	quad := y(fig6, "2-agg over quadrics", 4)
 	gap := (strat - quad) / 1e3
 	add("fig6", "strategy tracks Quadrics with a polling gap", "gap from polling Myri NIC",
 		fmt.Sprintf("gap %.2f us", gap), gap > 0 && gap < 0.8)
 
-	fig7 := Fig7(q)
+	fig7 := build("fig7")
 	hetero := y(fig7, "hetero-split over both", 8<<20)
 	iso := y(fig7, "iso-split over both", 8<<20)
 	m1 := y(fig7, "one segment over myri", 8<<20)

@@ -5,12 +5,7 @@ package bench
 // crossovers fall. Absolute timings are model outputs; these tests pin
 // the claims the paper draws from each figure.
 
-import (
-	"testing"
-
-	"newmad/internal/core"
-	"newmad/internal/strategy"
-)
+import "testing"
 
 func buildFig(t *testing.T, id string) *Figure {
 	t.Helper()
@@ -209,17 +204,11 @@ func TestShapeFig7(t *testing.T) {
 // as good as every earlier strategy on both ends of the size spectrum.
 func TestShapeFinalStrategyDominates(t *testing.T) {
 	mk := func(name string) *Pair {
-		return newPair(func() core.Strategy {
-			s, err := strategy.New(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}, bothRails(), true)
+		return seriesRow{strategy: name, rails: bothRails(), sample: true}.pair()
 	}
 	sizes := []int{256, 8 << 20}
-	split := mk("split").SweepLatency(sizes, SweepOptions{Segments: 2, Warmup: 1, Iters: 3})
-	balance := mk("balance").SweepLatency(sizes, SweepOptions{Segments: 2, Warmup: 1, Iters: 3})
+	split := mk("split").SweepLatency(sizes, 2, Fast())
+	balance := mk("balance").SweepLatency(sizes, 2, Fast())
 	// Small: split (aggregating on the fast rail) beats greedy balance.
 	if split[0].Y >= balance[0].Y {
 		t.Errorf("small messages: split %.0f >= balance %.0f", split[0].Y, balance[0].Y)

@@ -12,15 +12,15 @@ import (
 	"newmad/internal/strategy"
 )
 
-// The shm_latency figure family: the same wall-clock pingpong run over
+// The shm-vs-TCP comparison: the same wall-clock pingpong run over
 // a shared-memory rail and over a TCP rail through the loopback
 // interface — the two same-host transports an application actually
 // chooses between. Both sides are full engines driven by Engine.Wait,
 // so the figure includes the whole stack (strategy, request matching,
-// driver), not just the raw ring. Wall-clock and machine-dependent,
-// informational like the throughput family — but the ordering is
-// pinned: the shm rail must beat TCP loopback at every size (the
-// shmlat acceptance test), or the rail has no reason to exist.
+// driver), not just the raw ring. Wall-clock and machine-dependent, so
+// the pinned perf report leaves it out — but the ordering is pinned:
+// the shm rail must beat TCP loopback at every size (the shmlat
+// acceptance test), or the rail has no reason to exist.
 
 // ShmLatencyPoint is one same-host transport comparison: half-RTT
 // pingpong latency at SizeBytes over each rail, with the derived
@@ -38,34 +38,10 @@ type ShmLatencyPoint struct {
 // ring-edge size, a rendezvous size and a jumbo/bandwidth size.
 func ShmLatencySizes() []int { return []int{64, 4 << 10, 64 << 10, 1 << 20} }
 
-// wallDuo is a two-engine wall-clock platform over one real driver
-// pair, FIFO strategy so every byte rides the rail under measurement.
-type wallDuo struct {
-	engA, engB     *core.Engine
-	gateAB, gateBA *core.Gate
-}
-
-func newWallDuo(a, b core.Driver) *wallDuo {
-	d := &wallDuo{
-		engA: core.New(core.Config{Strategy: strategy.NewFIFO(0)}),
-		engB: core.New(core.Config{Strategy: strategy.NewFIFO(0)}),
-	}
-	d.gateAB = d.engA.NewGate("B")
-	d.gateBA = d.engB.NewGate("A")
-	d.gateAB.AddRail(a)
-	d.gateBA.AddRail(b)
-	return d
-}
-
-func (d *wallDuo) close() {
-	d.engA.Close()
-	d.engB.Close()
-}
-
 // pingpong measures the mean half-RTT at one size: warmup+iters full
 // round trips, the echo side on its own goroutine, both sides blocking
 // in Engine.Wait.
-func (d *wallDuo) pingpong(size, warmup, iters int) (float64, error) {
+func (d *duo) pingpong(size, warmup, iters int) (float64, error) {
 	msg := make([]byte, size)
 	for i := range msg {
 		msg[i] = byte(i * 37)
@@ -143,23 +119,24 @@ func tcpLoopbackPair() (*tcpdrv.Driver, *tcpdrv.Driver, error) {
 }
 
 // ShmLatencyFamily measures the shm-vs-TCP-loopback comparison at each
-// size. It errors where it cannot run (no /dev/shm) — BuildPerfReport
-// then leaves the family empty rather than failing the report.
+// size. It errors where it cannot run (no /dev/shm).
 func ShmLatencyFamily(sizes []int, q Quality) ([]ShmLatencyPoint, error) {
 	if !shmdrv.Supported() {
 		return nil, fmt.Errorf("shm rails unsupported on this platform")
 	}
+	// FIFO, so every byte rides the rail under measurement.
+	fifo := func() core.Strategy { return strategy.NewFIFO(0) }
 	sa, sb, err := shmdrv.Pair(shmdrv.Options{})
 	if err != nil {
 		return nil, err
 	}
-	shmDuo := newWallDuo(sa, sb)
+	shmDuo := newDuo(fifo, sa, sb)
 	defer shmDuo.close()
 	ta, tb, err := tcpLoopbackPair()
 	if err != nil {
 		return nil, err
 	}
-	tcpDuo := newWallDuo(ta, tb)
+	tcpDuo := newDuo(fifo, ta, tb)
 	defer tcpDuo.close()
 
 	mbps := func(size int, halfRTTNs float64) float64 {
