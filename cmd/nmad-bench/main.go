@@ -29,8 +29,8 @@ func main() {
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plotFlag = flag.Bool("plot", false, "render ASCII log-log plots instead of tables")
 		outDir   = flag.String("out", "", "write one file per figure into this directory instead of stdout")
-		warmup   = flag.Int("warmup", 2, "warmup iterations per point")
-		iters    = flag.Int("iters", 8, "timed iterations per point")
+		warmup   = flag.Int("warmup", bench.Default().Warmup, "warmup iterations per point")
+		iters    = flag.Int("iters", bench.Default().Iters, "timed iterations per point (>= 1)")
 		verify   = flag.Bool("verify", false, "verify payload integrity during measurement")
 		check    = flag.Bool("check", false, "evaluate every paper claim and print a pass/fail table")
 		emitJSON = flag.String("emit-json", "", "write the pinned perf report (BENCH_*.json schema) to this path; exits 1 on an allocation budget regression")

@@ -97,7 +97,6 @@ func scenario(name string, at time.Duration) chaosScenario {
 		if f.name != name {
 			continue
 		}
-		f := f
 		return chaosScenario{Name: name, Build: func(top *topo.Topology) *chaos.Schedule {
 			s := chaos.NewSchedule(name)
 			if f.arm != nil {
@@ -342,6 +341,3 @@ func mesh(w *des.World, rails []simnet.NICParams, oversub float64, racks ...int)
 	}
 	return b.Build(w)
 }
-
-// chaosPairTopo is the split-transfer testbed: two hosts, two rails.
-func chaosPairTopo(w *des.World) *topo.Topology { return mesh(w, bothRails(), 0, 2) }

@@ -33,6 +33,9 @@ func chaosTestTopo(w *des.World) *topo.Topology {
 		Build(w)
 }
 
+// chaosPairTopo is the split-transfer testbed: two hosts, two rails.
+func chaosPairTopo(w *des.World) *topo.Topology { return mesh(w, bothRails(), 0, 2) }
+
 func splitStrat() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) }
 
 // wantChaosErr fails the test unless err is one of the loud,

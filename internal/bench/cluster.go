@@ -124,6 +124,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		hosts[i] = simnet.NewHost(w, fmt.Sprintf("n%d", i), cfg.Host)
 	}
 	c := wire(w, hosts, len(cfg.NICs), cfg, nil, func(i, j, k int) (*simnet.NIC, *simnet.NIC) {
+		// Created pair by pair, not up front: each pair samples against
+		// only the NICs its hosts already have, which the profiles pin.
 		a, b := hosts[i].NewNIC(cfg.NICs[k]), hosts[j].NewNIC(cfg.NICs[k])
 		simnet.Connect(a, b)
 		return a, b

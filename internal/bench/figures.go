@@ -1,19 +1,12 @@
 // Package bench reproduces the paper's evaluation on simulated hosts.
 //
-// Every figure — the paper's Figures 2–7 and the extension experiments
-// — is one row of the figures table: an id, title and Y unit; an X axis,
-// either a size list or a list of fault scenarios from the faults
-// catalogue; and its series. A series is a platform (strategy name,
-// rails, host PIO lanes, segments, sampling, reliable rails) plus one op
-// from a closed set: pingpong latency or bandwidth, the mixed workload,
-// a collective makespan, or a chaos op reported as p50/p99 per scenario.
-// Build runs a row. The simulation is deterministic, and testdata/ pins
-// every figure's CSV.
-//
-// Around the table: Pair and Cluster, built by one wiring loop; the
-// ping-pong and mixed workloads; the paper-claims check (CheckClaims);
-// the pinned perf report (BuildPerfReport); and table, CSV and plot
-// rendering.
+// Every figure is one row of the figures table: id, title, Y unit, an X
+// axis (a size list or fault scenarios from the faults catalogue) and
+// its series. A series is a platform — strategy name, rails, host PIO
+// lanes, segments, sampling, reliable rails — plus one op: pingpong
+// latency or bandwidth, the mixed workload, a collective makespan, or a
+// chaos op reported as p50/p99 per scenario. Build runs a row; Pair and
+// Cluster come from one wiring loop; testdata/ pins every figure's CSV.
 package bench
 
 import (
@@ -231,12 +224,14 @@ var figures = []figureRow{
 			{name: "split-dyn", strategy: "split-dyn", rails: bothRails(), reliable: true, op: underChaos(splitXfer)},
 			{name: "split-raw", strategy: "split", rails: bothRails(), op: underChaos(splitXfer)},
 		}},
-	// 1 KiB sends, hedged or not over the same split-dyn-adaptive inner
-	// strategy: hedging buys nothing at the median and wins at the tail.
+	// 1 KiB sends, eager on both rails (hedging never duplicates
+	// rendezvous transfers), hedged or not over the same
+	// split-dyn-adaptive inner strategy: hedging buys nothing at the
+	// median and wins at the tail.
 	// The iteration count is fixed so the perf report's p99 stays
 	// comparable across reports.
-	{id: "ext-hedge", title: fmt.Sprintf("Hedged vs unhedged small sends (%d B, two rails, makespan)", tailSize), unit: "us",
-		scenarios: []string{"baseline", "jitter-30%", "degrade-25%"}, size: tailSize, iters: 33, series: []seriesRow{
+	{id: "ext-hedge", title: "Hedged vs unhedged small sends (1024 B, two rails, makespan)", unit: "us",
+		scenarios: []string{"baseline", "jitter-30%", "degrade-25%"}, size: 1 << 10, iters: 33, series: []seriesRow{
 			{name: "unhedged", strategy: "split-dyn-adaptive", rails: bothRails(), op: underChaos(splitXfer)},
 			{name: "hedged", strategy: "hedge", rails: bothRails(), op: underChaos(splitXfer)},
 		}},
@@ -249,10 +244,6 @@ var figures = []figureRow{
 			{name: "split-dyn-adaptive", strategy: "split-dyn-adaptive", rails: bothRails(), op: underChaos(splitXfer)},
 		}},
 }
-
-// tailSize is ext-hedge's message size: eager on both rails (hedging
-// never duplicates rendezvous transfers).
-const tailSize = 1 << 10
 
 // FigureIDs lists every reproducible figure in order.
 func FigureIDs() []string {

@@ -72,6 +72,7 @@ func TestAdaptiveSplitRecoversDegradedRail(t *testing.T) {
 // copy wins.
 func TestHedgedTransferByteVerified(t *testing.T) {
 	const iters = 40
+	size := figureNamed("ext-hedge").size
 	w := des.NewWorld()
 	top := chaosPairTopo(w)
 	var hs []*strategy.Hedge
@@ -88,7 +89,7 @@ func TestHedgedTransferByteVerified(t *testing.T) {
 				t.Errorf("rank %d iter %d fence: %v", comm.Rank(), it, err)
 				return
 			}
-			want := bytes.Repeat([]byte{byte(it + 1)}, tailSize)
+			want := bytes.Repeat([]byte{byte(it + 1)}, size)
 			switch comm.Rank() {
 			case 0:
 				if err := comm.SendCtx(ctx, 1, 7, want); err != nil {
@@ -96,7 +97,7 @@ func TestHedgedTransferByteVerified(t *testing.T) {
 					return
 				}
 			case 1:
-				buf := make([]byte, tailSize)
+				buf := make([]byte, size)
 				if _, err := comm.RecvCtx(ctx, 0, 7, buf); err != nil {
 					t.Errorf("iter %d recv: %v", it, err)
 					return
@@ -111,7 +112,7 @@ func TestHedgedTransferByteVerified(t *testing.T) {
 		return
 	}
 	for it := 0; it < iters; it++ {
-		want := bytes.Repeat([]byte{byte(it + 1)}, tailSize)
+		want := bytes.Repeat([]byte{byte(it + 1)}, size)
 		if !bytes.Equal(got[it], want) {
 			t.Fatalf("iter %d payload corrupted", it)
 		}

@@ -20,16 +20,17 @@ func (f *Figure) WritePlot(w io.Writer, width, height int) {
 	if height < 5 {
 		height = 20
 	}
-	scale, scaleName, minXOK := math.Log2, "log-log", 1
+	// xFloor is the smallest plottable X: log scales cannot place 0.
+	scale, scaleName, xFloor := math.Log2, "log-log", 1
 	if f.indexX {
-		scale, scaleName, minXOK = func(x float64) float64 { return x }, "lin-log", 0
+		scale, scaleName, xFloor = func(x float64) float64 { return x }, "lin-log", 0
 	}
 	fmt.Fprintf(w, "# %s — %s  [Y: %s, %s]\n", f.ID, f.Title, f.YLabel, scaleName)
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			if p.X < minXOK || p.Y <= 0 {
+			if p.X < xFloor || p.Y <= 0 {
 				continue
 			}
 			minX = math.Min(minX, float64(p.X))
@@ -58,7 +59,7 @@ func (f *Figure) WritePlot(w io.Writer, width, height int) {
 	for si, s := range f.Series {
 		mark := plotMarks[si%len(plotMarks)]
 		for _, p := range s.Points {
-			if p.X < minXOK || p.Y <= 0 {
+			if p.X < xFloor || p.Y <= 0 {
 				continue
 			}
 			cx := int(math.Round((scale(float64(p.X)) - lx0) / (lx1 - lx0) * float64(width-1)))
