@@ -27,7 +27,7 @@ func main() {
 	var (
 		figFlag  = flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(bench.FigureIDs(), ", ")+") or 'all'")
 		csvFlag  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		plotFlag = flag.Bool("plot", false, "render ASCII log-log plots instead of tables")
+		plotFlag = flag.Bool("plot", false, "render ASCII plots (log-log; scenario axes linear) instead of tables")
 		outDir   = flag.String("out", "", "write one file per figure into this directory instead of stdout")
 		warmup   = flag.Int("warmup", bench.Default().Warmup, "warmup iterations per point")
 		iters    = flag.Int("iters", bench.Default().Iters, "timed iterations per point (>= 1)")

@@ -80,8 +80,8 @@ type seriesRow struct {
 }
 
 // figureRow is one figure. Its X axis is either sizes (message bytes,
-// or small-message intervals for opMixed) or scenarios, fault
-// catalogue names armed at at, X indexing the list.
+// or small-message intervals for opMixed) or scenarios: names from the
+// faults catalogue whose faults fire at `at`, X being the index.
 type figureRow struct {
 	id, title, unit string
 	xLabel          string

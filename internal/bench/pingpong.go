@@ -14,7 +14,8 @@ const pingTag = 7
 
 // SweepLatency runs the ping-pong for every size and returns the measured
 // half round-trip time (ns) per size. Sizes are total message bytes
-// across all segs segments (segs <= 1 sends one segment).
+// across all segs segments (segs <= 1 sends one segment); q.Iters must
+// be >= 1.
 func (p *Pair) SweepLatency(sizes []int, segs int, q Quality) []Point {
 	if len(sizes) == 0 {
 		return nil
