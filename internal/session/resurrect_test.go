@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,9 +81,32 @@ func verifyExchange(t *testing.T, from, to *core.Gate, engFrom, engTo *core.Engi
 
 // TestResurrectTCPRail: a downed tcp rail is revived by the client's
 // probe through the server's resurrection listener, and the session
-// goes back to full width.
+// goes back to full width. The revived rail binds its spec's interface
+// like the first bring-up did, whichever host the control connection
+// uses.
 func TestResurrectTCPRail(t *testing.T) {
-	_, srvGate, cliGate, engSrv, engCli := resurrectPair(t, twoRails())
+	cases := []struct {
+		name, host string
+	}{
+		{"control host", "127.0.0.1"},
+		{"own interface", "127.0.0.2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			specs := twoRails()
+			specs[0].Addr = net.JoinHostPort(c.host, "0")
+			if l, err := net.Listen("tcp", specs[0].Addr); err != nil {
+				t.Skipf("cannot bind %s: %v", c.host, err)
+			} else {
+				l.Close()
+			}
+			resurrectTCP(t, specs, c.host)
+		})
+	}
+}
+
+func resurrectTCP(t *testing.T, specs []RailSpec, host string) {
+	_, srvGate, cliGate, engSrv, engCli := resurrectPair(t, specs)
 	verifyExchange(t, cliGate, srvGate, engCli, engSrv, 1, 1<<20)
 
 	// The rail dies; both ends observe the failure.
@@ -95,6 +119,9 @@ func TestResurrectTCPRail(t *testing.T) {
 	waitUpRails(t, srvGate, 2)
 	if len(cliGate.Rails()) != 3 {
 		t.Fatalf("client rails = %d, want 3 (old corpse + revival)", len(cliGate.Rails()))
+	}
+	if name := cliGate.Rails()[2].Driver().Name(); !strings.Contains(name, host+":") {
+		t.Fatalf("revived rail %q does not name its spec's host %s", name, host)
 	}
 
 	// Traffic flows across the revived width, including the new rail.

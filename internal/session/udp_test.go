@@ -180,13 +180,35 @@ func TestSessionUDPStraysSkipped(t *testing.T) {
 }
 
 // TestSessionConcurrentUDPSessions runs four handshakes at once on one
-// server with udp rails. Each session gets its own data sockets, so no
-// handshake sees another's preambles, and each gate pair carries its
-// own byte-verified exchange.
+// server, for several rail sets. Each session gets its own per-session
+// endpoints — tcp listeners, udp data sockets, shm segments — so no
+// handshake sees another's rail connections or preambles, and each gate
+// pair carries its own byte-verified exchange.
 func TestSessionConcurrentUDPSessions(t *testing.T) {
+	udp := RailSpec{Addr: "127.0.0.1:0", Proto: "udp"}
+	tcp := RailSpec{Addr: "127.0.0.1:0"}
+	cases := []struct {
+		name  string
+		rails []RailSpec
+		shm   bool
+	}{
+		{"udp+udp", []RailSpec{udp, udp}, false},
+		{"tcp+udp", []RailSpec{tcp, udp}, false},
+		{"tcp+udp+shm", []RailSpec{tcp, udp, {Proto: "shm"}}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.shm {
+				skipWithoutShm(t)
+			}
+			concurrentSessions(t, c.rails)
+		})
+	}
+}
+
+func concurrentSessions(t *testing.T, rails []RailSpec) {
 	const sessions = 4
 	engA, engB := engines(t)
-	rails := []RailSpec{{Addr: "127.0.0.1:0", Proto: "udp"}, {Addr: "127.0.0.1:0", Proto: "udp"}}
 	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -233,12 +255,76 @@ func TestSessionConcurrentUDPSessions(t *testing.T) {
 	}
 }
 
-// TestListenRejectsUnknownProto pins the spec validation, including a
-// udp rail with a fixed port: each session binds a fresh data socket, so
-// the port would be silently ignored.
+// TestSessionAdvertisesRoutableAddrs: rails bound to the wildcard
+// address are advertised under the control connection's local IP, the
+// address the client already reached this server by, so a client on
+// another host can dial them. The resurrection address follows the same
+// rule.
+func TestSessionAdvertisesRoutableAddrs(t *testing.T) {
+	engA, engB := engines(t)
+	rails := []RailSpec{{Addr: "0.0.0.0:0"}, {Addr: "0.0.0.0:0", Proto: "udp"}}
+	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{Resurrect: true, HandshakeTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	type acceptResult struct {
+		gate *core.Gate
+		err  error
+	}
+	accepted := make(chan acceptResult, 1)
+	accept := func() {
+		g, _, err := srv.Accept(context.Background())
+		accepted <- acceptResult{g, err}
+	}
+	go accept()
+	conn, err := net.Dial("tcp", srv.ControlAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(conn, hello{Version: Version, Name: "peek"}); err != nil {
+		t.Fatal(err)
+	}
+	var srvHello hello
+	err = readJSON(bufio.NewReader(conn), &srvHello)
+	conn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-accepted; res.err == nil {
+		t.Fatal("Accept succeeded after the client hung up")
+	}
+	addrs := []string{srvHello.ResurrectAddr}
+	for _, ri := range srvHello.Rails {
+		addrs = append(addrs, ri.Addr)
+	}
+	for _, a := range addrs {
+		host, _, err := net.SplitHostPort(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if host != "127.0.0.1" {
+			t.Fatalf("advertised %s, want host 127.0.0.1 (hello: %+v)", a, srvHello)
+		}
+	}
+	go accept()
+	gateBA, _, err := Connect(context.Background(), engB, "beta", srv.ControlAddr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := <-accepted
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	exchange(t, engB, engA, gateBA, res.gate, 9, bytes.Repeat([]byte("routable"), 4096))
+}
+
+// TestListenRejectsUnknownProto pins the spec validation, including tcp
+// and udp rails with a fixed port: each session binds a fresh listener
+// or data socket, so the port would be silently ignored.
 func TestListenRejectsUnknownProto(t *testing.T) {
 	engA, _ := engines(t)
-	for _, spec := range []RailSpec{{Addr: "127.0.0.1:0", Proto: "sctp"}, {Addr: "127.0.0.1:7001", Proto: "udp"}} {
+	for _, spec := range []RailSpec{{Addr: "127.0.0.1:0", Proto: "sctp"}, {Addr: "127.0.0.1:7001", Proto: "udp"}, {Addr: "127.0.0.1:7001"}} {
 		if _, err := Listen(context.Background(), engA, "a", "127.0.0.1:0", []RailSpec{spec}, Options{}); err == nil {
 			t.Fatalf("bad spec accepted: %+v", spec)
 		}
