@@ -21,7 +21,6 @@ package tcpdrv
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"newmad/internal/core"
-	"newmad/internal/netx"
 )
 
 // ErrClosed reports use of a closed driver.
@@ -121,14 +119,7 @@ func New(conn net.Conn, opts Options) *Driver {
 
 // Dial connects to addr and returns the rail.
 func Dial(addr string, opts Options) (*Driver, error) {
-	return DialCtx(context.Background(), addr, opts)
-}
-
-// DialCtx connects to addr under ctx: cancellation or deadline expiry
-// aborts the in-flight dial with ctx's error.
-func DialCtx(ctx context.Context, addr string, opts Options) (*Driver, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpdrv: dial %s: %w", addr, err)
 	}
@@ -137,18 +128,7 @@ func DialCtx(ctx context.Context, addr string, opts Options) (*Driver, error) {
 
 // Accept waits for one connection on l and returns the rail.
 func Accept(l net.Listener, opts Options) (*Driver, error) {
-	return AcceptCtx(context.Background(), l, opts)
-}
-
-// AcceptCtx waits for one connection on l under ctx. Cancellation is
-// mapped onto a socket deadline poke (netx.AcceptConn): the listener's
-// deadline is moved into the past, failing the blocked Accept
-// immediately, and ctx's error is returned in place of the resulting
-// timeout. The listener's deadline is cleared again before returning so
-// l can be reused.
-func AcceptCtx(ctx context.Context, l net.Listener, opts Options) (*Driver, error) {
-	deadline, _ := ctx.Deadline() // zero: no deadline
-	conn, err := netx.AcceptConn(ctx, l, deadline)
+	conn, err := l.Accept()
 	if err != nil {
 		return nil, fmt.Errorf("tcpdrv: accept: %w", err)
 	}

@@ -8,24 +8,24 @@
 // optimistic prior.
 //
 // Every revival — tcp and udp alike — is coordinated over one fresh TCP
-// connection to the resurrection listener. The exchange:
+// connection to the resurrection listener, and runs the rail's leg of
+// the first bring-up (offer, attach, confirm; see session.go) with that
+// coordination connection in the control connection's place. The
+// exchange:
 //
 //	client                               server
 //	  |-- preamble {token,rail} ---------->     look up session, verify
-//	  |                                         the rail is down
-//	  |<-- ack {ok[,addr]} ----------------     tcp: this conn IS the rail
-//	  |                                         udp: addr = fresh data socket
-//	  |   (udp only: the leg of udp.go)
-//	  |-- preamble datagram --> addr            learns client's data addr
-//	  |<-- ack {ok} ------------------------    both ends attach
+//	  |                                         the rail is down, offer a
+//	  |                                         fresh endpoint on the
+//	  |                                         rail's interface
+//	  |<-- ack {ok,addr} ------------------     addr names the endpoint
+//	  |-- attach to addr, preamble -------->    confirm: tcp on the fresh
+//	  |                                         listener, udp as a datagram
+//	  |<-- ack {ok} ------------------------    (udp only, as in udp.go)
+//	  both ends attach; the coordination connection closes
 //
-// A tcp rail reuses the coordination connection as the rail itself (the
-// server attaches after writing its ack, the client after reading it —
-// the ack is read unbuffered so engine frames right behind it survive).
-// A udp rail runs the same datagram leg as its first bring-up, with the
-// coordination connection in the control connection's place. Shm rails
-// are not resurrectable — the segment died with the peer, and a
-// same-host peer that can re-attach can just reconnect.
+// Shm rails are not resurrectable — the segment died with the peer, and
+// a same-host peer that can re-attach can just reconnect.
 //
 // The old rail object stays in the gate, down forever; AddRail appends
 // a new one. Both ends must have observed the failure: a server whose
@@ -43,6 +43,10 @@ import (
 
 	"newmad/internal/core"
 )
+
+// revivable reports whether a rail of proto can be resurrected: not an
+// shm rail, whose segment died with it.
+func revivable(proto string) bool { return proto != "shm" }
 
 // sessionRec is the server's per-session resurrection state: the gate
 // and the current rail per spec slot (AddRail appends, so the gate's
@@ -91,72 +95,51 @@ func (s *Server) resurrectLoop() {
 // resurrectConn serves one revival attempt. Refusals are answered (so
 // the client can log why) and never disturb the session.
 func (s *Server) resurrectConn(conn net.Conn) {
+	defer conn.Close()
 	deadline := s.opts.handshakeDeadline(context.Background())
 	conn.SetDeadline(deadline)
-	refuse := func(msg string) {
-		writeJSON(conn, railAck{Err: msg})
-		conn.Close()
-	}
+	ctrl := ctrlConn{conn, bufio.NewReader(conn)}
+	refuse := func(msg string) { writeJSON(conn, railAck{Err: msg}) }
 	var pre preamble
-	if err := readJSON(unbuffered{conn}, &pre); err != nil {
-		conn.Close()
+	if err := readJSON(ctrl.r, &pre); err != nil {
 		return
 	}
 	s.mu.Lock()
 	rec := s.sessions[pre.Token]
 	s.mu.Unlock()
-	if rec == nil {
+	switch {
+	case rec == nil:
 		refuse("unknown session")
-		return
-	}
-	if pre.Rail < 0 || pre.Rail >= len(s.specs) {
+	case pre.Rail < 0 || pre.Rail >= len(s.specs):
 		refuse("no such rail")
-		return
-	}
-	spec := s.specs[pre.Rail]
-	if spec.Proto == "shm" {
+	case !revivable(s.specs[pre.Rail].Proto):
 		refuse("shm rails are not resurrectable")
-		return
-	}
-	if !rec.begin(pre.Rail) {
+	case !rec.begin(pre.Rail):
 		refuse("rail is up")
-		return
+	default:
+		rec.finish(pre.Rail, s.revive(ctrl, rec, pre, deadline))
 	}
-	if spec.Proto == "udp" {
-		rec.finish(pre.Rail, s.resurrectUDP(conn, rec, pre, deadline))
-		return
-	}
-	// TCP: the coordination connection becomes the rail. Attach after the
-	// ack so the driver's writer never races the handshake bytes.
-	if err := writeJSON(conn, railAck{OK: true}); err != nil {
-		conn.Close()
-		rec.finish(pre.Rail, nil)
-		return
-	}
-	conn.SetDeadline(time.Time{})
-	rec.finish(pre.Rail, rec.gate.AddRail(railEndpoint{tcp: conn}.driver(spec.Profile)))
 }
 
-// resurrectUDP serves a udp rail revival: open a fresh data socket,
-// name it in the ack, and run the server half of udp.go's leg over the
-// coordination connection. Returns the revived rail or nil.
-func (s *Server) resurrectUDP(conn net.Conn, rec *sessionRec, pre preamble, deadline time.Time) *core.Rail {
-	defer conn.Close()
-	s1, err := net.ListenUDP("udp", s.rails[pre.Rail].udp)
+// revive runs the server's steps of rail pre.Rail's leg over ctrl:
+// offer a fresh endpoint, name it in the ack, confirm. Returns the
+// revived rail or nil.
+func (s *Server) revive(ctrl ctrlConn, rec *sessionRec, pre preamble, deadline time.Time) *core.Rail {
+	spec := s.specs[pre.Rail]
+	ep, ri, err := offerRail(spec, ctrl.LocalAddr())
 	if err != nil {
-		writeJSON(conn, railAck{Err: err.Error()})
+		writeJSON(ctrl, railAck{Err: err.Error()})
 		return nil
 	}
-	err = writeJSON(conn, railAck{OK: true, Addr: s1.LocalAddr().String()})
-	var peer *net.UDPAddr
+	err = writeJSON(ctrl, railAck{OK: true, Addr: ri.Addr})
 	if err == nil {
-		peer, err = confirmUDPRail(context.Background(), s1, conn, pre, deadline)
+		err = ep.confirm(context.Background(), ctrl, pre, deadline)
 	}
 	if err != nil {
-		s1.Close()
+		ep.close()
 		return nil
 	}
-	return rec.gate.AddRail(railEndpoint{udp: s1, udpPeer: peer}.driver(s.specs[pre.Rail].Profile))
+	return rec.gate.AddRail(ep.driver(spec.Profile))
 }
 
 // prober is one client-side resurrection loop.
@@ -204,7 +187,7 @@ func (p *prober) run(g *core.Gate, srv hello, rails []*core.Rail, opts Options) 
 				return
 			default:
 			}
-			if !rails[i].Down() {
+			if !rails[i].Down() || !revivable(srv.Rails[i].Proto) {
 				continue
 			}
 			if r := reviveRail(g, srv, i, opts.handshakeDeadline(context.Background())); r != nil {
@@ -215,15 +198,11 @@ func (p *prober) run(g *core.Gate, srv hello, rails []*core.Rail, opts Options) 
 }
 
 // reviveRail attempts one revival of rail slot i against the server's
-// resurrection listener. Any failure returns nil; the prober retries
-// next tick.
+// resurrection listener: the client's step of the rail's leg, aimed at
+// the endpoint the ack names. Any failure returns nil; the prober
+// retries next tick.
 func reviveRail(g *core.Gate, srv hello, i int, deadline time.Time) *core.Rail {
 	ri := srv.Rails[i]
-	switch ri.Proto {
-	case "", "tcp", "udp":
-	default:
-		return nil // shm: the segment died with the rail
-	}
 	if srv.ResurrectAddr == "" {
 		return nil // server does not offer resurrection
 	}
@@ -232,28 +211,18 @@ func reviveRail(g *core.Gate, srv hello, i int, deadline time.Time) *core.Rail {
 	if err != nil {
 		return nil
 	}
+	defer conn.Close()
 	conn.SetDeadline(deadline)
+	ctrl := ctrlConn{conn, bufio.NewReader(conn)}
 	pre := preamble{Token: srv.Token, Rail: i}
-	// The ack is read unbuffered: on a tcp revival the server's engine
-	// frames may already be queued right behind it on this very
-	// connection.
 	var ack railAck
-	err = writeJSON(conn, pre)
-	if err == nil {
-		err = readJSON(unbuffered{conn}, &ack)
-	}
-	if err != nil || !ack.OK {
-		conn.Close()
+	if err := writeJSON(conn, pre); err != nil || readJSON(ctrl.r, &ack) != nil || !ack.OK {
 		return nil
 	}
-	if ri.Proto == "udp" {
-		defer conn.Close()
-		uc, peer, err := attachUDPRail(bufio.NewReader(conn), ack.Addr, pre)
-		if err != nil {
-			return nil
-		}
-		return g.AddRail(railEndpoint{udp: uc, udpPeer: peer}.driver(ri.profile()))
+	ri.Addr = ack.Addr
+	ep, err := attach(context.Background(), ctrl, ri, pre, deadline)
+	if err != nil {
+		return nil
 	}
-	conn.SetDeadline(time.Time{})
-	return g.AddRail(railEndpoint{tcp: conn}.driver(ri.profile()))
+	return g.AddRail(ep.driver(ri.profile()))
 }

@@ -11,14 +11,16 @@
 // may mix all three kinds — heterogeneous rails are the point of the
 // multi-rail design.
 //
-// Between sessions the server holds only its TCP listeners. Accept
-// offers every other rail afresh per session — a new data socket per
-// udp rail, a new segment per shm rail — names it in the hello, and
-// confirms the rails in spec order: a tcp rail by the preamble on its
-// accepted connection, an shm rail by the client's preamble on the
-// control connection, a udp rail by the client's preamble datagram,
-// answered on the control connection. A revival runs the same tcp and
-// udp legs over a resurrection connection (see resurrect.go).
+// Between sessions the server holds only its control listener (and the
+// resurrection listener, if enabled). Every rail kind is one leg of
+// three steps, run per session: the server offers a fresh endpoint — a
+// listener per tcp rail, a data socket per udp rail, a segment per shm
+// rail — and names it in the hello; the client attaches to it and
+// presents the session token in a preamble; the server confirms the
+// preamble — on the accepted tcp connection, on the udp data socket
+// (answered on the control connection), or on the control connection
+// for shm. A revival runs the same leg over a resurrection connection
+// (see resurrect.go).
 //
 // Each session gate is its own progress domain: traffic to different
 // peers on one engine proceeds in parallel, and each rail's I/O
@@ -44,7 +46,6 @@ import (
 	"newmad/internal/drivers/shmdrv"
 	"newmad/internal/drivers/tcpdrv"
 	"newmad/internal/drivers/udpdrv"
-	"newmad/internal/netx"
 	"newmad/internal/shmring"
 )
 
@@ -59,7 +60,10 @@ import (
 // the segment name as a hostname. Bumped to 5 when a udp rail's
 // confirmation moved from an ack datagram to the control channel: a
 // version-4 client would wait for an ack datagram that never comes.
-const Version = 5
+// Bumped to 6 when a tcp rail revival moved off the coordination
+// connection onto a fresh listener named in the ack: a version-5 client
+// would run engine frames over the coordination connection.
+const Version = 6
 
 // DefaultHandshakeTimeout bounds a session handshake when Options leaves
 // HandshakeTimeout zero.
@@ -77,10 +81,10 @@ type Options struct {
 	// Resurrect (server side) opens an extra TCP listener, advertised to
 	// clients in the server hello, through which a downed tcp or udp rail
 	// of an established session can be brought back: the client presents
-	// the session token and rail index, the server re-attaches a fresh
-	// connection to the gate, and scheduling (hedging, adaptive
-	// stripping) picks the revived rail up through its estimator. See
-	// resurrect.go.
+	// the session token and rail index, the rail's leg of the first
+	// bring-up runs again on a fresh endpoint, and scheduling (hedging,
+	// adaptive stripping) picks the revived rail up through its
+	// estimator. See resurrect.go.
 	Resurrect bool
 	// Probe (client side) enables periodic rail resurrection: every
 	// Probe interval a background goroutine re-dials any downed tcp or
@@ -103,20 +107,12 @@ func (o Options) handshakeDeadline(ctx context.Context) time.Time {
 	return t
 }
 
-// guardCtx, ctxErrOr and acceptConn are the shared ctx-to-socket-
-// deadline-poke machinery, kept in internal/netx so tcpdrv and session
-// stay on one copy of the pattern.
-var (
-	guardCtx   = netx.Guard
-	ctxErrOr   = netx.CtxErrOr
-	acceptConn = netx.AcceptConn
-)
-
 // RailSpec declares one rail a server offers.
 type RailSpec struct {
-	// Addr is the listen address for this rail ("host:port", port 0 for
-	// ephemeral). A udp rail binds a fresh data socket per session on
-	// Addr's host, so its port must be 0.
+	// Addr names the interface a tcp or udp rail binds ("host:0"). Each
+	// session binds a fresh listener or data socket there, so the port
+	// must be 0. A wildcard host ("0.0.0.0:0", "[::]:0") is advertised
+	// under the IP the client reached the control listener by.
 	Addr string
 	// Proto selects the rail transport: "" or "tcp" is a stream rail
 	// (tcpdrv); "udp" is a datagram rail whose loss, ordering and
@@ -169,7 +165,7 @@ type preamble struct {
 
 // railAck answers a rail handshake step on a TCP connection: a udp
 // rail's confirmation, and every answer of the resurrection listener,
-// whose Addr names a revived udp rail's fresh data socket.
+// whose Addr names the revived rail's freshly offered endpoint.
 type railAck struct {
 	OK   bool   `json:"ok"`
 	Addr string `json:"addr,omitempty"`
@@ -181,7 +177,6 @@ type Server struct {
 	name  string
 	eng   *core.Engine
 	ctrl  net.Listener
-	rails []railListener
 	specs []RailSpec
 	opts  Options
 	// res is the rail resurrection listener (nil unless Options.Resurrect).
@@ -194,36 +189,21 @@ type Server struct {
 	sessions map[string]*sessionRec
 }
 
-// railListener is what the server keeps per rail between sessions: a
-// TCP listener for a tcp rail, the local address each session's data
-// socket binds for a udp rail, and nothing for an shm rail.
-type railListener struct {
-	tcp net.Listener
-	udp *net.UDPAddr
-}
-
 // Listen starts a server for the given engine: a control listener on
-// ctrlAddr plus one listener per tcp rail spec. ctx bounds the listener
-// setup; opts.HandshakeTimeout governs each subsequent Accept.
+// ctrlAddr, plus the resurrection listener if opts.Resurrect is set.
+// Rail endpoints are opened per session by Accept. ctx bounds the
+// listener setup; opts.HandshakeTimeout governs each subsequent Accept.
 func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails []RailSpec, opts Options) (*Server, error) {
 	if len(rails) == 0 {
 		return nil, fmt.Errorf("session: no rails offered")
 	}
-	var lc net.ListenConfig
-	ctrl, err := lc.Listen(ctx, "tcp", ctrlAddr)
-	if err != nil {
-		return nil, fmt.Errorf("session: control listen: %w", err)
-	}
-	s := &Server{name: name, eng: eng, ctrl: ctrl, specs: rails, opts: opts}
 	for i, spec := range rails {
-		var rl railListener
+		var err error
 		switch spec.Proto {
-		case "", "tcp":
-			rl.tcp, err = lc.Listen(ctx, "tcp", spec.Addr)
-		case "udp":
-			rl.udp, err = net.ResolveUDPAddr("udp", spec.Addr)
-			if err == nil && rl.udp.Port != 0 {
-				err = fmt.Errorf("udp rail address %s: each session binds a fresh data socket, so the port must be 0", spec.Addr)
+		case "", "tcp", "udp":
+			var a *net.TCPAddr
+			if a, err = net.ResolveTCPAddr("tcp", spec.Addr); err == nil && a.Port != 0 {
+				err = fmt.Errorf("rail address %s: each session binds a fresh socket, so the port must be 0", spec.Addr)
 			}
 		case "shm":
 			if !shmdrv.Supported() {
@@ -233,11 +213,15 @@ func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails 
 			err = fmt.Errorf("unknown proto %q", spec.Proto)
 		}
 		if err != nil {
-			s.Close()
 			return nil, fmt.Errorf("session: rail %d: %w", i, err)
 		}
-		s.rails = append(s.rails, rl)
 	}
+	var lc net.ListenConfig
+	ctrl, err := lc.Listen(ctx, "tcp", ctrlAddr)
+	if err != nil {
+		return nil, fmt.Errorf("session: control listen: %w", err)
+	}
+	s := &Server{name: name, eng: eng, ctrl: ctrl, specs: rails, opts: opts}
 	if opts.Resurrect {
 		host, _, err := net.SplitHostPort(ctrl.Addr().String())
 		if err != nil {
@@ -271,15 +255,15 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 	}
 	defer conn.Close()
 	hsDeadline := s.opts.handshakeDeadline(ctx)
-	// Deadline first, guard second (the netx.AcceptConn order): armed the
+	// Deadline first, guard second (the acceptConn order): armed the
 	// other way round, a cancel poke firing in between would be
 	// overwritten and the handshake would block to the full timeout.
 	conn.SetDeadline(hsDeadline)
 	stop := guardCtx(ctx, conn)
 	defer stop()
-	r := bufio.NewReader(conn)
+	ctrl := ctrlConn{conn, bufio.NewReader(conn)}
 	var cli hello
-	if err := readJSON(r, &cli); err != nil {
+	if err := readJSON(ctrl.r, &cli); err != nil {
 		return nil, "", fmt.Errorf("session: read client hello: %w", ctxErrOr(ctx, err))
 	}
 	if cli.Version != Version {
@@ -292,30 +276,23 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 	// a half-railed gate registered (the engine has no gate removal), so
 	// the gate is created only once the whole handshake has succeeded
 	// and every failure path closes the offered endpoints.
-	eps, infos, err := s.offerRails()
-	if err != nil {
-		return nil, "", err
+	srv := hello{Version: Version, Name: s.name, Token: token, Rails: make([]railInfo, len(s.specs))}
+	eps := make([]railEndpoint, len(s.specs))
+	for i, spec := range s.specs {
+		if eps[i], srv.Rails[i], err = offerRail(spec, conn.LocalAddr()); err != nil {
+			closeAll(eps)
+			return nil, "", fmt.Errorf("session: rail %d offer: %w", i, err)
+		}
 	}
-	srv := hello{Version: Version, Name: s.name, Token: token, Rails: infos}
 	if s.res != nil {
-		srv.ResurrectAddr = s.res.Addr().String()
+		srv.ResurrectAddr = advertise(s.res.Addr(), conn.LocalAddr())
 	}
 	if err := writeJSON(conn, srv); err != nil {
 		closeAll(eps)
 		return nil, "", fmt.Errorf("session: write server hello: %w", ctxErrOr(ctx, err))
 	}
-	for i, spec := range s.specs {
-		pre := preamble{Token: token, Rail: i}
-		switch spec.Proto {
-		case "shm":
-			// The client confirms its attach on the control channel.
-			err = expectPreamble(r, pre)
-		case "udp":
-			eps[i].udpPeer, err = confirmUDPRail(ctx, eps[i].udp, conn, pre, hsDeadline)
-		default:
-			eps[i].tcp, err = acceptTCPRail(ctx, s.rails[i].tcp, pre, hsDeadline)
-		}
-		if err != nil {
+	for i := range eps {
+		if err := eps[i].confirm(ctx, ctrl, preamble{Token: token, Rail: i}, hsDeadline); err != nil {
 			closeAll(eps)
 			return nil, "", fmt.Errorf("session: rail %d handshake: %w", i, ctxErrOr(ctx, err))
 		}
@@ -336,42 +313,90 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 	return gate, cli.Name, nil
 }
 
-// offerRails opens one session's per-session rail endpoints — a fresh
-// data socket per udp rail, a fresh segment (side 0) per shm rail — and
-// describes every rail for the hello. A tcp rail's endpoint stays empty
-// until its connection is accepted. On error nothing is left open.
-func (s *Server) offerRails() ([]railEndpoint, []railInfo, error) {
-	eps := make([]railEndpoint, len(s.specs))
-	infos := make([]railInfo, len(s.specs))
-	for i, spec := range s.specs {
-		var addr string
-		var err error
-		prof := spec.Profile
-		switch spec.Proto {
-		case "udp":
-			if eps[i].udp, err = net.ListenUDP("udp", s.rails[i].udp); err == nil {
-				addr = eps[i].udp.LocalAddr().String()
-			}
-		case "shm":
-			if eps[i].shm, err = shmdrv.Create(shmring.RandomName(), shmdrv.Options{Profile: prof}); err == nil {
-				// The hello advertises the driver's effective profile, so a
-				// zero spec profile crosses as shmdrv's defaults, not zeros.
-				addr, prof = eps[i].shm.SegName(), eps[i].shm.Profile()
-			}
-		default:
-			addr = s.rails[i].tcp.Addr().String()
+// ctrlConn is the TCP connection that carries a rail leg's control
+// half — the session's control connection or a resurrection connection
+// — with the one reader for everything its peer sends on it.
+type ctrlConn struct {
+	net.Conn
+	r *bufio.Reader
+}
+
+// offerRail is the first step of a rail's leg, on the server: it opens
+// the rail's per-session endpoint — a fresh listener for a tcp rail, a
+// fresh data socket for a udp rail, a fresh segment (side 0) for an shm
+// rail — and describes it for the client. local is the local address
+// of the connection the offer crosses. On error nothing is left open.
+func offerRail(spec RailSpec, local net.Addr) (ep railEndpoint, ri railInfo, err error) {
+	prof := spec.Profile
+	switch spec.Proto {
+	case "udp":
+		var pc net.PacketConn
+		if pc, err = net.ListenPacket("udp", spec.Addr); err == nil {
+			ep.udp = pc.(*net.UDPConn)
+			ri.Addr = advertise(pc.LocalAddr(), local)
 		}
-		if err != nil {
-			closeAll(eps)
-			return nil, nil, fmt.Errorf("session: rail %d offer: %w", i, err)
+	case "shm":
+		if ep.shm, err = shmdrv.Create(shmring.RandomName(), shmdrv.Options{Profile: prof}); err == nil {
+			// The hello advertises the driver's effective profile, so a
+			// zero spec profile crosses as shmdrv's defaults, not zeros.
+			ri.Addr, prof = ep.shm.SegName(), ep.shm.Profile()
 		}
-		infos[i] = railInfo{
-			Addr: addr, Proto: spec.Proto, Name: prof.Name,
-			LatencyNS: prof.Latency.Nanoseconds(), BandwidthBS: prof.Bandwidth,
-			EagerMax: prof.EagerMax, PIOMax: prof.PIOMax,
+	default:
+		if ep.ln, err = net.Listen("tcp", spec.Addr); err == nil {
+			ri.Addr = advertise(ep.ln.Addr(), local)
 		}
 	}
-	return eps, infos, nil
+	ri.Proto, ri.Name, ri.LatencyNS, ri.BandwidthBS = spec.Proto, prof.Name, prof.Latency.Nanoseconds(), prof.Bandwidth
+	ri.EagerMax, ri.PIOMax = prof.EagerMax, prof.PIOMax
+	return ep, ri, err
+}
+
+// advertise names a bound address the way the client can reach it. A
+// wildcard bind has no routable IP of its own, so it is named by local's
+// — the IP of the connection the client already reached this server by.
+func advertise(bound, local net.Addr) string {
+	host, port, _ := net.SplitHostPort(bound.String())
+	if ip := net.ParseIP(host); ip != nil && ip.IsUnspecified() {
+		host, _, _ = net.SplitHostPort(local.String())
+	}
+	return net.JoinHostPort(host, port)
+}
+
+// confirm is the last step of a rail's leg, on the server: it waits for
+// the client's preamble — on a connection accepted from the offered tcp
+// listener, which then closes; as a datagram on the offered udp data
+// socket, confirmed on ctrl; or, for shm, on ctrl itself — and leaves ep
+// ready for its driver.
+func (ep *railEndpoint) confirm(ctx context.Context, ctrl ctrlConn, pre preamble, deadline time.Time) (err error) {
+	switch {
+	case ep.shm != nil:
+		return expectPreamble(ctrl.r, pre)
+	case ep.udp != nil:
+		ep.udpPeer, err = confirmUDPRail(ctx, ep.udp, ctrl, pre, deadline)
+		return err
+	}
+	ep.tcp, err = acceptTCPRail(ctx, ep.ln, pre, deadline)
+	ep.ln.Close()
+	ep.ln = nil
+	return err
+}
+
+// attach is the client's step of a rail's leg: it reaches the endpoint
+// the server offered as ri — dialing a tcp rail, announcing a fresh
+// socket to a udp rail's data socket, mapping an shm rail's segment —
+// and presents pre. A udp rail's confirmation arrives on ctrl.
+func attach(ctx context.Context, ctrl ctrlConn, ri railInfo, pre preamble, deadline time.Time) (ep railEndpoint, err error) {
+	switch ri.Proto {
+	case "", "tcp":
+		ep.tcp, err = dialTCPRail(ctx, ri.Addr, pre, deadline)
+	case "udp":
+		ep.udp, ep.udpPeer, err = attachUDPRail(ctrl.r, ri.Addr, pre)
+	case "shm":
+		ep.shm, err = attachShmRail(ctrl, ri, pre)
+	default:
+		err = fmt.Errorf("unknown proto %q", ri.Proto)
+	}
+	return ep, err
 }
 
 // acceptTCPRail accepts one rail connection on l and authenticates its
@@ -391,7 +416,8 @@ func acceptTCPRail(ctx context.Context, l net.Listener, pre preamble, deadline t
 }
 
 // dialTCPRail dials one rail and sends its preamble.
-func dialTCPRail(ctx context.Context, d *net.Dialer, addr string, pre preamble, deadline time.Time) (net.Conn, error) {
+func dialTCPRail(ctx context.Context, addr string, pre preamble, deadline time.Time) (net.Conn, error) {
+	d := net.Dialer{Deadline: deadline}
 	rc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -403,12 +429,66 @@ func dialTCPRail(ctx context.Context, d *net.Dialer, addr string, pre preamble, 
 	return rc, nil
 }
 
+// deadliner is the deadline surface shared by net conns and listeners
+// (*net.TCPListener and every net.Conn implement it).
+type deadliner interface{ SetDeadline(time.Time) error }
+
+// guardCtx arranges for c's deadline to be poked into the past the
+// moment ctx is cancelled, failing any blocked read, write or accept
+// promptly. The returned stop must be called when the guarded phase
+// ends; it reports whether the poke had not yet fired.
+func guardCtx(ctx context.Context, c deadliner) (stop func() bool) {
+	return context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
+}
+
+// ctxErrOr substitutes ctx's error for a socket timeout it provoked.
+// Socket deadlines here are derived from ctx's own deadline, and the
+// netpoller timer can fire a hair before context's internal timer
+// publishes ctx.Err(); a timeout observed at or after the ctx deadline
+// is therefore reported as context.DeadlineExceeded, as the caller was
+// promised.
+func ctxErrOr(ctx context.Context, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		if t, ok := ctx.Deadline(); ok && !time.Now().Before(t) {
+			return context.DeadlineExceeded
+		}
+	}
+	return err
+}
+
+// acceptConn accepts one connection from l, interruptible by ctx and
+// bounded by the absolute deadline (zero = none). The listener deadline
+// is cleared again on return so l stays reusable; an error caused by
+// ctx comes back as ctx.Err(). A cancel poke that races the clear can
+// leave the listener's deadline in the past, which is why acceptConn
+// (re)sets the deadline first thing on every call — reuse the listener
+// through here, not through bare Accept calls.
+func acceptConn(ctx context.Context, l net.Listener, deadline time.Time) (net.Conn, error) {
+	if dl, ok := l.(deadliner); ok {
+		_ = dl.SetDeadline(deadline)
+		stop := guardCtx(ctx, dl)
+		defer func() {
+			stop()
+			_ = dl.SetDeadline(time.Time{})
+		}()
+	}
+	conn, err := l.Accept()
+	if err != nil {
+		return nil, ctxErrOr(ctx, err)
+	}
+	return conn, nil
+}
+
 // guarded runs one handshake step on a rail socket under the handshake
 // deadline and ctx's cancellation poke, then clears the deadline for
 // the driver. A false guard stop means ctx was cancelled and its poke is
 // running (or already ran): it could land after the clear and poison the
 // rail, so the step fails with ctx's error — the handshake is void.
-func guarded(ctx context.Context, c netx.Deadliner, deadline time.Time, step func() error) error {
+func guarded(ctx context.Context, c deadliner, deadline time.Time, step func() error) error {
 	c.SetDeadline(deadline)
 	stop := guardCtx(ctx, c)
 	err := step()
@@ -421,10 +501,11 @@ func guarded(ctx context.Context, c netx.Deadliner, deadline time.Time, step fun
 	return err
 }
 
-// railEndpoint is one rail awaiting gate attachment: a TCP stream, a
-// UDP socket aimed at a fixed peer, or an already-running
-// shared-memory driver. The zero value is a tcp rail not yet accepted.
+// railEndpoint is one rail between offer and gate attachment: a tcp
+// rail's offered listener, then its authenticated stream; a UDP socket
+// aimed at a fixed peer; or an already-running shared-memory driver.
 type railEndpoint struct {
+	ln      net.Listener
 	tcp     net.Conn
 	udp     *net.UDPConn
 	udpPeer *net.UDPAddr
@@ -437,6 +518,8 @@ func (e railEndpoint) close() {
 		e.shm.Close()
 	case e.udp != nil:
 		e.udp.Close()
+	case e.ln != nil:
+		e.ln.Close()
 	case e.tcp != nil:
 		e.tcp.Close()
 	}
@@ -477,14 +560,6 @@ func (s *Server) Close() error {
 			err = e
 		}
 	}
-	for _, l := range s.rails {
-		if l.tcp == nil {
-			continue
-		}
-		if e := l.tcp.Close(); err == nil {
-			err = e
-		}
-	}
 	return err
 }
 
@@ -509,9 +584,9 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	}
 	// One reader for everything the server sends on the control
 	// connection: the hello, then each udp rail's confirmation.
-	r := bufio.NewReader(conn)
+	ctrl := ctrlConn{conn, bufio.NewReader(conn)}
 	var srv hello
-	if err := readJSON(r, &srv); err != nil {
+	if err := readJSON(ctrl.r, &srv); err != nil {
 		return nil, "", fmt.Errorf("session: read server hello: %w", ctxErrOr(ctx, err))
 	}
 	if srv.Version != Version {
@@ -525,18 +600,7 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	// half-railed engine gate.
 	eps := make([]railEndpoint, len(srv.Rails))
 	for i, ri := range srv.Rails {
-		pre := preamble{Token: srv.Token, Rail: i}
-		switch ri.Proto {
-		case "", "tcp":
-			eps[i].tcp, err = dialTCPRail(ctx, &dialer, ri.Addr, pre, hsDeadline)
-		case "udp":
-			eps[i].udp, eps[i].udpPeer, err = attachUDPRail(r, ri.Addr, pre)
-		case "shm":
-			eps[i].shm, err = attachShmRail(conn, ri, pre)
-		default:
-			err = fmt.Errorf("unknown proto %q", ri.Proto)
-		}
-		if err != nil {
+		if eps[i], err = attach(ctx, ctrl, ri, preamble{Token: srv.Token, Rail: i}, hsDeadline); err != nil {
 			closeAll(eps)
 			return nil, "", fmt.Errorf("session: rail %d %s: %w", i, ri.Addr, ctxErrOr(ctx, err))
 		}

@@ -364,11 +364,12 @@ type SessionServer = session.Server
 // socket deadlines.
 type SessionOptions = session.Options
 
-// ListenSession starts a session server: a control listener plus one
-// listener per offered tcp rail; udp and shm rails get a fresh data
-// socket or segment per accepted session. Accept(ctx) returns a ready
-// multi-rail gate; waiting for a client is bounded by ctx, the
-// negotiation by opts.HandshakeTimeout.
+// ListenSession starts a session server: a control listener, and
+// nothing per rail until a session arrives — each Accept offers a fresh
+// listener per tcp rail, data socket per udp rail and segment per shm
+// rail, on the interface each RailSpec.Addr names (port 0). Accept(ctx)
+// returns a ready multi-rail gate; waiting for a client is bounded by
+// ctx, the negotiation by opts.HandshakeTimeout.
 func ListenSession(ctx context.Context, eng *Engine, name, ctrlAddr string, rails []RailSpec, opts SessionOptions) (*SessionServer, error) {
 	return session.Listen(ctx, eng, name, ctrlAddr, rails, opts)
 }
@@ -398,19 +399,8 @@ type TCPOptions = tcpdrv.Options
 // DialTCP connects a TCP rail to addr.
 func DialTCP(addr string, opts TCPOptions) (Driver, error) { return tcpdrv.Dial(addr, opts) }
 
-// DialTCPCtx connects a TCP rail to addr under ctx.
-func DialTCPCtx(ctx context.Context, addr string, opts TCPOptions) (Driver, error) {
-	return tcpdrv.DialCtx(ctx, addr, opts)
-}
-
 // AcceptTCP accepts one TCP rail on l.
 func AcceptTCP(l net.Listener, opts TCPOptions) (Driver, error) { return tcpdrv.Accept(l, opts) }
-
-// AcceptTCPCtx accepts one TCP rail on l under ctx: cancellation pokes
-// the listener deadline so the blocked accept fails promptly.
-func AcceptTCPCtx(ctx context.Context, l net.Listener, opts TCPOptions) (Driver, error) {
-	return tcpdrv.AcceptCtx(ctx, l, opts)
-}
 
 // Reliability layer (ack/retransmit) and UDP rails.
 
