@@ -45,6 +45,7 @@ package shmdrv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -450,8 +451,15 @@ func (d *Driver) receiver() {
 	}
 }
 
-// consume turns one ring record into pending arrivals. It fails only on
-// a frame that does not decode.
+// maxJumbo is the largest frame a peer could stream: no Go slice
+// outgrows an int, nor the 48-bit heap address space of 64-bit
+// platforms.
+const maxJumbo = min(math.MaxInt, 1<<48-1)
+
+// consume turns one ring record into pending arrivals. It fails on a
+// frame that does not decode, and on a record the peer could not have
+// sent: a rendezvous reference to a region that is out of bounds or not
+// awaiting delivery, or a jumbo frame larger than maxJumbo.
 func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b []byte) error {
 	switch kind {
 	case shmring.RecInline:
@@ -468,7 +476,10 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 		off := getU64(ref[:])
 		n := int(getU64(ref[8:]))
 		rx := d.seg.RX()
-		region := rx.Region(off, n)
+		region, err := rx.Region(off, n)
+		if err != nil {
+			return fmt.Errorf("corrupt rendezvous record from peer: %w", err)
+		}
 		// The region rides the packet: its lease releases through the
 		// WrapBuf hook — receiver frees the arena slot, holding the
 		// mapping alive until then.
@@ -485,8 +496,13 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 		copy(tot[len(a):], b)
 		if *jb != nil {
 			(*jb).buf.Release() // a new stream preempts a truncated one
+			*jb = nil
 		}
-		*jb = &jumbo{buf: core.GetBuf(int(getU64(tot[:])))}
+		total := getU64(tot[:])
+		if total > maxJumbo {
+			return fmt.Errorf("corrupt jumbo header from peer: %d-byte frame", total)
+		}
+		*jb = &jumbo{buf: core.GetBuf(int(total))}
 
 	case shmring.RecJumboSeg:
 		if *jb == nil {

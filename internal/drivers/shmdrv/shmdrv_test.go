@@ -279,11 +279,27 @@ func ringBytes(d *shmring.Dir) []byte {
 }
 
 // TestHostileRecordsRailDownOnce: a ring record whose length word does
-// not fit what the peer published, and an inline record that does not
-// decode as a frame, each end the rail with exactly one RailDown naming
+// not fit what the peer published, an inline record that does not
+// decode as a frame, a rendezvous reference to a region that is out of
+// bounds, never carved or already delivered, and a jumbo header no
+// frame can match each end the rail with exactly one RailDown naming
 // the cause, after delivering what came before — never a panic.
 func TestHostileRecordsRailDownOnce(t *testing.T) {
 	skipUnsupported(t)
+	ref := func(off, n uint64) []byte {
+		var b [16]byte
+		putU64(b[:], off)
+		putU64(b[8:], n)
+		return b[:]
+	}
+	jumbo := func(total uint64) []byte {
+		var b [8]byte
+		putU64(b[:], total)
+		return b[:]
+	}
+	// The pre-forgery packet rides the rendezvous path, so its record is
+	// the first in the ring and its region the first in the arena.
+	before := bytes.Repeat([]byte("before the forgery "), 512)
 	cases := []struct {
 		name, reason string
 		forge        func(tx *shmring.Dir) error
@@ -305,6 +321,24 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 		{"undecodable frame", "corrupt frame", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecInline, []byte("not a frame"))
 		}},
+		{"rendezvous misaligned", "corrupt rendezvous record", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, ref(1<<40+8, 64))
+		}},
+		{"rendezvous past arena", "corrupt rendezvous record", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, ref(16, 1<<30))
+		}},
+		{"rendezvous never carved", "corrupt rendezvous record", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, ref(512<<10+16, 0))
+		}},
+		{"rendezvous delivered twice", "corrupt rendezvous record", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, append([]byte(nil), ringBytes(tx)[16:32]...))
+		}},
+		{"jumbo beyond int", "corrupt jumbo header", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecJumboStart, jumbo(1<<63+1))
+		}},
+		{"jumbo beyond address space", "corrupt jumbo header", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecJumboStart, jumbo(1<<62))
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -317,7 +351,7 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 				b.Close()
 			})
 			a.Bind(0, &sink{})
-			if err := a.Send(dataPkt(1, []byte("before the forgery"))); err != nil {
+			if err := a.Send(dataPkt(1, before)); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.forge(a.seg.TX()); err != nil {
@@ -331,8 +365,8 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 			if downs != 1 || arrivals != 1 {
 				t.Fatalf("%d RailDowns and %d arrivals, want 1 and 1", downs, arrivals)
 			}
-			if got := sb.payload(0); string(got) != "before the forgery" {
-				t.Fatalf("pre-forgery payload: %q", got)
+			if got := sb.payload(0); !bytes.Equal(got, before) {
+				t.Fatalf("pre-forgery payload corrupted (%d bytes)", len(got))
 			}
 			sb.mu.Lock()
 			err = sb.downs[0]

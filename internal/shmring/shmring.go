@@ -171,11 +171,13 @@ const (
 	stateClosed   = uint32(2)
 )
 
-// Arena region states.
+// Arena region states. A region is busy from Alloc until the consumer
+// claims it for delivery (held), and free once Free releases it.
 const (
 	regBusy = uint32(1)
 	regFree = uint32(2)
 	regSkip = uint32(3)
+	regHeld = uint32(4)
 )
 
 // Arena lease accounting, process-wide: PoolStats-style counters proving
@@ -594,7 +596,7 @@ func (d *Dir) reclaim() {
 	for tail < head {
 		pos := tail & d.arMask
 		size := getU64(d.arena[pos:])
-		if d.regState(pos).Load() == regBusy {
+		if st := d.regState(pos).Load(); st == regBusy || st == regHeld {
 			break
 		}
 		tail += uint64(regHdrLen + align16(int(size)))
@@ -657,13 +659,27 @@ func (d *Dir) Alloc(n int) (uint64, []byte, error) {
 
 // ---- arena: consumer side (plus producer abandon) -----------------------
 
-// Region returns the bytes of a region by the offset carried in its
-// ring record.
+// Region claims the region a ring record names by offset and length
+// and returns its bytes. The record comes from the peer, so it is
+// checked before anything is sliced: the region must lie 16-aligned
+// inside the arena behind its header, match the header's length, and
+// be busy — so a forged record, or a second record naming a region
+// already claimed, is refused with an error.
 // The caller must hold its own Retain on the segment for as long as the
 // slice lives.
-func (d *Dir) Region(off uint64, n int) []byte {
-	pos := off & d.arMask
-	return d.arena[pos : pos+uint64(n) : pos+uint64(n)]
+func (d *Dir) Region(off uint64, n int) ([]byte, error) {
+	hdr := (off - regHdrLen) & d.arMask
+	start := hdr + regHdrLen
+	if hdr%16 != 0 || n < 0 || uint64(n) > uint64(len(d.arena))-start {
+		return nil, fmt.Errorf("arena region %d+%d out of bounds", off, n)
+	}
+	if getU64(d.arena[hdr:]) != uint64(n) {
+		return nil, fmt.Errorf("arena region %d+%d does not match its header", off, n)
+	}
+	if !d.regState(hdr).CompareAndSwap(regBusy, regHeld) {
+		return nil, fmt.Errorf("arena region %d+%d is not awaiting delivery", off, n)
+	}
+	return d.arena[start : start+uint64(n) : start+uint64(n)], nil
 }
 
 // Free releases a region: the single-owner lease rule for rendezvous
@@ -676,8 +692,8 @@ func (d *Dir) Free(off uint64) {
 		return
 	}
 	defer d.seg.exit()
-	pos := (off - regHdrLen) & d.arMask
-	if !d.regState(pos).CompareAndSwap(regBusy, regFree) {
+	st := d.regState((off - regHdrLen) & d.arMask)
+	if !st.CompareAndSwap(regHeld, regFree) && !st.CompareAndSwap(regBusy, regFree) {
 		panic("shmring: arena region freed twice")
 	}
 	arenaFrees.Add(1)

@@ -163,7 +163,10 @@ func TestArenaWrapAndReclaim(t *testing.T) {
 		if size != 5000+i%9000 {
 			t.Fatalf("region %d: size %d", i, size)
 		}
-		region := b.RX().Region(off, size)
+		region, err := b.RX().Region(off, size)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range region {
 			if c != byte(i) {
 				t.Fatalf("region %d corrupted", i)
