@@ -203,9 +203,6 @@ func (p *prober) run(g *core.Gate, srv hello, rails []*core.Rail, opts Options) 
 // retries next tick.
 func reviveRail(g *core.Gate, srv hello, i int, deadline time.Time) *core.Rail {
 	ri := srv.Rails[i]
-	if srv.ResurrectAddr == "" {
-		return nil // server does not offer resurrection
-	}
 	d := net.Dialer{Deadline: deadline}
 	conn, err := d.Dial("tcp", srv.ResurrectAddr)
 	if err != nil {

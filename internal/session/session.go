@@ -88,8 +88,9 @@ type Options struct {
 	Resurrect bool
 	// Probe (client side) enables periodic rail resurrection: every
 	// Probe interval a background goroutine re-dials any downed tcp or
-	// udp rail against the server's resurrection listener. Zero disables
-	// probing. Call StopProbe(gate) before closing the engine.
+	// udp rail against the server's resurrection listener. Zero, or a
+	// server without Resurrect, disables probing. Call StopProbe(gate)
+	// before closing the engine.
 	Probe time.Duration
 }
 
@@ -326,29 +327,34 @@ type ctrlConn struct {
 // fresh data socket for a udp rail, a fresh segment (side 0) for an shm
 // rail — and describes it for the client. local is the local address
 // of the connection the offer crosses. On error nothing is left open.
-func offerRail(spec RailSpec, local net.Addr) (ep railEndpoint, ri railInfo, err error) {
+func offerRail(spec RailSpec, local net.Addr) (railEndpoint, railInfo, error) {
+	var ep railEndpoint
+	var addr string
+	var err error
 	prof := spec.Profile
 	switch spec.Proto {
 	case "udp":
 		var pc net.PacketConn
 		if pc, err = net.ListenPacket("udp", spec.Addr); err == nil {
 			ep.udp = pc.(*net.UDPConn)
-			ri.Addr = advertise(pc.LocalAddr(), local)
+			addr = advertise(pc.LocalAddr(), local)
 		}
 	case "shm":
 		if ep.shm, err = shmdrv.Create(shmring.RandomName(), shmdrv.Options{Profile: prof}); err == nil {
 			// The hello advertises the driver's effective profile, so a
 			// zero spec profile crosses as shmdrv's defaults, not zeros.
-			ri.Addr, prof = ep.shm.SegName(), ep.shm.Profile()
+			addr, prof = ep.shm.SegName(), ep.shm.Profile()
 		}
 	default:
 		if ep.ln, err = net.Listen("tcp", spec.Addr); err == nil {
-			ri.Addr = advertise(ep.ln.Addr(), local)
+			addr = advertise(ep.ln.Addr(), local)
 		}
 	}
-	ri.Proto, ri.Name, ri.LatencyNS, ri.BandwidthBS = spec.Proto, prof.Name, prof.Latency.Nanoseconds(), prof.Bandwidth
-	ri.EagerMax, ri.PIOMax = prof.EagerMax, prof.PIOMax
-	return ep, ri, err
+	return ep, railInfo{
+		Addr: addr, Proto: spec.Proto, Name: prof.Name,
+		LatencyNS: prof.Latency.Nanoseconds(), BandwidthBS: prof.Bandwidth,
+		EagerMax: prof.EagerMax, PIOMax: prof.PIOMax,
+	}, err
 }
 
 // advertise names a bound address the way the client can reach it. A
@@ -610,7 +616,7 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 	for i, ep := range eps {
 		rls[i] = gate.AddRail(ep.driver(srv.Rails[i].profile()))
 	}
-	if opts.Probe > 0 {
+	if opts.Probe > 0 && srv.ResurrectAddr != "" { // else the server offers no resurrection
 		startProber(gate, srv, rls, opts)
 	}
 	return gate, srv.Name, nil
