@@ -292,7 +292,7 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 		putU64(b[8:], n)
 		return b[:]
 	}
-	jumbo := func(total uint64) []byte {
+	jumboStart := func(total uint64) []byte {
 		var b [8]byte
 		putU64(b[:], total)
 		return b[:]
@@ -334,10 +334,10 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 			return tx.Push(shmring.RecRendezvous, append([]byte(nil), ringBytes(tx)[16:32]...))
 		}},
 		{"jumbo beyond int", "corrupt jumbo header", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecJumboStart, jumbo(1<<63+1))
+			return tx.Push(shmring.RecJumboStart, jumboStart(1<<63+1))
 		}},
 		{"jumbo beyond address space", "corrupt jumbo header", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecJumboStart, jumbo(1<<62))
+			return tx.Push(shmring.RecJumboStart, jumboStart(1<<62))
 		}},
 	}
 	for _, c := range cases {
