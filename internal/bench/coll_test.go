@@ -225,6 +225,46 @@ func TestSampledClusterUniformSelector(t *testing.T) {
 	cluster.W.Run()
 }
 
+// TestAutoTracksBestFamily holds the selector to the figures it is
+// judged by: in ext-coll and ext-allreduce, at every size, the
+// "selected (auto)" series must be within 2 % of the best forced
+// algorithm family measured at that size.
+func TestAutoTracksBestFamily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure build is slow")
+	}
+	for _, id := range []string{"ext-coll", "ext-allreduce"} {
+		fig, err := Build(id, Fast())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var auto *Series
+		for i := range fig.Series {
+			if fig.Series[i].Name == "selected (auto)" {
+				auto = &fig.Series[i]
+			}
+		}
+		if auto == nil {
+			t.Fatalf("%s: no selected (auto) series", id)
+		}
+		for _, pt := range auto.Points {
+			best, bestName := -1.0, ""
+			for i := range fig.Series {
+				s := &fig.Series[i]
+				if s == auto {
+					continue
+				}
+				if y, ok := s.Y(pt.X); ok && (best < 0 || y < best) {
+					best, bestName = y, s.Name
+				}
+			}
+			if pt.Y > 1.02*best {
+				t.Errorf("%s at %d B: auto %.1f %s, %s %.1f", id, pt.X, fig.value(pt.Y), fig.YLabel, bestName, fig.value(best))
+			}
+		}
+	}
+}
+
 func TestExtCollFigureBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure build is slow")
