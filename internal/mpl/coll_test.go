@@ -143,7 +143,7 @@ func TestAllreduceByteExact(t *testing.T) {
 			{"small-tree", 3, mpl.AlgoTree},
 			{"small-auto", 64, mpl.AlgoAuto},
 			{"ring", 8 << 10, mpl.AlgoPipeline},
-			{"large-auto", 96 << 10, mpl.AlgoAuto}, // past PipeMin: selector picks the ring
+			{"large-auto", 96 << 10, mpl.AlgoAuto}, // bandwidth-bound: the model picks the ring
 			{"linear", 16, mpl.AlgoLinear},
 		} {
 			t.Run(fmt.Sprintf("r%d/%s", ranks, tc.name), func(t *testing.T) {

@@ -35,7 +35,7 @@ const (
 	classAllreduce
 	classAllgather
 	classAlltoall
-	// classRefit carries the adaptive selector re-fit's threshold
+	// classRefit carries the adaptive selector re-fit's model
 	// broadcast (see Comm.refit) — not a user-visible collective, but it
 	// shares the lockstep sequence space, so it needs its own class to
 	// keep its traffic off the real operations' channels.
@@ -175,7 +175,7 @@ func (c *Comm) BarrierCtx(ctx context.Context) error { return c.collCtx(ctx, c.I
 // IBcast starts a nonblocking broadcast of root's buf to every rank.
 func (c *Comm) IBcast(root int, buf []byte) *Coll {
 	return c.startColl(c.collTag(classBcast),
-		c.bcastStages(root, buf, c.Selector().pick(c.Size(), len(buf), true)))
+		c.bcastStages(root, buf, c.Selector().pick(c.Size(), len(buf), bcastCost)))
 }
 
 // bcastStages plans a broadcast (also the second half of the composed
@@ -222,10 +222,7 @@ func (c *Comm) bcastStages(root int, buf []byte, algo Algo) []stage {
 // predecessor.
 func (c *Comm) bcastChain(root int, buf []byte) []stage {
 	size := c.Size()
-	chunk := c.Selector().Chunk
-	if chunk <= 0 {
-		chunk = DefaultSelector().Chunk
-	}
+	chunk := c.Selector().chunk()
 	v := vrank(c.rank, root, size)
 	n := len(buf)
 	chunks := (n + chunk - 1) / chunk
@@ -272,7 +269,7 @@ func (c *Comm) IGather(root int, send, recv []byte) *Coll {
 		panic(fmt.Sprintf("mpl: Gather recv %d < %d", len(recv), n*size))
 	}
 	return c.startColl(c.collTag(classGather), c.gatherStages(root, send, recv,
-		c.Selector().pick(size, n*size, false)))
+		c.Selector().pick(size, n*size, nil)))
 }
 
 // gatherStages plans a gather (also the first half of the composed
@@ -395,7 +392,7 @@ func (c *Comm) IReduce(root int, send, recv []byte, op Op) *Coll {
 	}
 	tag := c.collTag(classReduce)
 	return c.startColl(tag, c.reduceStages(root, send, recv, op,
-		c.Selector().pick(c.Size(), len(send), false)))
+		c.Selector().pick(c.Size(), len(send), nil)))
 }
 
 func (c *Comm) checkReduce(send []byte, op Op) {
@@ -491,7 +488,7 @@ func (c *Comm) IAllreduce(send, recv []byte, op Op) *Coll {
 	size := c.Size()
 	n := len(send)
 	tag := c.collTag(classAllreduce)
-	algo := c.Selector().pick(size, n, true)
+	algo := c.Selector().pick(size, n, allreduceCost)
 	if algo == AlgoPipeline && n/op.Elem < size {
 		algo = AlgoTree // too few elements to scatter one block per rank
 	}
@@ -584,7 +581,7 @@ func (c *Comm) IAllgather(send, recv []byte) *Coll {
 		panic(fmt.Sprintf("mpl: Allgather recv %d < %d", len(recv), n*size))
 	}
 	tag := c.collTag(classAllgather)
-	algo := c.Selector().pick(size, n*size, true)
+	algo := c.Selector().pick(size, n*size, allgatherCost)
 	var stages []stage
 	if algo == AlgoPipeline {
 		// Ring: size-1 rounds, each forwarding the block received last.

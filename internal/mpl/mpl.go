@@ -9,7 +9,6 @@ package mpl
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -96,7 +95,7 @@ func (c *Comm) Selector() Selector {
 	return c.sel
 }
 
-// SeedSelector derives the selector thresholds from the rail profiles of
+// SeedSelector derives the selector's model from the rail profiles of
 // this communicator's gates (declared by drivers, or measured by
 // internal/sampling when the platform was sampled at initialization) and
 // installs the result. It returns the installed selector.
@@ -222,19 +221,19 @@ func (c *Comm) waitAbandon(ctx context.Context, reqs ...core.Request) error {
 }
 
 // SetAdaptive enables online selector re-fitting: every `every`
-// collective operations (0 disables) the selector thresholds are
-// re-derived from the rails' online latency/bandwidth estimators via
+// collective operations (0 disables) the selector's α-β model and
+// thresholds are re-derived from the rails' online estimators via
 // SelectorFromRails, migrating the algorithm crossover points as the
 // observed platform drifts away from its one-shot seed.
 //
 // Rank uniformity is preserved by construction: the re-fit fires on the
 // collective sequence counter, which every rank advances in the same
 // order, so all ranks re-fit at the same deterministic epochs; and the
-// thresholds themselves are fitted once, on rank 0, then distributed to
+// selector itself is fitted once, on rank 0, then distributed to
 // every rank over a small broadcast riding the epoch's reserved
 // channel. Independently fitted selectors would drift apart — each
 // rank's estimators watch their own wall clock — so the epoch boundary
-// is also a (cheap, 16-byte) synchronization point. Call VerifySelector
+// is also a (cheap, 40-byte) synchronization point. Call VerifySelector
 // after enabling — or at any setup fence — to check that cross-rank
 // agreement actually holds; a rank whose broadcast failed keeps its
 // previous epoch and is caught there.
@@ -247,7 +246,7 @@ func (c *Comm) SetAdaptive(every uint32) {
 
 // refit re-derives the selector at an epoch boundary. Rank 0 fits from
 // its first peer gate's rail estimators; everyone then agrees on rank
-// 0's thresholds via a binomial broadcast on the refit class channel at
+// 0's fit (model and thresholds) via a binomial broadcast on the refit class channel at
 // this boundary's sequence number — every rank hits the same boundary
 // in lockstep, so the exchange can never cross-match another epoch's.
 // The Force override is user intent, stays local, and survives re-fits.
@@ -256,18 +255,14 @@ func (c *Comm) SetAdaptive(every uint32) {
 func (c *Comm) refit(seq, epoch uint32) {
 	size := c.Size()
 	tag := core.ReservedTag(classRefit, seq)
-	buf := make([]byte, 16)
+	buf := make([]byte, fitBytes)
 	if c.rank == 0 {
 		fitted := false
 		for r, g := range c.gates {
 			if r == c.rank {
 				continue
 			}
-			s := SelectorFromRails(g.Rails())
-			binary.LittleEndian.PutUint32(buf[0:], uint32(s.SmallMax))
-			binary.LittleEndian.PutUint32(buf[4:], uint32(s.PipeMin))
-			binary.LittleEndian.PutUint32(buf[8:], uint32(s.Chunk))
-			binary.LittleEndian.PutUint32(buf[12:], uint32(s.FanoutMaxRanks))
+			SelectorFromRails(g.Rails()).putFit(buf)
 			fitted = true
 			break // rails are symmetric across peers; one gate is enough
 		}
@@ -288,14 +283,9 @@ func (c *Comm) refit(seq, epoch uint32) {
 	if len(reqs) > 0 && c.wait(context.Background(), reqs...) != nil {
 		return
 	}
-	s := Selector{
-		SmallMax:       int(binary.LittleEndian.Uint32(buf[0:])),
-		PipeMin:        int(binary.LittleEndian.Uint32(buf[4:])),
-		Chunk:          int(binary.LittleEndian.Uint32(buf[8:])),
-		FanoutMaxRanks: int(binary.LittleEndian.Uint32(buf[12:])),
-		Epoch:          epoch,
-		Force:          c.Selector().Force,
-	}
+	s := fitFrom(buf)
+	s.Epoch = epoch
+	s.Force = c.Selector().Force
 	c.SetSelector(s)
 }
 

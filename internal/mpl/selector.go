@@ -1,7 +1,9 @@
 package mpl
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -65,47 +67,78 @@ func ParseAlgo(s string) (Algo, error) {
 }
 
 // Selector chooses the algorithm for each collective from the message
-// size and rank count, splitting the size axis into three regimes:
+// size and rank count:
 //
-//   - latency-bound (<= SmallMax): linear. Posting a send costs far less
-//     than a network hop on the modeled fabrics, so a root fanning out
-//     N-1 cheap sends beats log2(N) full round trips while N stays below
-//     FanoutMaxRanks.
-//   - bandwidth-bound (>= PipeMin): pipelined/chunked. One traversal of
-//     the data plus a startup ramp; the root pushes each byte once
-//     instead of log2(N) times.
-//   - in between: binomial tree — log depth without pipeline startup.
+//   - latency-bound (<= SmallMax, at most FanoutMaxRanks ranks): linear.
+//     Posting a send costs far less than a network hop on the modeled
+//     fabrics, so a root fanning out N-1 cheap sends beats log2(N) full
+//     round trips.
+//   - past that: the binomial tree, or the operation's pipelined variant
+//     when its modeled time is lower.
 //
-// Seed the thresholds from measurements with SelectorFromFit /
-// SelectorFromProfiles (or Comm.SeedSelector), or keep the static
-// defaults.
+// The model is α-β (Thakur, Rabenseifner & Gropp, "Optimization of
+// Collective Communication Operations in MPICH", IJHPCA 2005): α is the
+// gate's smallest rail latency, 1/β its summed rail bandwidth. For p
+// ranks and n bytes it prices
+//
+//	Allreduce  tree 2⌈log p⌉(α+nβ)  vs  ring 2(p−1)(α+nβ/p)
+//	Bcast      tree ⌈log p⌉(α+nβ)   vs  chain (p−2+n/Chunk)(α+Chunk·β)
+//	Allgather  gather+bcast trees   vs  ring (p−1)(α+nβ/p)
+//
+// Gather and Reduce have no pipelined variant and use the tree. Seed the
+// model from measurements with SelectorFromFit / SelectorFromProfiles /
+// SelectorFromRails (or Comm.SeedSelector); DefaultSelector assumes a
+// 2 µs, 2.048 GB/s gate. The model is unexported: a Selector built as a
+// literal prices with the default model.
 type Selector struct {
 	// Force, when not AlgoAuto, overrides the choice for every
 	// operation (mapped to the nearest applicable family).
 	Force Algo
 	// SmallMax is the largest total payload considered latency-bound.
 	SmallMax int
-	// PipeMin is the smallest total payload routed to the pipelined
-	// (chunked / ring) algorithms where the operation has one.
-	PipeMin int
-	// Chunk is the pipeline chunk size for the chained Bcast.
+	// Chunk is the pipeline chunk size for the chained Bcast. Seeded
+	// selectors cap it at the rails' smallest EagerMax, so a chain chunk
+	// never pays a rendezvous round trip.
 	Chunk int
 	// FanoutMaxRanks bounds the linear small-message regime: beyond this
 	// many ranks the O(N) fan-out overtakes log2(N) hops even for tiny
 	// payloads (0 uses the default of 32).
 	FanoutMaxRanks int
-	// Epoch tags the deterministic re-fit generation that produced these
-	// thresholds (0 for seeds and static defaults). Adaptive selection
+	// Epoch tags the deterministic re-fit generation that produced this
+	// selector (0 for seeds and static defaults). Adaptive selection
 	// bumps it at every re-fit; it participates in the digest, so ranks
-	// whose selectors diverged — different thresholds or re-fits at
+	// whose selectors diverged — different models or re-fits at
 	// different times — fail the uniformity check loudly.
 	Epoch uint32
+
+	// lat and bw are the α-β model the tree/pipeline choice prices with:
+	// the gate's smallest rail latency and summed bandwidth (bytes/s).
+	// Zero means the default model.
+	lat time.Duration
+	bw  float64
+}
+
+// The default α-β model: roughly one of the paper's two-rail gates.
+// Its bandwidth-delay product is 4 KiB, which puts DefaultSelector's
+// SmallMax at 16 KiB.
+const (
+	defaultLatency   = 2 * time.Microsecond
+	defaultBandwidth = 2.048e9
+)
+
+// model returns the selector's α-β model, the default one when unset.
+func (s Selector) model() (time.Duration, float64) {
+	if s.lat <= 0 || s.bw <= 0 {
+		return defaultLatency, defaultBandwidth
+	}
+	return s.lat, s.bw
 }
 
 // Digest hashes the selector's algorithm-relevant state (FNV-1a over the
-// thresholds, force override and epoch). Equal digests mean two ranks
-// will make identical algorithm choices for every (ranks, bytes) input;
-// Comm.VerifySelector exchanges digests to enforce that cross-rank.
+// thresholds, the α-β model, force override and epoch). Equal digests
+// mean two ranks will make identical algorithm choices for every (ranks,
+// bytes) input; Comm.VerifySelector exchanges digests to enforce that
+// cross-rank.
 func (s Selector) Digest() uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -115,23 +148,28 @@ func (s Selector) Digest() uint64 {
 			v >>= 8
 		}
 	}
+	lat, bw := s.model()
 	mix(uint64(s.Force))
 	mix(uint64(s.SmallMax))
-	mix(uint64(s.PipeMin))
 	mix(uint64(s.Chunk))
 	mix(uint64(s.FanoutMaxRanks))
 	mix(uint64(s.Epoch))
+	mix(uint64(lat))
+	mix(math.Float64bits(bw))
 	return h
 }
 
-// quantized rounds the size thresholds to the nearest power of two. The
-// adaptive re-fit path runs it so that symmetric ranks fitting from
-// independently observed — similar but not bit-identical — estimates
-// still land on identical thresholds.
+// quantized rounds SmallMax and the model to the nearest power of two
+// and Chunk down to one (rounding down keeps the EagerMax cap). The
+// adaptive re-fit path runs it so that successive fits from drifting
+// estimates don't flap between nearby choices.
 func (s Selector) quantized() Selector {
 	s.SmallMax = roundPow2(s.SmallMax)
-	s.PipeMin = roundPow2(s.PipeMin)
-	s.Chunk = roundPow2(s.Chunk)
+	if s.Chunk > 0 {
+		s.Chunk = 1 << (bits.Len(uint(s.Chunk)) - 1)
+	}
+	s.lat = time.Duration(roundPow2(int(s.lat)))
+	s.bw = float64(roundPow2(int(s.bw)))
 	return s
 }
 
@@ -149,75 +187,120 @@ func roundPow2(v int) int {
 	return hi
 }
 
-// DefaultSelector returns the static thresholds: sane for the paper's
-// high-speed interconnects and conservative for TCP.
-func DefaultSelector() Selector {
-	return Selector{SmallMax: 16 << 10, PipeMin: 512 << 10, Chunk: 64 << 10, FanoutMaxRanks: 32}
+// fitBytes is the length of the adaptive re-fit broadcast (see
+// Comm.refit): SmallMax, Chunk, FanoutMaxRanks, latency (ns) and
+// bandwidth (float64 bits), 8 bytes each.
+const fitBytes = 40
+
+// putFit encodes the selector's fitted state into buf (fitBytes long).
+func (s Selector) putFit(buf []byte) {
+	lat, bw := s.model()
+	binary.LittleEndian.PutUint64(buf[0:], uint64(s.SmallMax))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(s.Chunk))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(s.FanoutMaxRanks))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(lat))
+	binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(bw))
 }
 
-// SelectorFromFit derives thresholds from a sampled latency/bandwidth
-// model (internal/sampling): the crossover sizes scale with the rail's
-// bandwidth-delay product, clamped to sane bounds.
-func SelectorFromFit(f sampling.Fit) Selector {
-	return selectorFromModel(f.Latency, f.Bandwidth)
-}
-
-// SelectorFromProfiles derives thresholds from rail profiles (declared by
-// drivers or installed by init-time sampling): the rails of one gate act
-// in parallel, so bandwidths add and the smallest latency wins.
-func SelectorFromProfiles(profs []core.Profile) Selector {
-	var bw float64
-	var lat time.Duration
-	for _, p := range profs {
-		bw += p.Bandwidth
-		if lat == 0 || (p.Latency > 0 && p.Latency < lat) {
-			lat = p.Latency
-		}
+// fitFrom decodes a putFit encoding.
+func fitFrom(buf []byte) Selector {
+	return Selector{
+		SmallMax:       int(binary.LittleEndian.Uint64(buf[0:])),
+		Chunk:          int(binary.LittleEndian.Uint64(buf[8:])),
+		FanoutMaxRanks: int(binary.LittleEndian.Uint64(buf[16:])),
+		lat:            time.Duration(binary.LittleEndian.Uint64(buf[24:])),
+		bw:             math.Float64frombits(binary.LittleEndian.Uint64(buf[32:])),
 	}
-	return selectorFromModel(lat, bw)
 }
 
-// SelectorFromRails derives thresholds from the rails' online estimators:
-// the rails act in parallel, so estimated bandwidths add and the smallest
-// estimated latency wins. Rails without observations answer from their
+// DefaultSelector returns the selector of the default α-β model: sane
+// for the paper's high-speed interconnects and conservative for TCP.
+func DefaultSelector() Selector {
+	return selectorFromModel(0, 0, 0)
+}
+
+// SelectorFromFit derives a selector from a sampled latency/bandwidth
+// model (internal/sampling). A fit carries no eager limit, so Chunk is
+// left uncapped.
+func SelectorFromFit(f sampling.Fit) Selector {
+	return selectorFromModel(f.Latency, f.Bandwidth, 0)
+}
+
+// SelectorFromProfiles derives a selector from rail profiles (declared by
+// drivers or installed by init-time sampling): the rails of one gate act
+// in parallel, so bandwidths add, the smallest latency wins, and Chunk
+// is capped at the smallest EagerMax.
+func SelectorFromProfiles(profs []core.Profile) Selector {
+	var m railModel
+	for _, p := range profs {
+		m.add(p.Latency, p.Bandwidth, p.EagerMax)
+	}
+	return selectorFromModel(m.lat, m.bw, m.eager)
+}
+
+// SelectorFromRails derives a selector from the rails' online
+// estimators: the rails act in parallel, so estimated bandwidths add and
+// the smallest estimated latency wins; Chunk is capped at the smallest
+// live rail's EagerMax. Rails without observations answer from their
 // profile priors, so the result degrades to SelectorFromProfiles on an
-// idle platform. The thresholds are quantized to powers of two so that
+// idle platform. The result is quantized to powers of two so that
 // successive fits from drifting estimates don't flap between nearby
 // values (cross-rank agreement is not quantization's job: the adaptive
 // re-fit distributes rank 0's fit, see Comm.SetAdaptive).
 func SelectorFromRails(rails []*core.Rail) Selector {
-	var bw float64
-	var lat time.Duration
+	var m railModel
 	for _, r := range rails {
 		if r.Down() {
 			continue
 		}
-		est := r.Estimator()
-		if est == nil {
-			p := r.Profile()
-			bw += p.Bandwidth
-			if lat == 0 || (p.Latency > 0 && p.Latency < lat) {
-				lat = p.Latency
-			}
-			continue
-		}
-		bw += est.Bandwidth()
-		if l := est.Latency(); lat == 0 || (l > 0 && l < lat) {
-			lat = l
+		p := r.Profile()
+		if est := r.Estimator(); est != nil {
+			m.add(est.Latency(), est.Bandwidth(), p.EagerMax)
+		} else {
+			m.add(p.Latency, p.Bandwidth, p.EagerMax)
 		}
 	}
-	return selectorFromModel(lat, bw).quantized()
+	return selectorFromModel(m.lat, m.bw, m.eager).quantized()
 }
 
-func selectorFromModel(lat time.Duration, bw float64) Selector {
-	s := DefaultSelector()
+// railModel folds the rails of one gate into the selector's model: the
+// rails act in parallel, so bandwidths add, and the smallest latency and
+// eager limit win.
+type railModel struct {
+	lat   time.Duration
+	bw    float64
+	eager int
+}
+
+func (m *railModel) add(lat time.Duration, bw float64, eager int) {
+	m.bw += bw
+	if m.lat == 0 || (lat > 0 && lat < m.lat) {
+		m.lat = lat
+	}
+	if m.eager == 0 || (eager > 0 && eager < m.eager) {
+		m.eager = eager
+	}
+}
+
+// selectorFromModel builds the selector of an α-β model (the default
+// model when lat or bw is not positive): the linear regime and the chain
+// chunk scale with the bandwidth-delay product, clamped to sane bounds,
+// and Chunk is capped at eager when positive.
+func selectorFromModel(lat time.Duration, bw float64, eager int) Selector {
 	if lat <= 0 || bw <= 0 {
-		return s
+		lat, bw = defaultLatency, defaultBandwidth
 	}
 	bdp := int(bw * lat.Seconds()) // bytes in flight per hop
-	s.SmallMax = clamp(4*bdp, 4<<10, 256<<10)
-	s.PipeMin = clamp(32*bdp, 64<<10, 8<<20)
-	s.Chunk = clamp(8*bdp, 16<<10, 1<<20)
+	s := Selector{
+		SmallMax:       clamp(4*bdp, 4<<10, 256<<10),
+		Chunk:          clamp(8*bdp, 16<<10, 1<<20),
+		FanoutMaxRanks: 32,
+		lat:            lat,
+		bw:             bw,
+	}
+	if eager > 0 && s.Chunk > eager {
+		s.Chunk = eager
+	}
 	return s
 }
 
@@ -231,12 +314,58 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// pick is the generic rooted-operation policy (Bcast, Gather, Reduce,
-// Allreduce, Allgather): linear while latency-bound (cheap sends, modest
-// rank counts), pipelined once bandwidth-bound (for operations that have
-// one), binomial trees in between and at scale.
-func (s Selector) pick(ranks, bytes int, pipelined bool) Algo {
-	if a := s.forced(pipelined); a != AlgoAuto {
+// chunk returns the chain Bcast's chunk size.
+func (s Selector) chunk() int {
+	if s.Chunk > 0 {
+		return s.Chunk
+	}
+	return DefaultSelector().Chunk
+}
+
+// costFn prices an operation's tree and pipelined schedules for ranks
+// ranks and bytes total payload, in nanoseconds.
+type costFn func(s Selector, ranks, bytes int) (tree, pipe float64)
+
+// alphaBeta returns the model's per-message latency α (ns) and per-byte
+// time β (ns/byte), and ⌈log2 ranks⌉.
+func (s Selector) alphaBeta(ranks int) (a, b, logp float64) {
+	lat, bw := s.model()
+	return float64(lat), 1e9 / bw, float64(bits.Len(uint(ranks - 1)))
+}
+
+// allreduceCost: reduce + bcast binomial trees against the ring
+// reduce-scatter + allgather.
+func allreduceCost(s Selector, ranks, bytes int) (tree, pipe float64) {
+	a, b, logp := s.alphaBeta(ranks)
+	p, n := float64(ranks), float64(bytes)
+	return 2 * logp * (a + n*b), 2 * (p - 1) * (a + n*b/p)
+}
+
+// bcastCost: the binomial tree against the chunked chain, whose chunk
+// count is taken fractionally so the cost stays linear in n and the
+// choice crosses over once.
+func bcastCost(s Selector, ranks, bytes int) (tree, pipe float64) {
+	a, b, logp := s.alphaBeta(ranks)
+	p, n, c := float64(ranks), float64(bytes), float64(s.chunk())
+	return logp * (a + n*b), (p - 2 + n/c) * (a + c*b)
+}
+
+// allgatherCost: the composed gather + bcast binomial trees against the
+// ring; bytes is the whole gathered buffer.
+func allgatherCost(s Selector, ranks, bytes int) (tree, pipe float64) {
+	a, b, logp := s.alphaBeta(ranks)
+	p, n := float64(ranks), float64(bytes)
+	gather := logp*a + (p-1)/p*n*b
+	return gather + logp*(a+n*b), (p - 1) * (a + n*b/p)
+}
+
+// pick is the policy of the rooted and all-to-one-to-all operations
+// (Bcast, Gather, Reduce, Allreduce, Allgather): linear while
+// latency-bound (cheap sends, modest rank counts); past that, the tree —
+// or the pipelined variant when the operation has one (cost != nil) and
+// its modeled time is lower.
+func (s Selector) pick(ranks, bytes int, cost costFn) Algo {
+	if a := s.forced(cost != nil); a != AlgoAuto {
 		return a
 	}
 	if ranks <= 2 {
@@ -249,8 +378,10 @@ func (s Selector) pick(ranks, bytes int, pipelined bool) Algo {
 	if bytes <= s.SmallMax && ranks <= fanout {
 		return AlgoLinear
 	}
-	if pipelined && bytes >= s.PipeMin {
-		return AlgoPipeline
+	if cost != nil {
+		if tree, pipe := cost(s, ranks, bytes); pipe < tree {
+			return AlgoPipeline
+		}
 	}
 	return AlgoTree
 }

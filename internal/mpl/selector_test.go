@@ -27,7 +27,8 @@ func sampledTwoRail() []core.Profile {
 // choose is the selector's choice for one operation of bytes total
 // payload (the whole gathered buffer for allgather).
 func choose(s Selector, op string, ranks, bytes int) Algo {
-	return s.pick(ranks, bytes, true)
+	cost := map[string]costFn{"bcast": bcastCost, "allreduce": allreduceCost, "allgather": allgatherCost}[op]
+	return s.pick(ranks, bytes, cost)
 }
 
 // TestSelectorSampledTwoRail pins the choices the sampled two-rail model

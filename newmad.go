@@ -290,7 +290,8 @@ const (
 )
 
 // CollSelector picks the collective algorithm per message size and rank
-// count (linear fan-out / binomial tree / chunked pipeline).
+// count: linear fan-out while latency-bound, then binomial tree or
+// pipeline by the rails' α-β model.
 type CollSelector = mpl.Selector
 
 // ReduceOp is an elementwise reduction operator for Reduce/Allreduce.
@@ -305,16 +306,16 @@ func OpSumUint8() ReduceOp { return mpl.OpSumUint8() }
 // OpXor xors bytes.
 func OpXor() ReduceOp { return mpl.OpXor() }
 
-// DefaultCollSelector returns the static algorithm-selection thresholds.
+// DefaultCollSelector returns the selector of the default α-β model.
 func DefaultCollSelector() CollSelector { return mpl.DefaultSelector() }
 
-// CollSelectorFromProfiles derives selection thresholds from rail
+// CollSelectorFromProfiles derives the selector's α-β model from rail
 // profiles (declared by drivers or measured by sampling).
 func CollSelectorFromProfiles(profs []Profile) CollSelector {
 	return mpl.SelectorFromProfiles(profs)
 }
 
-// CollSelectorFromRails derives selection thresholds from the rails'
+// CollSelectorFromRails derives the selector's α-β model from the rails'
 // online estimators (falling back to profiles while a rail has no
 // samples) — the fit behind Comm.SetAdaptive's re-fit epochs.
 func CollSelectorFromRails(rails []*Rail) CollSelector {
