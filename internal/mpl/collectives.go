@@ -52,13 +52,26 @@ type Op struct {
 }
 
 // OpSumInt64 sums little-endian int64 elements.
-func OpSumInt64() Op {
-	return Op{Elem: 8, F: func(dst, src []byte) {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			s := int64(binary.LittleEndian.Uint64(dst[i:])) + int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(s))
-		}
-	}}
+func OpSumInt64() Op { return Op{Elem: 8, F: sumInt64} }
+
+// sumInt64 folds src into dst as little-endian int64 lanes, four lanes
+// per iteration: the fixed-length reslices let the compiler drop the
+// bounds checks, and encoding/binary keeps big-endian hosts correct.
+// Two's-complement addition is the same on int64 and uint64.
+func sumInt64(dst, src []byte) {
+	le := binary.LittleEndian
+	for len(dst) >= 32 && len(src) >= 32 {
+		d, s := dst[:32:32], src[:32:32]
+		le.PutUint64(d[0:], le.Uint64(d[0:])+le.Uint64(s[0:]))
+		le.PutUint64(d[8:], le.Uint64(d[8:])+le.Uint64(s[8:]))
+		le.PutUint64(d[16:], le.Uint64(d[16:])+le.Uint64(s[16:]))
+		le.PutUint64(d[24:], le.Uint64(d[24:])+le.Uint64(s[24:]))
+		dst, src = dst[32:], src[32:]
+	}
+	for len(dst) >= 8 && len(src) >= 8 {
+		le.PutUint64(dst, le.Uint64(dst)+le.Uint64(src))
+		dst, src = dst[8:], src[8:]
+	}
 }
 
 // OpSumUint8 sums bytes modulo 256.
