@@ -40,8 +40,8 @@ func benchDuo(tb testing.TB, rails int, strat func() core.Strategy) *duo {
 
 // pumpDone spins until every request reaches a terminal state. memdrv
 // delivers synchronously, so this normally exits on the first check. It
-// does not Wait: a request's completion channel is allocated on first
-// use, which would break the zero-allocation figures.
+// does not Wait: waiting on a still-pending request allocates its
+// completion channel, which would break the zero-allocation figures.
 func pumpDone(d *duo, reqs ...core.Request) {
 	for {
 		done := true
@@ -87,6 +87,39 @@ func TestZeroAllocPingpongSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(allocRuns, round); avg != 0 {
 		t.Errorf("steady-state pingpong allocates %.2f times per round, want 0", avg)
+	}
+}
+
+// TestWaitCompletedAllocatesNothing: Engine.Wait on a request that has
+// already completed — the common case under load — returns through a
+// shared closed channel instead of making one per request. Each round
+// runs a fresh (pooled) send and receive to completion, then waits on
+// both.
+func TestWaitCompletedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	d := newDuo(t, 1, balanced)
+	msg := fill(64, 5)
+	recv := make([]byte, 64)
+	round := func() {
+		rr := d.gateBA.Irecv(3, recv)
+		sr := d.gateAB.Isend(3, msg)
+		pumpDone(d, sr, rr)
+		if err := d.engA.Wait(sr); err != nil {
+			t.Fatalf("Wait on a completed SendReq: %v", err)
+		}
+		if err := d.engB.Wait(rr); err != nil {
+			t.Fatalf("Wait on a completed RecvReq: %v", err)
+		}
+		sr.Recycle()
+		rr.Recycle()
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(allocRuns, round); avg != 0 {
+		t.Errorf("exchange + Wait on the completed requests allocates %.2f times per round, want 0", avg)
 	}
 }
 

@@ -58,14 +58,22 @@ func (r *reqState) OnComplete(fn func()) {
 	r.mu.Unlock()
 }
 
+// closedCh is the Completion of every request that is already done, so
+// waiting on a finished request allocates nothing.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 func (r *reqState) Completion() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.done {
+		return closedCh
+	}
 	if r.doneCh == nil {
 		r.doneCh = make(chan struct{})
-		if r.done {
-			close(r.doneCh)
-		}
 	}
 	return r.doneCh
 }
