@@ -34,11 +34,13 @@ type ClusterConfig struct {
 	// Reliable wraps every rail in the relnet reliability layer
 	// (sequencing, acks, retransmission): chaos-injected packet loss is
 	// then recovered by retransmission in virtual time instead of
-	// latching the receiving rail down. Retransmit timers land on the
-	// world's cancellable timer API via a DES clock.
+	// latching the receiving rail down. The reliability layer runs on
+	// each host's clock, so retransmit timers land on the world's
+	// cancellable timer API.
 	Reliable bool
 	// Rel tunes the reliability layer when Reliable is set; zero values
-	// derive from each rail's NIC profile.
+	// derive from each rail's NIC profile, and Clock is always the
+	// rail's host.
 	Rel relnet.Config
 	// Adaptive, when > 0, enables online selector re-fitting on every
 	// communicator: every Adaptive collective operations the selector

@@ -10,7 +10,7 @@
 // parked in this driver, and a killed peer surfaces as a refused Send
 // the engine cleanly reroutes. Three paths by frame size:
 //
-//   - inline (≤ Options.InlineMax): the whole wire frame copies through
+//   - inline (≤ DefaultInlineMax): the whole wire frame copies through
 //     the ring — one copy in, one copy out into a pooled lease;
 //   - rendezvous (fits the arena): the frame is written once into an
 //     arena region and a 16-byte reference crosses the ring; the
@@ -56,10 +56,10 @@ import (
 // ErrClosed reports a send on a closed (or killed) driver.
 var ErrClosed = errors.New("shmdrv: closed")
 
-// Defaults for Options zero values.
+// Defaults for Options zero values, and the fixed inline threshold.
 const (
-	// DefaultInlineMax is the largest wire frame that copies through the
-	// ring instead of taking an arena region.
+	// DefaultInlineMax is the largest encoded wire frame that copies
+	// through the ring instead of taking an arena region.
 	DefaultInlineMax = 4 << 10
 	// DefaultHeartbeat is the liveness stamp interval.
 	DefaultHeartbeat = 50 * time.Millisecond
@@ -73,9 +73,6 @@ type Options struct {
 	// arena; zero gets the shmring defaults (256 KiB / 16 MiB).
 	RingBytes  int
 	ArenaBytes int
-	// InlineMax is the inline-vs-rendezvous threshold on the encoded
-	// frame size; zero gets DefaultInlineMax.
-	InlineMax int
 	// Heartbeat is this side's liveness stamp interval; zero gets
 	// DefaultHeartbeat.
 	Heartbeat time.Duration
@@ -88,12 +85,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Profile == (core.Profile{}) {
 		o.Profile = DefaultProfile()
-	}
-	if o.InlineMax <= 0 {
-		o.InlineMax = DefaultInlineMax
-	}
-	if o.InlineMax < core.HeaderLen {
-		o.InlineMax = core.HeaderLen
 	}
 	if o.Heartbeat <= 0 {
 		o.Heartbeat = DefaultHeartbeat
@@ -273,7 +264,7 @@ func (d *Driver) Send(p *core.Packet) error {
 	tx := d.seg.TX()
 
 	var err error
-	if wireLen <= d.opts.InlineMax {
+	if wireLen <= DefaultInlineMax {
 		err = tx.Push(shmring.RecInline, hdr[:], p.Payload)
 	} else {
 		err = d.sendRendezvous(tx, hdr[:], p.Payload, wireLen)

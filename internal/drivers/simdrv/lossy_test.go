@@ -10,9 +10,9 @@ import (
 )
 
 // simLossyWorld builds a connected simulated pair with fault injectors
-// between the reliability layers and the NICs. Retransmit timers land
-// on the world's cancellable timer API, so recovery runs entirely in
-// virtual time.
+// between the reliability layers and the NICs. Each side runs on its own
+// host's clock, so retransmit timers land on the world's cancellable
+// timer API and recovery runs entirely in virtual time.
 func simLossyWorld() (w *des.World, p drvtest.LossyPair) {
 	w = des.NewWorld()
 	ha := simnet.NewHost(w, "A", simnet.Opteron())
@@ -20,9 +20,9 @@ func simLossyWorld() (w *des.World, p drvtest.LossyPair) {
 	na := ha.NewNIC(simnet.Myri10G())
 	nb := hb.NewNIC(simnet.Myri10G())
 	simnet.Connect(na, nb)
-	cfg := relnet.Config{Clock: relnet.DESClock{W: w}, RetryBudget: 4}
 	fa, fb := relnet.NewFlaky(NewTransport(na, 0)), relnet.NewFlaky(NewTransport(nb, 0))
-	da, db := relnet.Wrap(fa, cfg), relnet.Wrap(fb, cfg)
+	da := relnet.Wrap(fa, relnet.Config{Clock: ha, RetryBudget: 4})
+	db := relnet.Wrap(fb, relnet.Config{Clock: hb, RetryBudget: 4})
 	return w, drvtest.LossyPair{
 		A: da, B: db, Pump: w.Run,
 		FlakyA: fa, FlakyB: fb,

@@ -55,16 +55,15 @@ func NewTransport(nic *simnet.NIC, mtu int) *Transport {
 	return &Transport{nic: nic, mtu: mtu}
 }
 
-// NewReliable builds a relnet-wrapped rail over nic: the reliability
-// layer's retransmit timers land on the NIC's world via a DESClock
-// (cancellable virtual-time timers), and its RTO defaults derive from
-// the NIC profile. Chaos loss on the link becomes survivable; a downed
-// NIC still fails the rail loudly.
+// NewReliable builds a relnet-wrapped rail over nic. The reliability
+// layer always runs on the NIC's host — the core.Clock that host's
+// engine uses, replacing any cfg.Clock — so its retransmit timers are
+// cancellable virtual-time timers, and its RTO defaults derive from the
+// NIC profile. Chaos loss on the link becomes survivable; a downed NIC
+// still fails the rail loudly.
 func NewReliable(nic *simnet.NIC, cfg relnet.Config) *relnet.Driver {
-	if cfg.Clock == nil {
-		cfg.Clock = relnet.DESClock{W: nic.Host().W}
-	}
-	return relnet.Wrap(NewTransport(nic, cfg.MTU), cfg)
+	cfg.Clock = nic.Host()
+	return relnet.Wrap(NewTransport(nic, 0), cfg)
 }
 
 // Name implements relnet.Transport.

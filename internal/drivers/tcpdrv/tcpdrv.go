@@ -40,9 +40,6 @@ type Options struct {
 	// Profile declares the rail characteristics to the engine. Zero
 	// values get defaults (see DefaultProfile).
 	Profile core.Profile
-	// NoDelay disables Nagle (default true semantics: set NoDelayOff to
-	// keep Nagle on).
-	NoDelayOff bool
 }
 
 // DefaultProfile is a conservative loopback-TCP profile.
@@ -104,7 +101,8 @@ func New(conn net.Conn, opts Options) *Driver {
 		prof.EagerMax = def.EagerMax
 	}
 	tc, _ := conn.(*net.TCPConn)
-	if tc != nil && !opts.NoDelayOff {
+	if tc != nil {
+		// Nagle stays off: a small frame must not wait for the peer's ack.
 		_ = tc.SetNoDelay(true)
 	}
 	return &Driver{

@@ -42,9 +42,9 @@ type Options struct {
 	Profile core.Profile
 	// MTU caps datagram size; zero gets DefaultMTU.
 	MTU int
-	// Rel tunes the reliability layer (RTO, backoff cap, retry budget,
-	// window). Zero values derive from the profile; the clock defaults
-	// to wall time, which is what a real socket wants.
+	// Rel tunes the reliability layer (RTO, retry budget, window).
+	// Zero values derive from the profile and MTU; leave Clock nil, so
+	// the layer runs on the wall clock a real socket wants.
 	Rel relnet.Config
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"newmad/internal/core"
-	"newmad/internal/sampling"
 )
 
 // Algo names a collective algorithm family.
@@ -86,10 +85,11 @@ func ParseAlgo(s string) (Algo, error) {
 //	Allgather  gather+bcast trees   vs  ring (p−1)(α+nβ/p)
 //
 // Gather and Reduce have no pipelined variant and use the tree. Seed the
-// model from measurements with SelectorFromFit / SelectorFromProfiles /
-// SelectorFromRails (or Comm.SeedSelector); DefaultSelector assumes a
-// 2 µs, 2.048 GB/s gate. The model is unexported: a Selector built as a
-// literal prices with the default model.
+// model from the rails with SelectorFromProfiles (declared or sampled
+// profiles; Comm.SeedSelector) or SelectorFromRails (online estimates);
+// DefaultSelector assumes a 2 µs, 2.048 GB/s gate. The model is
+// unexported: a Selector built as a literal prices with the default
+// model.
 type Selector struct {
 	// Force, when not AlgoAuto, overrides the choice for every
 	// operation (mapped to the nearest applicable family).
@@ -217,13 +217,6 @@ func fitFrom(buf []byte) Selector {
 // for the paper's high-speed interconnects and conservative for TCP.
 func DefaultSelector() Selector {
 	return selectorFromModel(0, 0, 0)
-}
-
-// SelectorFromFit derives a selector from a sampled latency/bandwidth
-// model (internal/sampling). A fit carries no eager limit, so Chunk is
-// left uncapped.
-func SelectorFromFit(f sampling.Fit) Selector {
-	return selectorFromModel(f.Latency, f.Bandwidth, 0)
 }
 
 // SelectorFromProfiles derives a selector from rail profiles (declared by

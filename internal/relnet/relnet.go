@@ -21,16 +21,17 @@
 //     the other way.
 //   - One retransmit timer per rail guards the oldest unacked segment
 //     (TCP-style); each fire retransmits that segment alone and doubles
-//     the timeout, capped at RTOMax. Three duplicate-ack hints trigger
-//     one fast retransmit per segment without waiting for the timer.
+//     the timeout, capped at 64x the initial RTO. Three duplicate-ack
+//     hints trigger one fast retransmit per segment without waiting for
+//     the timer.
 //   - The RTO adapts from RTT samples (SRTT + 4*RTTVAR, Karn's rule:
 //     only never-retransmitted segments are sampled), so a slow-but-
 //     healthy rail (chaos bandwidth degradation, jitter) stretches its
 //     timeout instead of drowning in spurious retransmissions.
-//   - Timers come from a Clock: wall time for real sockets, the DES
-//     virtual clock for simulated rails — where they land on the
-//     cancellable World.Schedule/Timer.Stop API, so a stopped
-//     retransmit timer cannot advance virtual time and inflate
+//   - Time and timers come from the engine's core.Clock: wall time for
+//     real sockets, the simulated host's clock for simulated rails —
+//     where AfterFunc lands on the world's cancellable timers, so a
+//     stopped retransmit timer cannot advance virtual time and inflate
 //     makespans.
 package relnet
 
@@ -55,11 +56,14 @@ const (
 	// DefaultRetryBudget is how many times one segment is retransmitted
 	// before the rail is declared dead.
 	DefaultRetryBudget = 8
-	// minRTOFloor bounds the derived RTO from below under a virtual
-	// clock; wallRTOFloor does the same for real time (where timer and
-	// scheduling noise make microsecond timeouts meaningless).
+	// minRTOFloor bounds the derived RTO from below on a simulated
+	// host's clock; wallRTOFloor does the same for real time (where
+	// timer and scheduling noise make microsecond timeouts meaningless).
 	minRTOFloor  = 10 * time.Microsecond
 	wallRTOFloor = 2 * time.Millisecond
+	// rtoMaxFactor caps the exponential backoff at this multiple of the
+	// initial RTO.
+	rtoMaxFactor = 64
 	// fastRetxDups is how many duplicate-ack hints trigger a fast
 	// retransmit (TCP's classic threshold: tolerates mild reordering).
 	fastRetxDups = 3
@@ -70,27 +74,28 @@ const (
 )
 
 // Config parameterizes the reliability layer. The zero value derives
-// everything from the transport profile and uses the wall clock.
+// everything from the transport (profile and MTU) and uses the wall
+// clock.
 type Config struct {
 	// RTO is the initial (and minimum) retransmission timeout. Zero
 	// derives it from the transport profile: 4x the rail latency plus
-	// twice the time a full window takes to serialize, floored at 10us
-	// (virtual clock) or 2ms (wall clock). The estimator adapts it from
-	// RTT samples afterwards.
+	// twice the time a full window of MTU-sized segments takes to
+	// serialize, floored at 10us (simulated host) or 2ms (wall clock).
+	// The estimator adapts it from RTT samples afterwards; the backoff
+	// caps at 64x the initial RTO.
 	RTO time.Duration
-	// RTOMax caps the exponential backoff. Zero means 64x RTO.
-	RTOMax time.Duration
 	// RetryBudget is the number of retransmissions of a single segment
 	// tolerated before the rail fails. Zero means DefaultRetryBudget.
 	RetryBudget int
 	// Window is the max number of unacked segments in flight. Zero
 	// means DefaultWindow.
 	Window int
-	// MTU caps datagram size; zero uses the transport's MTU.
-	MTU int
-	// Clock supplies retransmit timers; nil means WallClock. Simulated
-	// rails must pass a DESClock so timers live in virtual time.
-	Clock Clock
+	// Clock supplies time and retransmit timers. Nil means the wall
+	// clock (core.NewRealClock) and the 2ms RTO floor; anything else is
+	// taken to be a simulated host's clock (the one its engine runs on,
+	// e.g. a simnet.Host) and keeps the 10us floor, so timers and RTT
+	// samples live in that host's virtual time.
+	Clock core.Clock
 }
 
 // Stats counts protocol events since the driver was created.
@@ -142,8 +147,7 @@ type rseg struct {
 // Driver implements core.Driver over a Transport. Build one with Wrap.
 type Driver struct {
 	tr     Transport
-	clock  Clock
-	mtu    int
+	clock  core.Clock
 	maxPay int
 	window int
 	budget int
@@ -174,8 +178,8 @@ type Driver struct {
 	hasSRTT bool
 	curRTO  time.Duration
 
-	timer    Timer
-	timerGen uint64
+	stopTimer func() // cancels the armed retransmit timer; nil when none
+	timerGen  uint64
 
 	// receiver
 	cumRecv uint64
@@ -194,22 +198,21 @@ func Wrap(tr Transport, cfg Config) *Driver {
 	d := &Driver{
 		tr:      tr,
 		clock:   cfg.Clock,
-		mtu:     cfg.MTU,
 		window:  cfg.Window,
 		budget:  cfg.RetryBudget,
 		ooo:     make(map[uint64]*rseg),
 		nextSeq: 1,
 	}
+	floor := minRTOFloor
 	if d.clock == nil {
-		d.clock = WallClock{}
+		d.clock = core.NewRealClock()
+		floor = wallRTOFloor
 	}
-	if d.mtu == 0 {
-		d.mtu = tr.MTU()
+	mtu := tr.MTU()
+	if mtu <= segHdrLen {
+		panic(fmt.Sprintf("relnet: MTU %d does not fit the %d-byte segment header", mtu, segHdrLen))
 	}
-	if d.mtu <= segHdrLen {
-		panic(fmt.Sprintf("relnet: MTU %d does not fit the %d-byte segment header", d.mtu, segHdrLen))
-	}
-	d.maxPay = d.mtu - segHdrLen
+	d.maxPay = mtu - segHdrLen
 	if d.window <= 0 {
 		d.window = DefaultWindow
 	}
@@ -222,21 +225,14 @@ func Wrap(tr Transport, cfg Config) *Driver {
 		prof := tr.Profile()
 		var ser time.Duration
 		if prof.Bandwidth > 0 {
-			ser = time.Duration(float64(d.window*d.mtu) / prof.Bandwidth * 1e9)
+			ser = time.Duration(float64(d.window*mtu) / prof.Bandwidth * 1e9)
 		}
 		d.rtoMin = 4*prof.Latency + 2*ser
-		floor := minRTOFloor
-		if _, wall := d.clock.(WallClock); wall {
-			floor = wallRTOFloor
-		}
 		if d.rtoMin < floor {
 			d.rtoMin = floor
 		}
 	}
-	d.rtoMax = cfg.RTOMax
-	if d.rtoMax <= 0 {
-		d.rtoMax = 64 * d.rtoMin
-	}
+	d.rtoMax = rtoMaxFactor * d.rtoMin
 	d.curRTO = d.rtoMin
 	tr.SetRecv(d.recvDatagram)
 	tr.SetFail(d.transportFailed)
@@ -369,9 +365,9 @@ func (d *Driver) releaseStateLocked() {
 		d.asm = nil
 	}
 	d.timerGen++
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	if d.stopTimer != nil {
+		d.stopTimer()
+		d.stopTimer = nil
 	}
 }
 
@@ -411,7 +407,7 @@ func (d *Driver) pumpLocked(out *[]*core.Buf) {
 		d.win = append(d.win, seg)
 		d.transmitLocked(seg, out)
 	}
-	if d.timer == nil && len(d.win) > 0 {
+	if d.stopTimer == nil && len(d.win) > 0 {
 		d.armTimerLocked()
 	}
 }
@@ -453,15 +449,15 @@ func (d *Driver) flush(out []*core.Buf) {
 // wall timers can race Stop, and a stale fire must be a no-op.
 func (d *Driver) armTimerLocked() {
 	d.timerGen++
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	if d.stopTimer != nil {
+		d.stopTimer()
+		d.stopTimer = nil
 	}
 	if d.closed || d.failed || len(d.win) == 0 {
 		return
 	}
 	gen := d.timerGen
-	d.timer = d.clock.Schedule(d.curRTO, func() { d.onTimer(gen) })
+	d.stopTimer = d.clock.AfterFunc(int64(d.curRTO), func() { d.onTimer(gen) })
 }
 
 // onTimer is the RTO expiry: retransmit the oldest unacked segment,
@@ -475,7 +471,7 @@ func (d *Driver) onTimer(gen uint64) {
 		d.mu.Unlock()
 		return
 	}
-	d.timer = nil
+	d.stopTimer = nil
 	var oldest *segState
 	for _, s := range d.win {
 		if s.data != nil {

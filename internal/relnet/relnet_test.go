@@ -11,6 +11,7 @@ import (
 	"newmad/internal/des"
 	"newmad/internal/drivers/memdrv"
 	"newmad/internal/relnet"
+	"newmad/internal/simnet"
 )
 
 // sink is a minimal thread-safe core.Events recorder.
@@ -291,14 +292,14 @@ func TestTransportFailureFailsRail(t *testing.T) {
 }
 
 // TestDESTimersLeaveNoPhantomWakeups pins the cancellable-timer fix:
-// after a clean exchange under a DES clock, running the world must not
-// advance virtual time to the (huge) RTO — the stopped retransmit
-// timers are skipped without a wakeup.
+// after a clean exchange on a simulated host's clock, running the world
+// must not advance virtual time to the (huge) RTO — the stopped
+// retransmit timers are skipped without a wakeup.
 func TestDESTimersLeaveNoPhantomWakeups(t *testing.T) {
 	leakCheck(t)
 	w := des.NewWorld()
 	ta, tb := memdrv.TransportPair(t.Name(), core.Profile{}, 512)
-	cfg := relnet.Config{RTO: time.Hour, Clock: relnet.DESClock{W: w}}
+	cfg := relnet.Config{RTO: time.Hour, Clock: simnet.NewHost(w, "A", simnet.Opteron())}
 	da, db := relnet.Wrap(ta, cfg), relnet.Wrap(tb, cfg)
 	sa, sb := &sink{}, &sink{}
 	da.Bind(0, sa)
@@ -359,7 +360,7 @@ func TestFastRetransmitsLeaveInSequenceOrder(t *testing.T) {
 	w := des.NewWorld()
 	ta, tb := memdrv.TransportPair(t.Name(), core.Profile{}, 512)
 	tp := &tap{Transport: ta, drop: map[uint64]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true}}
-	cfg := relnet.Config{RTO: time.Hour, Clock: relnet.DESClock{W: w}}
+	cfg := relnet.Config{RTO: time.Hour, Clock: simnet.NewHost(w, "A", simnet.Opteron())}
 	da, db := relnet.Wrap(tp, cfg), relnet.Wrap(tb, cfg)
 	sb := &sink{}
 	da.Bind(0, &sink{})
@@ -407,5 +408,64 @@ func TestRTOBacksOffAndAdapts(t *testing.T) {
 	waitUntil(t, "recovery", func() bool { a, _, _ := sb.counts(); return a >= 1 })
 	if st := da.Stats(); st.Timeouts == 0 {
 		t.Error("no RTO timeouts recorded")
+	}
+}
+
+// TestRTOFloorFollowsClock pins where the derived RTO's floor comes
+// from: a nil Clock is the wall clock and floors at 2ms; a supplied
+// clock is a simulated host and floors at 10us. Above the floor the RTO
+// is 4·latency + 2·window·MTU/bandwidth, and on the simulated host an
+// unanswered segment backs the timeout off to at most 64× that value.
+func TestRTOFloorFollowsClock(t *testing.T) {
+	const mtu = 512
+	cases := []struct {
+		name string
+		sim  bool
+		prof core.Profile
+		want time.Duration
+	}{
+		// 4·10µs + 2·64·512 B / 1 GB/s = 105.536µs, below the wall floor.
+		{"wall-floor", false, core.Profile{Latency: 10 * time.Microsecond, Bandwidth: 1e9}, 2 * time.Millisecond},
+		{"wall-derived", false, core.Profile{Latency: time.Millisecond, Bandwidth: 1e9}, 4065536 * time.Nanosecond},
+		{"host-derived", true, core.Profile{Latency: 10 * time.Microsecond, Bandwidth: 1e9}, 105536 * time.Nanosecond},
+		// 4·1µs + 65.536ns is below the simulated floor.
+		{"host-floor", true, core.Profile{Latency: time.Microsecond, Bandwidth: 1e12}, 10 * time.Microsecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leakCheck(t)
+			w := des.NewWorld()
+			cfg := relnet.Config{RetryBudget: 10}
+			if tc.sim {
+				cfg.Clock = simnet.NewHost(w, "A", simnet.Opteron())
+			}
+			ta, tb := memdrv.TransportPair(t.Name(), tc.prof, mtu)
+			fa := relnet.NewFlaky(ta)
+			da, db := relnet.Wrap(fa, cfg), relnet.Wrap(tb, cfg)
+			sa := &sink{}
+			da.Bind(0, sa)
+			db.Bind(0, &sink{})
+			t.Cleanup(func() {
+				_ = da.Close()
+				_ = db.Close()
+			})
+			if got := da.RTO(); got != tc.want {
+				t.Fatalf("RTO %v, want %v", got, tc.want)
+			}
+			if !tc.sim {
+				return
+			}
+			fa.SetDropEvery(1)
+			if err := da.Send(pkt(1, 0, []byte("x"))); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			w.Run()
+			if _, _, d := sa.counts(); d != 1 {
+				t.Fatalf("%d RailDowns after the retry budget, want 1", d)
+			}
+			if got := da.RTO(); got != 64*tc.want {
+				t.Fatalf("backed-off RTO %v, want the 64× cap %v", got, 64*tc.want)
+			}
+		})
 	}
 }

@@ -31,14 +31,11 @@ import (
 // The stagger timer runs on the engine clock, so hedging works the same
 // in wall time and in DES virtual time. Hedged sizes must stay within the
 // rails' eager regime: duplicates are always sent eagerly, never through
-// rendezvous. The default cap (the engine's AggThreshold) guarantees
-// that.
+// rendezvous. The size cap (the engine's AggThreshold) guarantees that.
 type Hedge struct {
-	inner    core.Strategy
-	maxSize  int     // 0 → backlog AggThreshold
-	quantile float64 // stagger quantile on the primary rail's estimator
-	minStag  time.Duration
-	maxStag  time.Duration
+	inner   core.Strategy
+	minStag time.Duration
+	maxStag time.Duration
 
 	gates sync.Map // *core.Backlog -> *hedgeGate
 
@@ -70,28 +67,22 @@ func (hg *hedgeGate) pop() {
 	hg.dups = hg.dups[:len(hg.dups)-1]
 }
 
+// staggerQuantile picks the hedge delay from the primary rail's
+// completion-time distribution.
+const staggerQuantile = 0.90
+
 // NewHedge wraps inner with hedged duplicate sends at the default tuning:
-// size cap = engine AggThreshold, stagger = p90 of the primary rail's
-// completion times clamped to [1µs, 500µs].
+// stagger = p90 of the primary rail's completion times clamped to
+// [1µs, 500µs].
 func NewHedge(inner core.Strategy) *Hedge {
-	return NewHedgeTuned(inner, 0, 0.90, time.Microsecond, 500*time.Microsecond)
+	return NewHedgeTuned(inner, time.Microsecond, 500*time.Microsecond)
 }
 
-// NewHedgeTuned wraps inner with explicit hedging parameters: messages up
-// to maxSize bytes (0 = the engine's AggThreshold) are hedged after the
-// primary rail's quantile completion time, clamped to [minStagger,
-// maxStagger].
-func NewHedgeTuned(inner core.Strategy, maxSize int, quantile float64, minStagger, maxStagger time.Duration) *Hedge {
-	if quantile <= 0 || quantile > 1 {
-		quantile = 0.90
-	}
-	return &Hedge{
-		inner:    inner,
-		maxSize:  maxSize,
-		quantile: quantile,
-		minStag:  minStagger,
-		maxStag:  maxStagger,
-	}
+// NewHedgeTuned wraps inner with an explicit stagger window: messages up
+// to the engine's AggThreshold are hedged after the primary rail's p90
+// completion time, clamped to [minStagger, maxStagger].
+func NewHedgeTuned(inner core.Strategy, minStagger, maxStagger time.Duration) *Hedge {
+	return &Hedge{inner: inner, minStag: minStagger, maxStag: maxStagger}
 }
 
 // Name implements core.Strategy.
@@ -187,11 +178,7 @@ func (h *Hedge) maybeArm(b *core.Backlog, r *core.Rail, p *core.Packet) {
 	if core.IsReservedTag(hdr.Tag) {
 		return
 	}
-	maxSize := h.maxSize
-	if maxSize <= 0 {
-		maxSize = b.AggThreshold()
-	}
-	if len(p.Payload) > maxSize || uint64(len(p.Payload)) != hdr.MsgLen {
+	if len(p.Payload) > b.AggThreshold() || uint64(len(p.Payload)) != hdr.MsgLen {
 		return
 	}
 	req := p.SenderReq()
@@ -240,7 +227,7 @@ func (h *Hedge) maybeArm(b *core.Backlog, r *core.Rail, p *core.Packet) {
 // stagger derives the hedge delay from the primary rail's completion-time
 // quantile, clamped to the configured window.
 func (h *Hedge) stagger(r *core.Rail) time.Duration {
-	d := r.Estimator().Quantile(h.quantile)
+	d := r.Estimator().Quantile(staggerQuantile)
 	if d < h.minStag {
 		d = h.minStag
 	}

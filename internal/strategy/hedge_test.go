@@ -62,7 +62,7 @@ func waitLeases(t *testing.T, want int64) {
 // absorbed by the receiver's dedupe.
 func TestHedgeFiresAndDedupes(t *testing.T) {
 	leases := core.PoolStats().Live
-	h := strategy.NewHedgeTuned(strategy.Must("balance"), 0, 0.9, 5*time.Millisecond, 5*time.Millisecond)
+	h := strategy.NewHedgeTuned(strategy.Must("balance"), 5*time.Millisecond, 5*time.Millisecond)
 	p := newHedgePair(t, h)
 	// Hold both rails' send completions: the primary cannot complete, so
 	// the stagger timer fires and submits the duplicate.
@@ -121,7 +121,7 @@ func TestHedgeFiresAndDedupes(t *testing.T) {
 // cancellation never aborts the receiver's origin channel.
 func TestHedgeLoserCancelled(t *testing.T) {
 	leases := core.PoolStats().Live
-	h := strategy.NewHedgeTuned(strategy.Must("balance"), 0, 0.9, 5*time.Millisecond, 5*time.Millisecond)
+	h := strategy.NewHedgeTuned(strategy.Must("balance"), 5*time.Millisecond, 5*time.Millisecond)
 	p := newHedgePair(t, h)
 	for _, d := range p.drvsA {
 		d.HoldCompletions()
@@ -195,7 +195,7 @@ func TestHedgeLoserCancelled(t *testing.T) {
 // continues unhedged. Zero buffer leases may remain.
 func TestHedgeStormMem(t *testing.T) {
 	leases := core.PoolStats().Live
-	h := strategy.NewHedgeTuned(strategy.Must("balance"), 0, 0.9, time.Nanosecond, 50*time.Microsecond)
+	h := strategy.NewHedgeTuned(strategy.Must("balance"), time.Nanosecond, 50*time.Microsecond)
 	p := newHedgePair(t, h)
 
 	const rounds, batch = 60, 8
@@ -257,7 +257,7 @@ func TestHedgeStormMem(t *testing.T) {
 // real — with one rail killed mid-storm. Zero buffer leases may remain.
 func TestHedgeStormTCP(t *testing.T) {
 	leases := core.PoolStats().Live
-	h := strategy.NewHedgeTuned(strategy.Must("balance"), 0, 0.9, time.Nanosecond, 50*time.Microsecond)
+	h := strategy.NewHedgeTuned(strategy.Must("balance"), time.Nanosecond, 50*time.Microsecond)
 	engA := core.New(core.Config{Strategy: h})
 	engB := core.New(core.Config{Strategy: strategy.Must("balance")})
 	defer engA.Close()

@@ -16,9 +16,13 @@ type Collector struct {
 	mu  sync.Mutex
 	evs []core.TraceEvent
 	max int
+	// next is the ring slot the next event overwrites once evs holds max
+	// events; it is also the oldest event's slot.
+	next int
 }
 
-// New returns a collector that keeps at most max events (0 = unbounded).
+// New returns a collector that keeps the last max events in a fixed ring
+// (0 = unbounded).
 func New(max int) *Collector { return &Collector{max: max} }
 
 // Hook returns the function to install as core.Config.Trace.
@@ -26,20 +30,22 @@ func (c *Collector) Hook() func(core.TraceEvent) {
 	return func(ev core.TraceEvent) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if c.max > 0 && len(c.evs) >= c.max {
-			copy(c.evs, c.evs[1:])
-			c.evs[len(c.evs)-1] = ev
+		if c.max > 0 && len(c.evs) == c.max {
+			c.evs[c.next] = ev
+			c.next = (c.next + 1) % c.max
 			return
 		}
 		c.evs = append(c.evs, ev)
 	}
 }
 
-// Events returns a snapshot of collected events.
+// Events returns a snapshot of collected events, oldest first.
 func (c *Collector) Events() []core.TraceEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]core.TraceEvent(nil), c.evs...)
+	out := make([]core.TraceEvent, 0, len(c.evs))
+	out = append(out, c.evs[c.next:]...)
+	return append(out, c.evs[:c.next]...)
 }
 
 // Reset discards collected events.
@@ -47,6 +53,7 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.evs = c.evs[:0]
+	c.next = 0
 }
 
 // Count returns the number of events matching the filter (nil matches

@@ -22,17 +22,29 @@ func TestCollectorAccumulates(t *testing.T) {
 }
 
 func TestCollectorRingBound(t *testing.T) {
-	c := New(3)
+	const max = 3
+	c := New(max)
 	hook := c.Hook()
-	for i := 0; i < 10; i++ {
+	const n = 3*max + 1
+	for i := 0; i < n; i++ {
 		hook(core.TraceEvent{Ev: "post", Len: i})
 	}
 	evs := c.Events()
-	if len(evs) != 3 {
-		t.Fatalf("kept %d, want 3", len(evs))
+	if len(evs) != max {
+		t.Fatalf("kept %d, want %d", len(evs), max)
 	}
-	if evs[2].Len != 9 || evs[0].Len != 7 {
-		t.Fatalf("ring kept wrong events: %+v", evs)
+	for i, e := range evs {
+		if want := n - max + i; e.Len != want {
+			t.Fatalf("ring slot %d holds event %d, want %d (oldest first): %+v", i, e.Len, want, evs)
+		}
+	}
+	c.Reset()
+	if got := c.Events(); len(got) != 0 {
+		t.Fatalf("Reset after wrap left %d events: %+v", len(got), got)
+	}
+	hook(core.TraceEvent{Ev: "post", Len: n})
+	if got := c.Events(); len(got) != 1 || got[0].Len != n {
+		t.Fatalf("after Reset, events %+v, want just %d", got, n)
 	}
 }
 

@@ -30,8 +30,6 @@ type Options struct {
 	ChunkSize int
 	// Window is the number of messages in flight (default 4).
 	Window int
-	// Progress, when set, receives cumulative byte counts.
-	Progress func(done int64)
 }
 
 func (o *Options) defaults() {
@@ -97,9 +95,6 @@ func Send(eng *core.Engine, gate *core.Gate, r io.Reader, total int64, opts Opti
 		sum.Write(buf)
 		inflight[slot] = gate.Isend(tagData, buf)
 		sent += n
-		if opts.Progress != nil {
-			opts.Progress(sent)
-		}
 		slot = (slot + 1) % opts.Window
 	}
 	for _, req := range inflight {
@@ -152,9 +147,6 @@ func Recv(eng *core.Engine, gate *core.Gate, w io.Writer, opts Options) (int64, 
 			return got, fmt.Errorf("xfer: write payload: %w", err)
 		}
 		got += int64(req.Len())
-		if opts.Progress != nil {
-			opts.Progress(got)
-		}
 		if remainingPosts > 0 {
 			reqs[slot] = gate.Irecv(tagData, bufs[slot])
 			remainingPosts--

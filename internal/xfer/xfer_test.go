@@ -94,41 +94,6 @@ func TestTransferExactChunkMultiple(t *testing.T) {
 	}
 }
 
-func TestTransferProgressMonotone(t *testing.T) {
-	r := newRig(t)
-	payload := randomPayload(512<<10, 4)
-	var sendProg, recvProg []int64
-	opts := Options{ChunkSize: 64 << 10}
-	var out bytes.Buffer
-	errs := make(chan error, 1)
-	go func() {
-		ro := opts
-		ro.Progress = func(n int64) { recvProg = append(recvProg, n) }
-		_, err := Recv(r.engB, r.gateBA, &out, ro)
-		errs <- err
-	}()
-	so := opts
-	so.Progress = func(n int64) { sendProg = append(sendProg, n) }
-	if err := Send(r.engA, r.gateAB, bytes.NewReader(payload), int64(len(payload)), so); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, prog []int64) {
-		if len(prog) == 0 || prog[len(prog)-1] != int64(len(payload)) {
-			t.Fatalf("%s progress incomplete: %v", name, prog)
-		}
-		for i := 1; i < len(prog); i++ {
-			if prog[i] <= prog[i-1] {
-				t.Fatalf("%s progress not monotone: %v", name, prog)
-			}
-		}
-	}
-	check("send", sendProg)
-	check("recv", recvProg)
-}
-
 func TestTransferStripesAcrossRails(t *testing.T) {
 	r := newRig(t)
 	payload := randomPayload(2<<20, 5)

@@ -164,12 +164,12 @@ type HedgeStats = strategy.HedgeStats
 // StrategyHedge wraps inner with default hedging (p90 stagger, clamped).
 func StrategyHedge(inner Strategy) *HedgeStrategy { return strategy.NewHedge(inner) }
 
-// StrategyHedgeTuned wraps inner with explicit hedging knobs: maxSize
-// bounds eligible payloads (0 = eager-regime default), quantile picks
-// the stagger from the primary rail's completion-time distribution, and
-// the stagger is clamped to [minStagger, maxStagger].
-func StrategyHedgeTuned(inner Strategy, maxSize int, quantile float64, minStagger, maxStagger time.Duration) *HedgeStrategy {
-	return strategy.NewHedgeTuned(inner, maxSize, quantile, minStagger, maxStagger)
+// StrategyHedgeTuned wraps inner with an explicit stagger window: the
+// p90 of the primary rail's completion times, clamped to [minStagger,
+// maxStagger]. Eligible payloads stay within the eager regime (the
+// engine's AggThreshold).
+func StrategyHedgeTuned(inner Strategy, minStagger, maxStagger time.Duration) *HedgeStrategy {
+	return strategy.NewHedgeTuned(inner, minStagger, maxStagger)
 }
 
 // RailEstimator is a rail's online latency/bandwidth/quantile model,
@@ -405,9 +405,10 @@ func AcceptTCP(l net.Listener, opts TCPOptions) (Driver, error) { return tcpdrv.
 
 // Reliability layer (ack/retransmit) and UDP rails.
 
-// RelConfig tunes the relnet reliability layer: RTO and backoff cap,
-// retry budget, window size, clock. The zero value derives everything
-// from the rail profile (SimClusterConfig.Rel, UDPOptions.Rel).
+// RelConfig tunes the relnet reliability layer: initial RTO, retry
+// budget, window size and clock (nil = wall clock, else the simulated
+// host's Clock). The zero value derives everything from the rail
+// profile and MTU (SimClusterConfig.Rel, UDPOptions.Rel).
 type RelConfig = relnet.Config
 
 // RelStats are the reliability layer's protocol counters: segments and
@@ -435,7 +436,8 @@ func NewUDP(conn *net.UDPConn, peer *net.UDPAddr, opts UDPOptions) *ReliableDriv
 // Shared-memory rails (same-host peers; Linux /dev/shm).
 
 // ShmOptions configures a shared-memory rail: profile, ring and
-// rendezvous-arena sizes, the inline threshold and the liveness knobs.
+// rendezvous-arena sizes and the liveness knobs. Frames up to 4 KiB
+// copy through the ring; larger ones take an arena region.
 type ShmOptions = shmdrv.Options
 
 // ShmDriver is one side of a shared-memory rail.
