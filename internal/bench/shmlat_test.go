@@ -9,9 +9,11 @@ import (
 // TestShmLatencyBeatsTCPLoopback is the shm rail's acceptance figure:
 // at every sweep size, the shared-memory pingpong half-RTT must be
 // strictly below the TCP-loopback half-RTT on the same machine — the
-// ring's futex doorbell and single-copy paths against the kernel's
-// socket stack. Wall-clock, but the margin is large (no syscalls on
-// the shm data path), so the ordering is stable even under -race.
+// ring, its FIFO doorbell (the receiver parks in the netpoller like a
+// socket reader, and is rung only when parked) and its single-copy
+// paths against the kernel's socket stack. Wall-clock: both rails pay
+// the same goroutine wake-ups, and shm wins by skipping the socket
+// stack's per-message work.
 func TestShmLatencyBeatsTCPLoopback(t *testing.T) {
 	if !shmdrv.Supported() {
 		t.Skip("shared-memory rails unsupported on this platform")

@@ -36,10 +36,10 @@
 // RailDown after draining what was already published. Everything read
 // out of the mapping is the peer's to forge, so a malformed ring record
 // or a frame that does not decode is the same single RailDown, with the
-// reason, never a panic. The creator
-// unlinks the segment file as soon as the peer attaches, so a crashed
-// process cannot leak /dev/shm files for established rails; segments
-// orphaned before attach are swept by shmring.ReapOrphans.
+// reason, never a panic. The creator unlinks the segment file and its
+// doorbell FIFOs as soon as the peer attaches, so a crashed process
+// cannot leak /dev/shm files for established rails; segments orphaned
+// before attach are swept, doorbells included, by shmring.ReapOrphans.
 package shmdrv
 
 import (
@@ -101,14 +101,16 @@ func (o Options) ringConfig() shmring.Config {
 }
 
 // DefaultProfile is the declared profile for an untuned shm rail:
-// sub-microsecond latency, memory-bus bandwidth, the same rendezvous
-// threshold as the socket rails.
+// sub-microsecond latency, memory-bus bandwidth, and the tcp rail's
+// eager threshold. Up to it a message crosses in one wake-up; above it
+// the rendezvous handshake adds two more, and on a same-host rail the
+// wake-ups, not the single copy, are what a message costs.
 func DefaultProfile() core.Profile {
 	return core.Profile{
 		Name:      "shm",
 		Latency:   time.Microsecond,
 		Bandwidth: 20e9,
-		EagerMax:  32 << 10,
+		EagerMax:  64 << 10,
 		PIOMax:    4 << 10,
 	}
 }
@@ -328,8 +330,9 @@ func (d *Driver) sendJumbo(tx *shmring.Dir, hdr, payload []byte, wireLen int) er
 }
 
 // heartbeat stamps this side's liveness and, on the creator side,
-// unlinks the segment file the moment the peer attaches — from then on
-// the rail exists only as the two mappings and no crash can leak it.
+// unlinks the segment file and its doorbells the moment the peer
+// attaches — from then on the rail exists only as the two mappings and
+// no crash can leak a file.
 func (d *Driver) heartbeat() {
 	defer d.wg.Done()
 	tick := time.NewTicker(d.opts.Heartbeat)
@@ -375,7 +378,7 @@ func (d *Driver) receiver() {
 		if len(pending) == 0 {
 			return
 		}
-		if be, ok := ev.(core.BatchEvents); ok {
+		if be, ok := ev.(core.BatchEvents); ok && len(pending) > 1 {
 			batch := core.GetEventBatch()
 			for i, pkt := range pending {
 				pending[i] = nil
@@ -407,6 +410,9 @@ func (d *Driver) receiver() {
 			}
 		}) && bad == nil
 	}
+	// busy marks a pass that delivered: a peer that just published is
+	// alive, so its liveness is checked only when a wait brought nothing.
+	busy := false
 	for {
 		select {
 		case <-d.stop:
@@ -414,6 +420,7 @@ func (d *Driver) receiver() {
 		default:
 		}
 		if pop() {
+			busy = true
 			if len(pending) >= 32 {
 				flush()
 			}
@@ -423,7 +430,11 @@ func (d *Driver) receiver() {
 		err := bad
 		if err == nil {
 			var gone bool
-			if gone, err = d.seg.PeerGone(); !gone {
+			if !busy {
+				gone, err = d.seg.PeerGone()
+			}
+			if !gone {
+				busy = false
 				rx.WaitData(0)
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -229,14 +230,15 @@ func TestPeerKillReportsRailDownOnce(t *testing.T) {
 }
 
 // TestSegmentUnlinkedOnceAttached pins the no-leakable-file property:
-// as soon as both sides are up, the creator unlinks the backing file,
-// so an established rail exists only as the two mappings.
+// as soon as both sides are up, the creator unlinks the backing file
+// and the doorbell FIFOs beside it, so an established rail exists only
+// as the two mappings and their open doorbells.
 func TestSegmentUnlinkedOnceAttached(t *testing.T) {
 	skipUnsupported(t)
 	a, _, _, _ := testPair(t, testOptions())
 	waitFor(t, "segment unlink", func() bool {
-		_, err := os.Stat(shmring.SegPath(a.SegName()))
-		return errors.Is(err, os.ErrNotExist)
+		left, err := filepath.Glob(shmring.SegPath(a.SegName()) + "*")
+		return err == nil && len(left) == 0
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -390,6 +391,10 @@ func TestAcceptHangupReleasesOffer(t *testing.T) {
 		}
 		if _, err := os.Stat(shmring.SegPath(ri.Addr)); !os.IsNotExist(err) {
 			t.Fatalf("offered segment %s still in /dev/shm (stat: %v)", ri.Addr, err)
+		}
+		// Nor any file beside it: the doorbell FIFOs go with the segment.
+		if left, _ := filepath.Glob(shmring.SegPath(ri.Addr) + "*"); len(left) > 0 {
+			t.Fatalf("offered segment left %v in /dev/shm", left)
 		}
 	}
 }

@@ -20,8 +20,9 @@ import (
 // shmDir is where segments live: a tmpfs present on every modern Linux.
 const shmDir = "/dev/shm"
 
-// NamePrefix marks every segment file this package creates, so the
-// orphan reaper only ever considers its own files.
+// NamePrefix marks every segment file this package creates — and the
+// doorbell FIFOs beside each — so the orphan reaper only ever considers
+// its own files.
 const NamePrefix = "newmad-shm-"
 
 // Header field offsets (within page 0). The magic is written LAST and
@@ -70,10 +71,11 @@ func RandomName() string {
 // SegPath returns the filesystem path backing a segment name.
 func SegPath(name string) string { return filepath.Join(shmDir, name) }
 
-// Create builds a fresh segment under name and maps it as side 0. The
-// file is created O_EXCL: a live name collision is an error, but a
-// collision with an orphan — a dead creator's leftover — is reaped and
-// retried once, so crashed runs can't poison a name forever.
+// Create builds a fresh segment under name and maps it as side 0, with
+// a fresh doorbell FIFO per direction beside it. The file is created
+// O_EXCL: a live name collision is an error, but a collision with an
+// orphan — a dead creator's leftover — is reaped and retried once, so
+// crashed runs can't poison a name forever.
 func Create(name string, cfg Config) (*Seg, error) {
 	if !Supported() {
 		return nil, ErrUnsupported
@@ -102,6 +104,15 @@ func Create(name string, cfg Config) (*Seg, error) {
 		return nil, fmt.Errorf("shmring: mmap %s: %w", name, err)
 	}
 	s := &Seg{name: name, path: path, mem: mem, side: 0, cfg: cfg}
+	// The name is ours: a doorbell left from an earlier life is stale.
+	removeBells(path)
+	if err := s.openBells(); err != nil {
+		s.closeBells()
+		removeBells(path)
+		syscall.Munmap(mem)
+		os.Remove(path)
+		return nil, fmt.Errorf("shmring: create %s: %w", name, err)
+	}
 	s.refs.Store(1)
 	putU32(mem[hdrVer:], segVersion)
 	putU32(mem[hdrRing:], uint32(cfg.RingBytes))
@@ -115,9 +126,10 @@ func Create(name string, cfg Config) (*Seg, error) {
 	return s, nil
 }
 
-// Open maps an existing segment as side 1. The creator may still be
-// mid-initialisation (attach-or-create races), so the magic is polled
-// briefly before giving up. Only one attacher wins the side-1 slot.
+// Open maps an existing segment as side 1 and opens its doorbells. The
+// creator may still be mid-initialisation (attach-or-create races), so
+// the magic is polled briefly before giving up. Only one attacher wins
+// the side-1 slot.
 func Open(name string, cfg Config) (*Seg, error) {
 	if !Supported() {
 		return nil, ErrUnsupported
@@ -157,9 +169,17 @@ func Open(name string, cfg Config) (*Seg, error) {
 		return nil, fmt.Errorf("shmring: mmap %s: %w", name, err)
 	}
 	s := &Seg{name: name, path: path, mem: mem, side: 1, cfg: geo}
+	if err := s.openBells(); err != nil {
+		s.closeBells()
+		syscall.Munmap(mem)
+		return nil, fmt.Errorf("shmring: open %s: %w", name, err)
+	}
 	s.refs.Store(1)
 	s.bind()
+	// The doorbells are open before the attach is published: the
+	// creator unlinks them once it sees this side attached.
 	if !s.sideWord32(1, sideState).CompareAndSwap(stateInit, stateAttached) {
+		s.closeBells()
 		syscall.Munmap(mem)
 		return nil, fmt.Errorf("shmring: open %s: segment already has a peer", name)
 	}
@@ -169,14 +189,49 @@ func Open(name string, cfg Config) (*Seg, error) {
 	return s, nil
 }
 
-// Unlink removes the segment file. The canonical flow is the creator
-// unlinking as soon as the peer attaches — from then on the segment
-// exists only as the two mappings and a process crash can't leak a
-// file. Idempotent, callable by either side.
+// openBells opens both directions' doorbells, making any that is not
+// there yet: the creator makes them before it publishes the magic, so
+// an attacher normally finds them, but either side may.
+func (s *Seg) openBells() error {
+	for i := range s.bells {
+		path := bellPath(s.path, i)
+		if err := makeBell(path); err != nil {
+			return fmt.Errorf("doorbell %s: %w", path, err)
+		}
+		b, err := openBell(path)
+		if err != nil {
+			return err
+		}
+		s.bells[i] = b
+	}
+	return nil
+}
+
+func (s *Seg) closeBells() {
+	for _, b := range s.bells {
+		if b != nil {
+			b.close()
+		}
+	}
+}
+
+// removeBells unlinks a segment's doorbell FIFOs.
+func removeBells(segPath string) {
+	for i := 0; i < 2; i++ {
+		os.Remove(bellPath(segPath, i))
+	}
+}
+
+// Unlink removes the segment file and its doorbells. The canonical flow
+// is the creator unlinking as soon as the peer attaches — both sides
+// have opened the doorbells by then — so from then on the segment
+// exists only as the two mappings and open FIFOs, and a process crash
+// can't leak a file. Idempotent, callable by either side.
 func (s *Seg) Unlink() {
 	if s.unlinked.Swap(true) {
 		return
 	}
+	removeBells(s.path)
 	os.Remove(s.path)
 }
 
@@ -189,13 +244,27 @@ func (s *Seg) unmap() {
 	if s.unmapped.Swap(true) {
 		return
 	}
+	s.closeBells()
 	syscall.Munmap(s.mem)
 }
 
-// reapOne unlinks path if it is a newmad segment whose creator process
-// is gone, or an unreadable/uninitialised leftover older than a minute.
-// Reports whether the path no longer stands in the way.
+// reapOne unlinks path, with its doorbells, if it is a newmad segment
+// whose creator process is gone, or an unreadable/uninitialised
+// leftover older than a minute. Reports whether the path no longer
+// stands in the way. Only a regular file is opened: opening a FIFO for
+// reading would block until some process writes it.
 func reapOne(path string) bool {
+	st, err := os.Lstat(path)
+	if err != nil {
+		return errors.Is(err, os.ErrNotExist)
+	}
+	if !st.Mode().IsRegular() {
+		return false
+	}
+	remove := func() bool {
+		removeBells(path)
+		return os.Remove(path) == nil
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return errors.Is(err, os.ErrNotExist)
@@ -204,14 +273,14 @@ func reapOne(path string) bool {
 	_, rerr := f.ReadAt(hdr, 0)
 	f.Close()
 	if rerr != nil || getU64(hdr[hdrMagic:]) != segMagic {
-		if st, err := os.Stat(path); err == nil && time.Since(st.ModTime()) > time.Minute {
-			return os.Remove(path) == nil
+		if time.Since(st.ModTime()) > time.Minute {
+			return remove()
 		}
 		return false
 	}
 	pid := int(getU64(hdr[hdrPID:]))
 	if pid <= 0 || !pidAlive(pid) {
-		return os.Remove(path) == nil
+		return remove()
 	}
 	return false
 }
@@ -224,9 +293,12 @@ func pidAlive(pid int) bool {
 }
 
 // ReapOrphans sweeps /dev/shm for segments left behind by crashed
-// processes — creator pid no longer alive — and unlinks them. Returns
-// how many files were removed. Safe to run concurrently with live
-// traffic: live segments' creators are alive, so they are skipped.
+// processes — creator pid no longer alive — and unlinks them with their
+// doorbells, plus any doorbell left without its segment file (an
+// attacher that made it after the creator unlinked). Returns how many
+// segments and stray doorbells were removed. Safe to run concurrently
+// with live traffic: live segments' creators are alive, so they are
+// skipped, and a live doorbell always has its segment file beside it.
 func ReapOrphans() int {
 	if !Supported() {
 		return 0
@@ -237,16 +309,30 @@ func ReapOrphans() int {
 	}
 	n := 0
 	for _, e := range ents {
-		if !strings.HasPrefix(e.Name(), NamePrefix) || e.IsDir() {
+		if !strings.HasPrefix(e.Name(), NamePrefix) {
 			continue
 		}
 		full := filepath.Join(shmDir, e.Name())
-		if _, err := os.Stat(full); err != nil {
-			continue
-		}
-		if reapOne(full) {
-			n++
+		switch {
+		case e.Type().IsRegular():
+			if reapOne(full) {
+				n++
+			}
+		case e.Type()&os.ModeNamedPipe != 0:
+			seg, ok := bellSegPath(full)
+			if _, err := os.Lstat(seg); ok && errors.Is(err, os.ErrNotExist) && os.Remove(full) == nil {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// bellSegPath returns the segment path a doorbell path belongs to.
+func bellSegPath(path string) (string, bool) {
+	i := strings.LastIndex(path, ".bell")
+	if i < 0 {
+		return "", false
+	}
+	return path[:i], true
 }

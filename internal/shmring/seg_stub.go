@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Non-Linux stub: shared-memory rails need /dev/shm and futexes. Every
+// Non-Linux stub: shared-memory rails need /dev/shm, FIFOs and futexes. Every
 // constructor fails with ErrUnsupported and Supported reports false, so
 // callers gate and skip instead of breaking the build.
 
@@ -49,3 +49,9 @@ func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) {
 }
 
 func futexWake(addr *atomic.Uint32) {}
+
+// doorbell is never opened here: no Seg exists to ring.
+type doorbell struct{}
+
+func (b *doorbell) ring()                      {}
+func (b *doorbell) wait(timeout time.Duration) { futexWait(nil, 0, timeout) }

@@ -15,6 +15,10 @@
 //	direction 0     ring control · ring data · arena control · arena data
 //	direction 1     (same, side 1 → side 0)
 //
+// Beside the segment file sit two FIFOs, <name>.bell0 and <name>.bell1:
+// each direction's data doorbell. They share the segment's lifecycle —
+// made with it, unlinked with it, reaped with it.
+//
 // Each direction is strictly single-producer/single-consumer: the
 // producer owns the ring head and arena head, the consumer owns the
 // ring tail; arena regions are freed by the consumer (a state flag in
@@ -35,15 +39,23 @@
 //
 // # Blocking
 //
-// Waiting peers do not spin: each direction carries futex doorbells
-// (data published, space released) that the producer and consumer bump
-// and wake. Waits are sliced (capped at a few tens of milliseconds) so
-// local close and peer death are always noticed: every side stamps a
+// Waiting peers do not spin. A consumer waiting for data parks in Go's
+// netpoller on the direction's doorbell, a FIFO beside the segment that
+// both processes open by path: one goroutine wake per arrival, as for a
+// socket reader, and no OS thread blocked in a syscall. A producer
+// waiting for ring or arena space parks on a futex word instead (the
+// rare side, when the consumer falls behind). Every wait sits behind a
+// waiter-present word in the control line: the waiter raises it before
+// its final re-check of the cursors, and the other side rings only when
+// it reads non-zero — so a busy stream makes no wake syscall at all,
+// and sequentially consistent atomics guarantee that no wake is lost.
+// Waits are sliced (capped at a few tens of milliseconds) so local
+// close and peer death are always noticed: every side stamps a
 // heartbeat word, and a peer whose state is closed — or whose heartbeat
 // goes stale past the configured timeout — fails blocked operations
 // with ErrPeerGone instead of parking them forever.
 //
-// Linux-only: segments need /dev/shm and futexes. On other platforms
+// Linux-only: segments need /dev/shm, FIFOs and futexes. On other platforms
 // Supported reports false and Create/Open fail with ErrUnsupported;
 // callers gate with Supported and skip.
 package shmring
@@ -58,7 +70,7 @@ import (
 
 // Errors reported by segment operations.
 var (
-	// ErrUnsupported reports a platform without /dev/shm + futex.
+	// ErrUnsupported reports a platform without /dev/shm, FIFOs and futexes.
 	ErrUnsupported = errors.New("shmring: shared-memory segments unsupported on this platform")
 	// ErrClosed reports an operation on a locally closed (or killed)
 	// segment.
@@ -139,7 +151,7 @@ const (
 // recAlign, so record and region headers never wrap the ring edge.
 const (
 	segMagic   = uint64(0x314d48534d57454e) // "NEWMSHM1"
-	segVersion = uint32(1)
+	segVersion = uint32(2)
 
 	hdrSize    = 4096
 	side0Off   = 1024
@@ -149,18 +161,19 @@ const (
 	dirCtlSize = 256
 	ctlHead    = 0
 	ctlTail    = 64
-	ctlData    = 128 // u32 futex: data published
-	ctlSpace   = 192 // u32 futex: ring space released
+	ctlData    = 128 // data line: u32 reserved (the doorbell is a FIFO), waiter word
+	ctlSpace   = 192 // u32 futex: ring space released, then its waiter word
 	arCtlSize  = 192
 	arHead     = 0
 	arTail     = 64
-	arSpace    = 128 // u32 futex: arena region freed
+	arSpace    = 128 // u32 futex: arena region freed, then its waiter word
+	waitWord   = 4   // offset of a line's u32 waiter-present word
 
 	recAlign  = 16
 	recHdrLen = 16 // u32 kind, u32 reserved, u64 payload length
 	regHdrLen = 16 // u64 size, u32 state, u32 reserved
 
-	// waitSlice caps one futex sleep so close/death flags are polled.
+	// waitSlice caps one sleep so close/death flags are polled.
 	waitSlice = 25 * time.Millisecond
 )
 
@@ -207,11 +220,12 @@ func ArenaStats() ArenaStat {
 // slices handed out zero-copy stay valid until their leases release,
 // however the segment itself is closed.
 type Seg struct {
-	name string
-	path string
-	mem  []byte
-	side int // 0 creator, 1 attacher
-	cfg  Config
+	name  string
+	path  string
+	mem   []byte
+	side  int // 0 creator, 1 attacher
+	cfg   Config
+	bells [2]*doorbell // data doorbell of each direction
 
 	tx, rx Dir
 
@@ -232,13 +246,15 @@ type Seg struct {
 type Dir struct {
 	seg *Seg
 
-	head, tail       *atomic.Uint64
-	dataSeq, spcSeq  *atomic.Uint32
-	ring             []byte
-	aHead, aTail     *atomic.Uint64
-	aSpcSeq          *atomic.Uint32
-	arena            []byte
-	ringMask, arMask uint64
+	head, tail        *atomic.Uint64
+	dataWait          *atomic.Uint32 // consumer parked on bell
+	bell              *doorbell
+	spcSeq, spcWait   *atomic.Uint32 // ring space: futex, producer parked
+	ring              []byte
+	aHead, aTail      *atomic.Uint64
+	aSpcSeq, aSpcWait *atomic.Uint32 // arena space: futex, producer parked
+	arena             []byte
+	ringMask, arMask  uint64
 }
 
 // segSize computes the file size for a geometry.
@@ -246,18 +262,21 @@ func segSize(c Config) int {
 	return hdrSize + 2*(dirCtlSize+c.RingBytes+arCtlSize+c.ArenaBytes)
 }
 
-// bind wires the Seg's Dir views over the mapping. Side i produces into
-// direction i and consumes direction 1-i.
+// bind wires the Seg's Dir views over the mapping and the doorbells.
+// Side i produces into direction i and consumes direction 1-i.
 func (s *Seg) bind() {
 	dir := func(i int) Dir {
 		off := hdrSize + i*(dirCtlSize+s.cfg.RingBytes+arCtlSize+s.cfg.ArenaBytes)
 		ctl := s.mem[off:]
+		u32 := func(b []byte, at int) *atomic.Uint32 { return (*atomic.Uint32)(unsafe.Pointer(&b[at])) }
 		d := Dir{
 			seg:      s,
 			head:     (*atomic.Uint64)(unsafe.Pointer(&ctl[ctlHead])),
 			tail:     (*atomic.Uint64)(unsafe.Pointer(&ctl[ctlTail])),
-			dataSeq:  (*atomic.Uint32)(unsafe.Pointer(&ctl[ctlData])),
-			spcSeq:   (*atomic.Uint32)(unsafe.Pointer(&ctl[ctlSpace])),
+			dataWait: u32(ctl, ctlData+waitWord),
+			bell:     s.bells[i],
+			spcSeq:   u32(ctl, ctlSpace),
+			spcWait:  u32(ctl, ctlSpace+waitWord),
 			ring:     s.mem[off+dirCtlSize : off+dirCtlSize+s.cfg.RingBytes],
 			ringMask: uint64(s.cfg.RingBytes - 1),
 			arMask:   uint64(s.cfg.ArenaBytes - 1),
@@ -266,7 +285,8 @@ func (s *Seg) bind() {
 		arCtl := s.mem[arOff:]
 		d.aHead = (*atomic.Uint64)(unsafe.Pointer(&arCtl[arHead]))
 		d.aTail = (*atomic.Uint64)(unsafe.Pointer(&arCtl[arTail]))
-		d.aSpcSeq = (*atomic.Uint32)(unsafe.Pointer(&arCtl[arSpace]))
+		d.aSpcSeq = u32(arCtl, arSpace)
+		d.aSpcWait = u32(arCtl, arSpace+waitWord)
 		d.arena = s.mem[arOff+arCtlSize : arOff+arCtlSize+s.cfg.ArenaBytes]
 		return d
 	}
@@ -390,18 +410,38 @@ func (s *Seg) enter() bool {
 
 func (s *Seg) exit() { s.Unref() }
 
-// wakeAll pokes every doorbell in both directions so blocked peers (and
-// this side's own waiters) re-check state promptly.
+// wakeAll rings every doorbell in both directions, waiter or not, so
+// blocked peers (and this side's own waiters) re-check state promptly.
 func (s *Seg) wakeAll() {
 	if !s.enter() {
 		return
 	}
 	defer s.exit()
 	for _, d := range []*Dir{&s.tx, &s.rx} {
-		futexWake(d.dataSeq)
-		futexWake(d.spcSeq)
-		futexWake(d.aSpcSeq)
+		d.bell.ring()
+		wakeSeq(d.spcSeq)
+		wakeSeq(d.aSpcSeq)
 	}
+}
+
+// wakeSeq bumps a futex word and wakes whoever is parked on it.
+func wakeSeq(seq *atomic.Uint32) {
+	seq.Add(1)
+	futexWake(seq)
+}
+
+// waitSeq parks a producer on a futex word until ready holds. The
+// waiter word goes up after the sequence is read and before the final
+// re-check: a waker that reads it as zero published before that check,
+// and one that reads it non-zero bumps the sequence after this read, so
+// the futex either refuses to sleep or is woken.
+func waitSeq(seq, waiting *atomic.Uint32, ready func() bool) {
+	v := seq.Load()
+	waiting.Add(1)
+	if !ready() {
+		futexWait(seq, v, waitSlice)
+	}
+	waiting.Add(^uint32(0))
 }
 
 // Kill abandons the segment as a crash would: local operations fail
@@ -451,7 +491,7 @@ func (d *Dir) copyIn(cur uint64, src []byte) {
 }
 
 // Push appends one record — kind plus the concatenated parts — to the
-// ring, blocking on the space doorbell while the ring is full. The
+// ring, blocking on the space futex while the ring is full. The
 // scatter parts spare callers an intermediate concatenation: a frame
 // header and its payload push as one record, one copy each.
 func (d *Dir) Push(kind uint32, parts ...[]byte) error {
@@ -471,18 +511,12 @@ func (d *Dir) Push(kind uint32, parts ...[]byte) error {
 	if need > capa {
 		return ErrTooLarge
 	}
-	for {
-		if capa-(d.head.Load()-d.tail.Load()) >= need {
-			break
-		}
+	fits := func() bool { return capa-(d.head.Load()-d.tail.Load()) >= need }
+	for !fits() {
 		if err := d.seg.waitErr(); err != nil {
 			return err
 		}
-		seq := d.spcSeq.Load()
-		if capa-(d.head.Load()-d.tail.Load()) >= need {
-			break
-		}
-		futexWait(d.spcSeq, seq, waitSlice)
+		waitSeq(d.spcSeq, d.spcWait, fits)
 	}
 	head := d.head.Load()
 	pos := head & d.ringMask
@@ -495,8 +529,9 @@ func (d *Dir) Push(kind uint32, parts ...[]byte) error {
 		cur += uint64(len(p))
 	}
 	d.head.Store(head + need)
-	d.dataSeq.Add(1)
-	futexWake(d.dataSeq)
+	if d.dataWait.Load() != 0 {
+		d.bell.ring()
+	}
 	return nil
 }
 
@@ -544,8 +579,9 @@ func (d *Dir) TryPop(fn func(kind uint32, a, b []byte)) bool {
 	}
 	fn(kind, a, b)
 	d.tail.Store(tail + uint64(recHdrLen+align16(n)))
-	d.spcSeq.Add(1)
-	futexWake(d.spcSeq)
+	if d.spcWait.Load() != 0 {
+		wakeSeq(d.spcSeq)
+	}
 	return true
 }
 
@@ -566,20 +602,25 @@ func (d *Dir) Empty() bool {
 
 // WaitData parks the consumer on the data doorbell until the producer
 // publishes, someone wakes the segment, or the slice of timeout passes.
-// Callers loop: a wakeup is a hint, not a guarantee.
+// Callers loop: a wakeup is a hint, not a guarantee. The waiter word
+// goes up before the final look at the cursors, so a producer either
+// published before that look or sees the word and rings.
 func (d *Dir) WaitData(timeout time.Duration) {
 	if !d.seg.enter() {
 		return
 	}
 	defer d.seg.exit()
-	seq := d.dataSeq.Load()
 	if d.head.Load() != d.tail.Load() {
 		return
 	}
 	if timeout <= 0 || timeout > waitSlice {
 		timeout = waitSlice
 	}
-	futexWait(d.dataSeq, seq, timeout)
+	d.dataWait.Add(1)
+	if d.head.Load() == d.tail.Load() {
+		d.bell.wait(timeout)
+	}
+	d.dataWait.Add(^uint32(0))
 }
 
 // ---- arena: producer side -----------------------------------------------
@@ -589,7 +630,10 @@ func (d *Dir) regState(pos uint64) *atomic.Uint32 {
 }
 
 // reclaim advances the arena tail over regions the consumer has freed
-// (and over skip padding), in order. Producer-only.
+// (and over skip padding), in order. An arena left empty rewinds both
+// cursors to offset zero, so a steady exchange keeps reusing the same
+// warm pages instead of sweeping the whole arena. Producer-only: the
+// consumer never reads the cursors, only masked region offsets.
 func (d *Dir) reclaim() {
 	head := d.aHead.Load()
 	tail := d.aTail.Load()
@@ -601,13 +645,18 @@ func (d *Dir) reclaim() {
 		}
 		tail += uint64(regHdrLen + align16(int(size)))
 	}
+	if tail == head && tail&d.arMask != 0 {
+		tail = (tail + d.arMask) &^ d.arMask
+		d.aHead.Store(tail)
+	}
 	d.aTail.Store(tail)
 }
 
 // Alloc carves a contiguous n-byte region out of the shared arena,
-// blocking on the arena doorbell while the consumer still holds too
-// much of it. The returned offset names the region for the ring record
-// and for Free; the slice aliases the mapping, sized exactly n.
+// blocking on the arena futex while the consumer still holds too much
+// of it. The returned offset — the region's start within the arena —
+// names it for the ring record and for Free; the slice aliases the
+// mapping, sized exactly n.
 func (d *Dir) Alloc(n int) (uint64, []byte, error) {
 	if !d.seg.enter() {
 		return 0, nil, ErrClosed
@@ -643,17 +692,15 @@ func (d *Dir) Alloc(n int) (uint64, []byte, error) {
 			arenaAllocs.Add(1)
 			arenaLive.Add(1)
 			start := pos + regHdrLen
-			return head + regHdrLen, d.arena[start : start+uint64(n) : start+uint64(n)], nil
+			return start, d.arena[start : start+uint64(n) : start+uint64(n)], nil
 		}
 		if err := d.seg.waitErr(); err != nil {
 			return 0, nil, err
 		}
-		seq := d.aSpcSeq.Load()
-		d.reclaim()
-		if capa-(d.aHead.Load()-d.aTail.Load()) >= need {
-			continue
-		}
-		futexWait(d.aSpcSeq, seq, waitSlice)
+		waitSeq(d.aSpcSeq, d.aSpcWait, func() bool {
+			d.reclaim()
+			return capa-(d.aHead.Load()-d.aTail.Load()) >= need
+		})
 	}
 }
 
@@ -698,8 +745,9 @@ func (d *Dir) Free(off uint64) {
 	}
 	arenaFrees.Add(1)
 	arenaLive.Add(-1)
-	d.aSpcSeq.Add(1)
-	futexWake(d.aSpcSeq)
+	if d.aSpcWait.Load() != 0 {
+		wakeSeq(d.aSpcSeq)
+	}
 }
 
 // ---- unaligned little-endian helpers ------------------------------------

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -51,10 +52,12 @@ func TestSegCreateOpen(t *testing.T) {
 		t.Fatal("second attacher accepted")
 	}
 	// The canonical flow: creator unlinks once the peer is in; both
-	// mappings keep working with no file on disk.
+	// mappings keep working with no file on disk, the doorbells included.
 	a.Unlink()
-	if _, err := os.Stat(SegPath(a.Name())); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("segment file survived unlink: %v", err)
+	for _, path := range segFiles(a) {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived unlink: %v", path, err)
+		}
 	}
 	if err := a.TX().Push(RecInline, []byte("post-unlink")); err != nil {
 		t.Fatal(err)
@@ -63,6 +66,13 @@ func TestSegCreateOpen(t *testing.T) {
 	if string(got) != "post-unlink" {
 		t.Fatalf("payload: %q", got)
 	}
+}
+
+// segFiles lists the files a segment keeps in /dev/shm: the segment
+// itself and one doorbell per direction.
+func segFiles(s *Seg) []string {
+	path := SegPath(s.Name())
+	return []string{path, bellPath(path, 0), bellPath(path, 1)}
 }
 
 // popOne blocks until one record arrives and returns a copy of its
@@ -183,6 +193,158 @@ func TestArenaWrapAndReclaim(t *testing.T) {
 	}
 	if after.Allocs-before.Allocs != n {
 		t.Fatalf("allocs: %d", after.Allocs-before.Allocs)
+	}
+}
+
+// TestBusyStreamMakesNoWakeSyscall pins the waiter-present words: in a
+// stream whose consumer never parks — each record popped right after it
+// is pushed, each rendezvous region freed before the next is carved —
+// no side rings a doorbell or makes any other wake or park syscall.
+func TestBusyStreamMakesNoWakeSyscall(t *testing.T) {
+	skipUnsupported(t)
+	a, b := pair(t, Config{RingBytes: 8 << 10, ArenaBytes: 64 << 10})
+	tx, rx := a.TX(), b.RX()
+	wakes, parks := wakeCalls.Load(), parkCalls.Load()
+	inline := make([]byte, 200)
+	for i := 0; i < 1000; i++ {
+		if err := tx.Push(RecInline, inline); err != nil {
+			t.Fatal(err)
+		}
+		off, region, err := tx.Alloc(5000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		region[0] = byte(i)
+		var ref [16]byte
+		putU64(ref[:], off)
+		putU64(ref[8:], uint64(len(region)))
+		if err := tx.Push(RecRendezvous, ref[:]); err != nil {
+			t.Fatal(err)
+		}
+		if !rx.TryPop(func(uint32, []byte, []byte) {}) {
+			t.Fatalf("record %d: inline record not published", i)
+		}
+		if !rx.TryPop(func(_ uint32, a, _ []byte) { copy(ref[:], a) }) {
+			t.Fatalf("record %d: rendezvous record not published", i)
+		}
+		got, err := rx.Region(getU64(ref[:]), int(getU64(ref[8:])))
+		if err != nil || got[0] != byte(i) {
+			t.Fatalf("record %d: region %v, %v", i, got[:1], err)
+		}
+		rx.Free(getU64(ref[:]))
+	}
+	if n := wakeCalls.Load() - wakes; n != 0 {
+		t.Fatalf("%d wake syscalls in a stream whose consumer never parked", n)
+	}
+	if n := parkCalls.Load() - parks; n != 0 {
+		t.Fatalf("%d parks in a stream that never waited", n)
+	}
+}
+
+// waitPop is popOne for a goroutine other than the test's: it parks on
+// the doorbell between tries and returns nil after a few seconds.
+func waitPop(d *Dir) []byte {
+	deadline := time.Now().Add(5 * time.Second)
+	var out []byte
+	for !d.TryPop(func(_ uint32, a, b []byte) { out = append(append(out, a...), b...) }) {
+		if time.Now().After(deadline) {
+			return nil
+		}
+		d.WaitData(waitSlice)
+	}
+	return out
+}
+
+// TestPingpongLosesNoWake proves the waiter-present protocol loses no
+// wake: in a 1000-round echo over the bare rings, where each side parks
+// on its doorbell for every reply, no wait runs out its slice — every
+// park ends with a ring.
+func TestPingpongLosesNoWake(t *testing.T) {
+	skipUnsupported(t)
+	a, b := pair(t, Config{RingBytes: 8 << 10, ArenaBytes: 64 << 10})
+	const rounds = 1000
+	expired, parks := sliceExpiries.Load(), parkCalls.Load()
+	echoed := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			rec := waitPop(b.RX())
+			if rec == nil {
+				echoed <- fmt.Errorf("round %d: no record to echo", i)
+				return
+			}
+			if err := b.TX().Push(RecInline, rec); err != nil {
+				echoed <- err
+				return
+			}
+		}
+		echoed <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		msg := fmt.Sprintf("round %04d", i)
+		if err := a.TX().Push(RecInline, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(waitPop(a.RX())); got != msg {
+			t.Fatalf("round %d: echo %q", i, got)
+		}
+	}
+	if err := <-echoed; err != nil {
+		t.Fatal(err)
+	}
+	if n := sliceExpiries.Load() - expired; n != 0 {
+		t.Fatalf("%d waits ran out their %v slice: a wake was lost", n, waitSlice)
+	}
+	if parkCalls.Load() == parks {
+		t.Fatal("no side ever parked: the doorbells went unexercised")
+	}
+}
+
+// TestArenaRewindsWhenDrained pins the warm-page rule: once every region
+// of a rendezvous pingpong is freed, the next region is carved at the
+// start of the arena again instead of marching on into pages no message
+// has touched yet, and the lease accounting returns to where it began.
+func TestArenaRewindsWhenDrained(t *testing.T) {
+	skipUnsupported(t)
+	before := ArenaStats()
+	a, b := pair(t, Config{RingBytes: 8 << 10, ArenaBytes: 1 << 20})
+	const size = 64 << 10
+	for i := 0; i < 50; i++ {
+		off, region, err := a.TX().Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off != regHdrLen {
+			t.Fatalf("round %d: region carved at arena offset %d, want %d", i, off, regHdrLen)
+		}
+		for j := range region {
+			region[j] = byte(i)
+		}
+		var ref [16]byte
+		putU64(ref[:], off)
+		putU64(ref[8:], size)
+		if err := a.TX().Push(RecRendezvous, ref[:]); err != nil {
+			t.Fatal(err)
+		}
+		rec := popOne(t, b.RX())
+		got, err := b.RX().Region(getU64(rec), int(getU64(rec[8:])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != byte(i) || got[size-1] != byte(i) {
+			t.Fatalf("round %d: region corrupted", i)
+		}
+		b.RX().Free(getU64(rec))
+	}
+	if live := ArenaStats().Live - before.Live; live != 0 {
+		t.Fatalf("%d arena regions still leased after the drained pingpong", live)
+	}
+	off, _, err := a.TX().Alloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.TX().Free(off)
+	if off != regHdrLen {
+		t.Fatalf("region after the drained pingpong at arena offset %d, want %d", off, regHdrLen)
 	}
 }
 
@@ -331,6 +493,16 @@ func TestReapOrphans(t *testing.T) {
 	if err := os.WriteFile(orphan, hdr, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	// The orphan's doorbells go with it; a doorbell whose segment is
+	// already gone is a stray and goes too.
+	stray := bellPath(SegPath(RandomName()), 1)
+	planted := []string{bellPath(orphan, 0), bellPath(orphan, 1), stray}
+	for _, path := range planted {
+		if err := syscall.Mkfifo(path, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(path)
+	}
 
 	live, err := Create(RandomName(), Config{RingBytes: 4 << 10, ArenaBytes: 64 << 10})
 	if err != nil {
@@ -341,11 +513,15 @@ func TestReapOrphans(t *testing.T) {
 	if n := ReapOrphans(); n < 1 {
 		t.Fatalf("reaped %d files, want >= 1", n)
 	}
-	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("orphan survived the sweep")
+	for _, path := range append(planted, orphan) {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived the sweep", path)
+		}
 	}
-	if _, err := os.Stat(SegPath(live.Name())); err != nil {
-		t.Fatalf("live segment reaped: %v", err)
+	for _, path := range segFiles(live) {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("live segment's %s reaped: %v", path, err)
+		}
 	}
 
 	// A name collision with the orphaned file resolves itself: Create
