@@ -41,11 +41,12 @@ func (s *Seg) Unlinked() bool { return true }
 func (s *Seg) unmap() {}
 
 // futexWait degrades to a bounded sleep; no Seg exists to wait on.
-func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) {
+func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) bool {
 	if timeout <= 0 || timeout > time.Millisecond {
 		timeout = time.Millisecond
 	}
 	time.Sleep(timeout)
+	return true
 }
 
 func futexWake(addr *atomic.Uint32) {}
@@ -53,5 +54,5 @@ func futexWake(addr *atomic.Uint32) {}
 // doorbell is never opened here: no Seg exists to ring.
 type doorbell struct{}
 
-func (b *doorbell) ring()                      {}
-func (b *doorbell) wait(timeout time.Duration) { futexWait(nil, 0, timeout) }
+func (b *doorbell) ring()                           {}
+func (b *doorbell) wait(timeout time.Duration) bool { return futexWait(nil, 0, timeout) }

@@ -430,6 +430,11 @@ func wakeSeq(seq *atomic.Uint32) {
 	futexWake(seq)
 }
 
+// lostWakes counts waits that ran out their slice although what they
+// waited for had already happened: a wake that was owed and never came.
+// A peer that is merely slow leaves nothing to find and is not counted.
+var lostWakes atomic.Uint64
+
 // waitSeq parks a producer on a futex word until ready holds. The
 // waiter word goes up after the sequence is read and before the final
 // re-check: a waker that reads it as zero published before that check,
@@ -438,8 +443,8 @@ func wakeSeq(seq *atomic.Uint32) {
 func waitSeq(seq, waiting *atomic.Uint32, ready func() bool) {
 	v := seq.Load()
 	waiting.Add(1)
-	if !ready() {
-		futexWait(seq, v, waitSlice)
+	if !ready() && futexWait(seq, v, waitSlice) && ready() {
+		lostWakes.Add(1)
 	}
 	waiting.Add(^uint32(0))
 }
@@ -617,8 +622,8 @@ func (d *Dir) WaitData(timeout time.Duration) {
 		timeout = waitSlice
 	}
 	d.dataWait.Add(1)
-	if d.head.Load() == d.tail.Load() {
-		d.bell.wait(timeout)
+	if d.head.Load() == d.tail.Load() && d.bell.wait(timeout) && d.head.Load() != d.tail.Load() {
+		lostWakes.Add(1)
 	}
 	d.dataWait.Add(^uint32(0))
 }

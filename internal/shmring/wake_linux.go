@@ -14,11 +14,9 @@ import (
 )
 
 // Wake and park accounting, process-wide: every futex wake and doorbell
-// ring counts in wakeCalls, every futex wait and doorbell read in
-// parkCalls, and a park that ran its whole slice without being woken in
-// sliceExpiries. Tests read them to prove which operations reach the
-// kernel and that no wake is lost.
-var wakeCalls, parkCalls, sliceExpiries atomic.Uint64
+// ring counts in wakeCalls, every futex wait and doorbell wait in
+// parkCalls. Tests read them to prove which operations reach the kernel.
+var wakeCalls, parkCalls atomic.Uint64
 
 // Futex operation codes. The non-PRIVATE forms are required: the waiter
 // and the waker sit in different processes, sharing the word through
@@ -29,18 +27,16 @@ const (
 )
 
 // futexWait parks the caller on the word while it still holds val, for
-// at most timeout. Spurious returns (EINTR, EAGAIN on a raced value
-// change, timeout) are fine by construction — every caller loops on the
-// real condition.
-func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) {
+// at most timeout, and reports whether the timeout ran out. Spurious
+// returns (EINTR, EAGAIN on a raced value change) are fine by
+// construction — every caller loops on the real condition.
+func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) (expired bool) {
 	parkCalls.Add(1)
 	ts := syscall.NsecToTimespec(timeout.Nanoseconds())
 	_, _, errno := syscall.Syscall6(syscall.SYS_FUTEX,
 		uintptr(unsafe.Pointer(addr)), futexWaitOp, uintptr(val),
 		uintptr(unsafe.Pointer(&ts)), 0, 0)
-	if errno == syscall.ETIMEDOUT {
-		sliceExpiries.Add(1)
-	}
+	return errno == syscall.ETIMEDOUT
 }
 
 // futexWake wakes every waiter parked on the word.
@@ -117,23 +113,22 @@ func (b *doorbell) ring() {
 }
 
 // wait parks until the doorbell rings or timeout passes, draining the
-// rings pending so the next wait parks again. The read comes first:
+// rings pending so the next wait parks again, and reports whether the
+// timeout ran out. The read comes first:
 // arming the netpoller forgets a readiness it saw earlier, so only a
 // read that finds the FIFO empty may park. The deadline moves only when
 // it is off by more than half the slice; re-arming its timer on every
 // wait would cost more than the wait's own read.
-func (b *doorbell) wait(timeout time.Duration) {
+func (b *doorbell) wait(timeout time.Duration) (expired bool) {
 	parkCalls.Add(1)
 	now := time.Now()
 	if left := b.deadline.Sub(now); left > timeout || left < timeout/2 {
 		b.deadline = now.Add(timeout)
 		if b.f.SetReadDeadline(b.deadline) != nil {
-			return
+			return false
 		}
 	}
-	if err := b.rc.Read(b.drain); errors.Is(err, os.ErrDeadlineExceeded) {
-		sliceExpiries.Add(1)
-	}
+	return errors.Is(b.rc.Read(b.drain), os.ErrDeadlineExceeded)
 }
 
 // onReadable is wait's read callback: it drains the FIFO and reports
