@@ -69,9 +69,20 @@ func (b *Backlog) Gate() *Gate { return b.gate }
 // Rails returns the gate's rails (including down rails; check Rail.Down).
 func (b *Backlog) Rails() []*Rail { return b.gate.rails }
 
-// AggThreshold returns the engine's aggregation limit: the largest
-// contiguous packet a strategy should build by copying segments together.
+// AggThreshold returns the engine's aggregation limit (Config.AggThreshold):
+// the aggregate size of rails that declare no cap of their own, and the
+// segment size above which stripping strategies go by rendezvous.
 func (b *Backlog) AggThreshold() int { return b.gate.eng.cfg.AggThreshold }
+
+// AggMax returns the largest aggregate payload, record headers included,
+// a strategy should build for rail r: the rail's Profile.AggMax, or
+// AggThreshold when the rail declares none.
+func (b *Backlog) AggMax(r *Rail) int {
+	if m := r.Profile().AggMax; m > 0 {
+		return m
+	}
+	return b.AggThreshold()
+}
 
 // MinChunk returns the smallest rendezvous chunk a strategy should carve,
 // so stripping never drops back into the PIO regime.
@@ -206,19 +217,22 @@ func (b *Backlog) Empty() bool {
 // MakeEager builds a data packet from one or more pending segments that
 // the caller has popped, consuming the units (they return to the unit
 // pool and must not be touched afterwards). With a single unit the
-// payload aliases the application buffer (zero copy). With several, the
-// segments are copied into one contiguous arena-leased payload of
-// [header|bytes] records — the paper's opportunistic aggregation — and
-// the copy cost is charged to the host CPU. The lease is owned by the
+// payload aliases the application buffer (zero copy). Several units form
+// an aggregate of [header|bytes] records — the paper's opportunistic
+// aggregation — carried as a gather list: one arena lease holds the
+// record headers and the records alias the application buffers, so the
+// only copy is the driver's own (writev into the kernel, the ring write,
+// or the frame encode). A simulated host is charged that copy here, as
+// the paper's cost model charges aggregation. The lease is owned by the
 // returned packet and travels with it until the engine releases the
 // packet at send completion or rail failure.
 func (b *Backlog) MakeEager(units ...*Unit) *Packet {
 	if len(units) == 0 {
 		panic("core: MakeEager with no units")
 	}
+	p := getPacket()
 	if len(units) == 1 {
 		u := units[0]
-		p := getPacket()
 		p.Hdr = u.Hdr
 		p.Hdr.Kind = KData
 		p.Hdr.Agg = 0
@@ -228,29 +242,23 @@ func (b *Backlog) MakeEager(units ...*Unit) *Packet {
 		putUnit(u)
 		return p
 	}
-	total := 0
-	for _, u := range units {
-		total += HeaderLen + len(u.Data)
-	}
-	frame := GetBuf(total)
-	payload := frame.B
-	off := 0
-	p := getPacket()
-	p.frame = frame
+	p.frame = GetBuf(len(units) * HeaderLen)
 	tag, msg := units[0].Hdr.Tag, units[0].Hdr.MsgID
-	for _, u := range units {
+	total := 0
+	for i, u := range units {
 		h := u.Hdr
 		h.Kind = KData
 		h.Agg = 0
 		h.PayLen = uint32(len(u.Data))
-		off += EncodeHeader(payload[off:], &h)
-		off += copy(payload[off:], u.Data)
+		rec := p.frame.B[i*HeaderLen : (i+1)*HeaderLen]
+		EncodeHeader(rec, &h)
+		p.recs = append(p.recs, rec, u.Data)
+		total += HeaderLen + len(u.Data)
 		p.senders = append(p.senders, senderRef{req: u.Req, bytes: len(u.Data)})
 		putUnit(u)
 	}
 	b.gate.eng.clock.Memcpy(total)
 	p.Hdr = Header{Kind: KData, Agg: uint16(len(units)), Tag: tag, MsgID: msg, PayLen: uint32(total)}
-	p.Payload = payload
 	return p
 }
 

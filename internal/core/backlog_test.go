@@ -99,6 +99,9 @@ func TestMakeEagerSingleIsZeroCopy(t *testing.T) {
 	}
 }
 
+// TestMakeEagerAggregatesRecords reads an aggregate the way a driver
+// does, through EncodeTo: the records are gathered from the application
+// buffers, and the wire bytes are the contiguous [header|bytes] layout.
 func TestMakeEagerAggregatesRecords(t *testing.T) {
 	b, _ := backlogFixture(t, 1)
 	u1 := unit(1, 0, []byte("aaaa"))
@@ -108,26 +111,41 @@ func TestMakeEagerAggregatesRecords(t *testing.T) {
 		t.Fatalf("Agg = %d", p.Hdr.Agg)
 	}
 	wantLen := 2*core.HeaderLen + 6
-	if len(p.Payload) != wantLen {
-		t.Fatalf("payload %d bytes, want %d", len(p.Payload), wantLen)
+	if p.Len() != wantLen || p.WireLen() != core.HeaderLen+wantLen {
+		t.Fatalf("payload %d bytes (wire %d), want %d", p.Len(), p.WireLen(), wantLen)
 	}
+	wire := make([]byte, p.WireLen())
+	if n := p.EncodeTo(wire); n != len(wire) {
+		t.Fatalf("EncodeTo wrote %d bytes, want %d", n, len(wire))
+	}
+	outer, err := core.DecodeHeader(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outer.Agg != 2 || outer.PayLen != uint32(wantLen) {
+		t.Fatalf("outer header %+v", outer)
+	}
+	payload := wire[core.HeaderLen:]
 	// First record decodes back to u1's header and data.
-	h, err := core.DecodeHeader(p.Payload)
+	h, err := core.DecodeHeader(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Tag != 1 || h.PayLen != 4 {
 		t.Fatalf("record 1 header %+v", h)
 	}
-	if !bytes.Equal(p.Payload[core.HeaderLen:core.HeaderLen+4], []byte("aaaa")) {
+	if !bytes.Equal(payload[core.HeaderLen:core.HeaderLen+4], []byte("aaaa")) {
 		t.Fatal("record 1 data")
 	}
-	h2, err := core.DecodeHeader(p.Payload[core.HeaderLen+4:])
+	h2, err := core.DecodeHeader(payload[core.HeaderLen+4:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h2.Tag != 2 || h2.MsgID != 5 || h2.PayLen != 2 {
 		t.Fatalf("record 2 header %+v", h2)
+	}
+	if !bytes.Equal(payload[2*core.HeaderLen+4:], []byte("bb")) {
+		t.Fatal("record 2 data")
 	}
 }
 

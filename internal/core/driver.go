@@ -20,6 +20,13 @@ type Profile struct {
 	// I/O. Strategies keep rendezvous chunks above this so large
 	// transfers stay on the DMA path (paper §3.4).
 	PIOMax int
+	// AggMax is the largest aggregated payload, record headers included,
+	// a strategy builds for this rail, and so also the largest segment
+	// it aggregates. Zero means the engine's Config.AggThreshold, the
+	// paper's copy-vs-resend break-even. A rail whose per-packet cost
+	// dwarfs the copy — tcp's writev syscall, which copies the bytes
+	// anyway — declares its eager frame here instead.
+	AggMax int
 }
 
 // Events is the engine-side callback interface a driver reports into.

@@ -35,9 +35,12 @@ type Config struct {
 	// Clock provides time and CPU cost accounting; defaults to the wall
 	// clock.
 	Clock Clock
-	// AggThreshold is the largest aggregated packet strategies should
-	// build by copying segments together (default 16 KiB, the paper's
-	// observed copy-vs-resend break-even region).
+	// AggThreshold is the largest aggregated packet strategies build
+	// on a rail whose Profile.AggMax is zero (default 16 KiB, the
+	// paper's observed copy-vs-resend break-even region), and the
+	// segment size above which stripping strategies go by rendezvous.
+	// Aggregate records are gathered, not copied, until the driver
+	// frames them, so a rail may declare a larger cap of its own.
 	AggThreshold int
 	// MinChunk is the smallest rendezvous chunk strategies should carve
 	// when stripping a body across rails (default 16 KiB), keeping
@@ -138,7 +141,9 @@ func (e *Engine) Gates() []*Gate {
 // those goroutines. Closing matters beyond hygiene: a TCP rail that
 // failed on the receive side would otherwise keep accepting writes, so
 // the peer would never observe the failure and never run its own
-// recovery.
+// recovery. It also makes a socket driver's writer finish, and report,
+// the packet a railFailure orphaned on the rail (tcpdrv and shmdrv
+// report every accepted send before their Close returns).
 func (e *Engine) retireRail(r *Rail) {
 	go r.drv.Close()
 }
@@ -214,6 +219,11 @@ func (e *Engine) Close() error {
 			}
 		}
 		g.dom.Lock()
+		for _, r := range g.rails {
+			// Closed drivers read no packet any more, including one
+			// whose late completion they never reported.
+			r.releaseOrphan(r.orphan)
+		}
 		e.failGate(g, ErrEngineClosed)
 		g.dom.Unlock()
 	}
@@ -263,11 +273,12 @@ func (e *Engine) post(r *Rail, p *Packet) {
 			ref.req.pendingPkts++
 		}
 	}
+	n := p.Len()
 	r.busy.Store(true)
 	r.current = p
 	r.pktsSent.Add(1)
-	r.bytesSent.Add(uint64(len(p.Payload)))
-	r.gate.stats.BytesSent += uint64(len(p.Payload))
+	r.bytesSent.Add(uint64(n))
+	r.gate.stats.BytesSent += uint64(n)
 	if p.Hdr.Agg > 1 {
 		r.gate.stats.AggPackets++
 		r.gate.stats.AggSegments += uint64(p.Hdr.Agg)
@@ -276,7 +287,7 @@ func (e *Engine) post(r *Rail, p *Packet) {
 		r.gate.stats.RdvStarted++
 	}
 	p.postedAt = e.clock.Now()
-	e.trace("post", r.gate, r.index, p.Hdr, len(p.Payload))
+	e.trace("post", r.gate, r.index, p.Hdr, n)
 	if err := r.drv.Send(p); err != nil {
 		e.failRail(r, p, err)
 	}
@@ -287,9 +298,8 @@ func (e *Engine) sendComplete(r *Rail) {
 	p := r.current
 	if p == nil {
 		if r.down.Load() {
-			// Late completion on a rail already failed: railFailure
-			// handled the packet's requests, and the driver is done with
-			// its bytes now.
+			// Late completion on a rail already failed: the driver is
+			// done with the bytes of the packet railFailure orphaned.
 			r.releaseOrphan(r.orphan)
 			return
 		}
@@ -297,10 +307,11 @@ func (e *Engine) sendComplete(r *Rail) {
 	}
 	r.current = nil
 	r.busy.Store(false)
+	n := p.Len()
 	if r.est != nil {
-		r.est.Observe(len(p.Payload), e.clock.Now()-p.postedAt)
+		r.est.Observe(n, e.clock.Now()-p.postedAt)
 	}
-	e.trace("sent", r.gate, r.index, p.Hdr, len(p.Payload))
+	e.trace("sent", r.gate, r.index, p.Hdr, n)
 	if p.Hdr.Kind == KChunk {
 		if u := r.gate.rdvSend[p.Hdr.RdvID]; u != nil {
 			u.inflight--
@@ -368,7 +379,7 @@ func (e *Engine) failRail(r *Rail, p *Packet, err error) {
 	r.busy.Store(false)
 	r.current = nil
 	e.retireRail(r)
-	e.trace("fail", g, r.index, p.Hdr, len(p.Payload))
+	e.trace("fail", g, r.index, p.Hdr, p.Len())
 	for _, ref := range p.senders {
 		if ref.req != nil {
 			ref.req.pendingPkts--
@@ -420,20 +431,20 @@ func (e *Engine) railFailure(r *Rail, err error) {
 	p := r.current
 	r.current = nil
 	if p != nil {
-		e.trace("fail", g, r.index, p.Hdr, len(p.Payload))
+		e.trace("fail", g, r.index, p.Hdr, p.Len())
 		inErr := fmt.Errorf("core: rail failed with packet in flight: %w", err)
 		for _, ref := range p.senders {
 			if ref.req != nil {
-				ref.req.pendingPkts--
 				e.failSend(g, ref.req, inErr)
 			}
 		}
-		// Deliberately NOT released: the failure arrived outside the
+		// Deliberately still in flight: the failure arrived outside the
 		// send path (dead reader, async RailDown), so the driver's
-		// writer may still be transmitting this packet. Returning its
-		// lease to the arena here could hand the bytes to a new owner
-		// mid-write; the driver's late completion releases it (a
-		// driver that never reports it leaves it to the GC).
+		// writer may still be reading this packet — its lease and its
+		// senders' buffers. Its requests are doomed but complete, and
+		// the lease returns to the arena, only once the driver lets go
+		// of it: at its late completion (which retireRail's Close
+		// hastens), or at Engine.Close.
 		r.orphan = p
 	} else {
 		e.trace("fail", g, r.index, Header{}, 0)
@@ -618,31 +629,19 @@ func (e *Engine) requeue(g *Gate, p *Packet) (retained bool) {
 			e.strat.Submit(g.backlog, ru)
 		}
 	case KData:
-		units, err := unpackData(p)
-		for _, u := range units {
-			if u.Req != nil && u.Req.failErr != nil {
-				continue // doomed request: don't resubmit its buffers
+		// Records are resubmitted as units aliasing the same application
+		// buffers, which stay valid until their requests complete.
+		if len(p.recs) == 0 {
+			var req *SendReq
+			if len(p.senders) == 1 {
+				req = p.senders[0].req
 			}
-			if p.frame != nil {
-				// The record aliases the packet's arena lease, which is
-				// released when this function returns; the resubmitted
-				// unit needs bytes that outlive it.
-				u.Data = append([]byte(nil), u.Data...)
-			}
-			e.strat.Submit(g.backlog, u)
-			if u.Req != nil {
-				u.Req.queuedBytes += len(u.Data)
-			}
+			e.resubmit(g, req, p.Hdr, p.Payload)
+			break
 		}
-		if err != nil {
-			// Records beyond the corruption point cannot be recovered;
-			// fail their requests rather than dropping them silently.
-			err = fmt.Errorf("core: aggregate unrecoverable after rail failure: %w", err)
-			for i := len(units); i < len(p.senders); i++ {
-				if req := p.senders[i].req; req != nil {
-					e.failSend(g, req, err)
-				}
-			}
+		for i, ref := range p.senders {
+			h, _ := DecodeHeader(p.recs[2*i]) // encoded by MakeEager
+			e.resubmit(g, ref.req, h, p.recs[2*i+1])
 		}
 	case KCTS, KAbort, KRecvAbort:
 		g.backlog.PushCtrl(p)
@@ -651,38 +650,40 @@ func (e *Engine) requeue(g *Gate, p *Packet) (retained bool) {
 	return false
 }
 
-// unpackData reconstructs units from a (possibly aggregated) data packet.
-// A non-nil error reports a corrupt aggregate record; the returned units
-// are the records decoded before the corruption point.
-func unpackData(p *Packet) ([]*Unit, error) {
-	if p.Hdr.Agg == 0 {
-		req := (*SendReq)(nil)
-		if len(p.senders) == 1 {
-			req = p.senders[0].req
-		}
-		return []*Unit{{Req: req, Hdr: p.Hdr, Data: p.Payload}}, nil
+// resubmit returns one segment of a failed packet to the strategy,
+// unless its request is already doomed.
+func (e *Engine) resubmit(g *Gate, req *SendReq, h Header, data []byte) {
+	if req != nil && req.failErr != nil {
+		return // doomed request: don't resubmit its buffers
 	}
-	var units []*Unit
+	u := getUnit()
+	u.Req, u.Hdr, u.Data = req, h, data
+	e.strat.Submit(g.backlog, u)
+	if req != nil {
+		req.queuedBytes += len(data)
+	}
+}
+
+// walkRecords calls fn on each record of an inbound aggregate, in
+// order, without materializing units. A record whose header is short or
+// whose length overruns the packet stops the walk with an error; the
+// records before it have been walked. The bounds checks use uint64
+// arithmetic, immune to 32-bit int wraparound.
+func walkRecords(p *Packet, fn func(h Header, data []byte)) error {
 	buf := p.Payload
 	for i := 0; i < int(p.Hdr.Agg); i++ {
 		h, err := DecodeHeader(buf)
 		if err != nil {
-			return units, fmt.Errorf("corrupt aggregate record %d: %w", i, err)
+			return fmt.Errorf("corrupt aggregate record %d: %w", i, err)
 		}
-		// uint64 arithmetic: immune to 32-bit int wraparound.
 		if uint64(HeaderLen)+uint64(h.PayLen) > uint64(len(buf)) {
-			return units, fmt.Errorf("aggregate record %d overruns packet (%d+%d > %d)", i, HeaderLen, h.PayLen, len(buf))
+			return fmt.Errorf("aggregate record %d overruns packet (%d+%d > %d)", i, HeaderLen, h.PayLen, len(buf))
 		}
 		end := HeaderLen + int(h.PayLen)
-		data := buf[HeaderLen:end]
+		fn(h, buf[HeaderLen:end])
 		buf = buf[end:]
-		var req *SendReq
-		if i < len(p.senders) {
-			req = p.senders[i].req
-		}
-		units = append(units, &Unit{Req: req, Hdr: h, Data: data})
 	}
-	return units, nil
+	return nil
 }
 
 // unhedgeHdr folds a hedge-duplicate record back into its origin matching
@@ -718,25 +719,11 @@ func (e *Engine) arrive(r *Rail, p *Packet) {
 			e.arriveData(g, unhedgeHdr(p.Hdr), p.Payload)
 			return
 		}
-		// Aggregate records are iterated in place (same overflow-safe
-		// bounds checks as unpackData, without materializing units);
-		// records before a corruption point are still delivered, then
+		// Records before a corruption point are still delivered, then
 		// the rail fails.
-		buf := p.Payload
-		for i := 0; i < int(p.Hdr.Agg); i++ {
-			h, err := DecodeHeader(buf)
-			if err != nil {
-				e.railFailure(r, fmt.Errorf("core: corrupt aggregate record %d: %w", i, err))
-				return
-			}
-			// uint64 arithmetic: immune to 32-bit int wraparound.
-			if uint64(HeaderLen)+uint64(h.PayLen) > uint64(len(buf)) {
-				e.railFailure(r, fmt.Errorf("core: aggregate record %d overruns packet (%d+%d > %d)", i, HeaderLen, h.PayLen, len(buf)))
-				return
-			}
-			end := HeaderLen + int(h.PayLen)
-			e.arriveData(g, unhedgeHdr(h), buf[HeaderLen:end])
-			buf = buf[end:]
+		err := walkRecords(p, func(h Header, data []byte) { e.arriveData(g, unhedgeHdr(h), data) })
+		if err != nil {
+			e.railFailure(r, fmt.Errorf("core: %w", err))
 		}
 	case KRTS:
 		if p.Hdr.RdvID > g.maxRdvSeen {

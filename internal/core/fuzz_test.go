@@ -8,7 +8,7 @@ import (
 
 // FuzzDecodePacket fuzzes the wire-decoding path: Unmarshal (header
 // parsing plus framing checks) and, for aggregated packets, the
-// unpackData record walk. The seed corpus replays the corrupt-input
+// walkRecords record walk. The seed corpus replays the corrupt-input
 // classes hardened in the progress-engine PR: truncated headers, unknown
 // kinds, payload-length overruns, and aggregate records that overrun
 // their packet. Decoding must never panic; whatever decodes must satisfy
@@ -77,20 +77,20 @@ func FuzzDecodePacket(f *testing.F) {
 		}
 		// The aggregate record walk must stay inside the payload no
 		// matter what the record headers claim.
-		units, uerr := unpackData(p)
 		if p.Hdr.Agg > 0 {
-			total := 0
-			for _, u := range units {
-				total += len(u.Data)
+			walked, records := 0, 0
+			werr := walkRecords(p, func(_ Header, data []byte) {
+				walked += HeaderLen + len(data)
+				records++
+			})
+			if walked > len(p.Payload) {
+				t.Fatalf("aggregate walk read %d bytes from a %d-byte payload", walked, len(p.Payload))
 			}
-			if total+len(units)*HeaderLen > len(p.Payload) {
-				t.Fatalf("aggregate walk read %d bytes from a %d-byte payload", total+len(units)*HeaderLen, len(p.Payload))
+			if records > int(p.Hdr.Agg) {
+				t.Fatalf("decoded %d records, header claims %d", records, p.Hdr.Agg)
 			}
-			if len(units) > int(p.Hdr.Agg) {
-				t.Fatalf("decoded %d records, header claims %d", len(units), p.Hdr.Agg)
-			}
-			if uerr == nil && len(units) != int(p.Hdr.Agg) {
-				t.Fatalf("decoded %d records without error, header claims %d", len(units), p.Hdr.Agg)
+			if werr == nil && records != int(p.Hdr.Agg) {
+				t.Fatalf("decoded %d records without error, header claims %d", records, p.Hdr.Agg)
 			}
 		}
 	})

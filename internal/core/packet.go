@@ -123,16 +123,27 @@ func DecodeHeader(buf []byte) (Header, error) {
 // senders references the send requests whose data the packet carries, so
 // completion can be credited when the driver reports the send done.
 //
+// An outbound aggregate carries its payload as a gather list instead of
+// Payload: see Len, AppendPayload and EncodeTo, through which drivers
+// read every packet's payload.
+//
 // Packets on the hot path are pooled. frame, when set, is the arena
-// lease backing Payload (an aggregation staging buffer on the send side,
-// a driver read buffer on the receive side); Release returns both the
-// packet struct and the lease. Ownership is single-holder: the engine
-// releases outbound packets when their send completes or their rail
-// fails, and inbound packets after the arrival is consumed.
+// lease the packet owns: an aggregate's record headers on the send side,
+// a driver read buffer backing Payload on the receive side; Release
+// returns both the packet struct and the lease. Ownership is
+// single-holder: the engine releases outbound packets when their send
+// completes or their rail fails, and inbound packets after the arrival
+// is consumed.
 type Packet struct {
 	Hdr     Header
 	Payload []byte
 
+	// recs is an outbound aggregate's payload (Payload is nil then):
+	// record header, record bytes, alternately, in wire order. The
+	// headers are slices of frame; the record bytes alias their senders'
+	// buffers, which stay valid until the send completes, exactly as a
+	// single segment's Payload does.
+	recs    [][]byte
 	senders []senderRef
 	frame   *Buf
 	// postedAt is the engine-clock timestamp post stamped on the packet;
@@ -156,26 +167,56 @@ type senderRef struct {
 	bytes int // payload bytes of this request carried by the packet
 }
 
+// Len is the payload length in bytes: the segment's, or an aggregate's
+// records with their headers.
+func (p *Packet) Len() int {
+	if len(p.recs) == 0 {
+		return len(p.Payload)
+	}
+	n := 0
+	for _, b := range p.recs {
+		n += len(b)
+	}
+	return n
+}
+
 // WireLen is the number of logical bytes the packet occupies on the wire
 // (header + payload). Physical per-packet overhead is the driver's
 // business.
-func (p *Packet) WireLen() int { return HeaderLen + len(p.Payload) }
+func (p *Packet) WireLen() int { return HeaderLen + p.Len() }
+
+// AppendPayload appends the payload to dst in wire order, as the slices
+// a vectored write takes — the segment, or an aggregate's record headers
+// and records — and returns the extended slice. The slices alias the
+// packet and its senders' buffers: read them only until the send
+// completes.
+func (p *Packet) AppendPayload(dst [][]byte) [][]byte {
+	if len(p.recs) == 0 {
+		return append(dst, p.Payload)
+	}
+	return append(dst, p.recs...)
+}
 
 // EncodeTo frames the packet — header, then payload — into dst, which
 // must have room for WireLen bytes, and returns the bytes written. This
 // is the zero-intermediate-copy encode: drivers frame directly into an
-// arena lease (or a writev iovec) instead of through Marshal's fresh
-// allocation.
+// arena lease instead of through Marshal's fresh allocation, and an
+// aggregate's records are copied once, from the senders' buffers.
 func (p *Packet) EncodeTo(dst []byte) int {
-	p.Hdr.PayLen = uint32(len(p.Payload))
+	p.Hdr.PayLen = uint32(p.Len())
 	n := EncodeHeader(dst, &p.Hdr)
-	n += copy(dst[n:], p.Payload)
+	if len(p.recs) == 0 {
+		return n + copy(dst[n:], p.Payload)
+	}
+	for _, b := range p.recs {
+		n += copy(dst[n:], b)
+	}
 	return n
 }
 
 // Marshal encodes the packet (header, then payload) into a fresh buffer.
 func (p *Packet) Marshal() []byte {
-	buf := make([]byte, HeaderLen+len(p.Payload))
+	buf := make([]byte, p.WireLen())
 	p.EncodeTo(buf)
 	return buf
 }
@@ -192,6 +233,8 @@ func (p *Packet) Release() {
 		p.senders[i] = senderRef{}
 	}
 	p.senders = p.senders[:0]
+	clear(p.recs)
+	p.recs = p.recs[:0]
 	p.Hdr = Header{}
 	p.Payload = nil
 	p.postedAt = 0
@@ -236,5 +279,5 @@ func UnmarshalFrame(f *Buf) (*Packet, error) {
 // String implements fmt.Stringer for debugging.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s tag=%d msg=%d seg=%d/%d off=%d len=%d agg=%d",
-		p.Hdr.Kind, p.Hdr.Tag, p.Hdr.MsgID, p.Hdr.SegIndex, p.Hdr.MsgSegs, p.Hdr.Off, len(p.Payload), p.Hdr.Agg)
+		p.Hdr.Kind, p.Hdr.Tag, p.Hdr.MsgID, p.Hdr.SegIndex, p.Hdr.MsgSegs, p.Hdr.Off, p.Len(), p.Hdr.Agg)
 }

@@ -343,6 +343,10 @@ func TestRailFailurePurgesFailedRequestsUnits(t *testing.T) {
 		t.Fatalf("SegCount = %d, want 2 queued behind the in-flight segment", got)
 	}
 	hold.inject(&core.Packet{Hdr: core.Header{Kind: core.Kind(99)}}) // fail rail 0
+	if sr.Done() {
+		t.Fatal("request completed while its packet may still be read by the failed rail's driver")
+	}
+	hold.completeOne() // the driver's late completion of the orphaned packet
 	if !sr.Done() || sr.Err() == nil {
 		t.Fatal("request with packet in flight on the failed rail did not error")
 	}
@@ -441,9 +445,9 @@ func (d *holdDrv) completeOne() {
 }
 
 // TestRailFailureDefersCompletionWhileInFlightElsewhere: a request with
-// packets on two rails must not complete when one rail dies — the other
+// packets on two rails must not complete when one rail dies — either
 // rail's driver may still be reading the buffers — but must complete
-// (with the failure error) once that packet drains.
+// (with the failure error) once both packets drain.
 func TestRailFailureDefersCompletionWhileInFlightElsewhere(t *testing.T) {
 	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
 	g := eng.NewGate("peer")
@@ -460,6 +464,10 @@ func TestRailFailureDefersCompletionWhileInFlightElsewhere(t *testing.T) {
 		t.Fatal("request completed while a packet was still in flight on the surviving rail")
 	}
 	busy.completeOne()
+	if sr.Done() {
+		t.Fatal("request completed while the failed rail's driver may still read its packet")
+	}
+	dying.completeOne()
 	if !sr.Done() || sr.Err() == nil {
 		t.Fatal("request did not complete with an error once the last in-flight packet drained")
 	}
@@ -481,6 +489,7 @@ func TestRailFailureAbortsRendezvousAndToleratesLateCTS(t *testing.T) {
 		t.Fatal("rendezvous send completed with its RTS stuck in flight")
 	}
 	hold.inject(&core.Packet{Hdr: core.Header{Kind: core.Kind(99)}}) // fail rail 0
+	hold.completeOne()                                               // the late completion of the stuck RTS
 	if !sr.Done() || sr.Err() == nil {
 		t.Fatal("send not failed after its rail died")
 	}

@@ -27,8 +27,9 @@ type Rail struct {
 	retiring bool
 	// orphan is the in-flight packet of a rail that failed outside the
 	// send path (railFailure): the driver may still be writing it, so it
-	// is released only when the driver's late completion for it drains.
-	// Gate-domain owned.
+	// is released, and its requests completed, only when the driver's
+	// late completion for it drains (or at Engine.Close). Gate-domain
+	// owned.
 	orphan *Packet
 	// est models observed latency/bandwidth online; fed by sendComplete.
 	est *Estimator
@@ -88,14 +89,23 @@ func (r *Rail) MarkDown() {
 	}
 }
 
-// releaseOrphan releases p if it is the packet railFailure left in
-// flight on the rail, now reported drained by the driver. Caller owns the
-// gate's domain.
+// releaseOrphan retires p if it is the packet railFailure left in
+// flight on the rail, now that the driver no longer reads it: its
+// requests, doomed since the failure, complete once no other packet of
+// theirs is in flight, and its lease returns to the arena. Caller owns
+// the gate's domain.
 func (r *Rail) releaseOrphan(p *Packet) {
-	if p != nil && p == r.orphan {
-		r.orphan = nil
-		p.Release()
+	if p == nil || p != r.orphan {
+		return
 	}
+	r.orphan = nil
+	for _, ref := range p.senders {
+		if ref.req != nil {
+			ref.req.pendingPkts--
+			ref.req.maybeComplete()
+		}
+	}
+	p.Release()
 }
 
 // Stats reports packets and bytes sent on this rail.

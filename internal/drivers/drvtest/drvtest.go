@@ -8,6 +8,9 @@
 //
 //   - send/recv ordering: packets posted on one rail arrive at the peer
 //     in posting order, bytes intact, one SendComplete per accepted Send;
+//   - aggregates: a packet whose records are a gather list over the
+//     application buffers arrives as the contiguous record encoding (see
+//     aggregate.go);
 //   - event-driven delivery: an arrival surfaces at the peer's sink with
 //     no call into the receiving driver — drivers report events as they
 //     happen, the engine never pumps them;
@@ -209,6 +212,8 @@ func Run(t *testing.T, h Harness) {
 			t.Fatalf("256 KiB payload corrupt")
 		}
 	})
+
+	t.Run("AggregatedPacket", func(t *testing.T) { runAggregate(t, h) })
 
 	t.Run("EventDrivenArrival", func(t *testing.T) {
 		leakCheck(t)

@@ -133,6 +133,12 @@ type Driver struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	downOnce sync.Once
+
+	// txHdr and txParts are Send's scratch for one frame: the encoded
+	// header, then the header and payload slices in wire order. The
+	// engine posts one packet at a time, and the ring has one producer.
+	txHdr   [core.HeaderLen]byte
+	txParts [][]byte
 }
 
 // Create builds the segment (side 0) and starts this side of the rail.
@@ -259,21 +265,23 @@ func (d *Driver) Send(p *core.Packet) error {
 	rail, ev := d.rail, d.ev
 	d.mu.Unlock()
 
-	var hdr [core.HeaderLen]byte
-	p.Hdr.PayLen = uint32(len(p.Payload))
-	core.EncodeHeader(hdr[:], &p.Hdr)
-	wireLen := core.HeaderLen + len(p.Payload)
+	wireLen := p.WireLen()
+	p.Hdr.PayLen = uint32(wireLen - core.HeaderLen)
+	core.EncodeHeader(d.txHdr[:], &p.Hdr)
+	parts := p.AppendPayload(append(d.txParts[:0], d.txHdr[:]))
 	tx := d.seg.TX()
 
 	var err error
 	if wireLen <= DefaultInlineMax {
-		err = tx.Push(shmring.RecInline, hdr[:], p.Payload)
+		err = tx.Push(shmring.RecInline, parts...)
 	} else {
-		err = d.sendRendezvous(tx, hdr[:], p.Payload, wireLen)
+		err = d.sendRendezvous(tx, parts, wireLen)
 		if errors.Is(err, shmring.ErrTooLarge) {
-			err = d.sendJumbo(tx, hdr[:], p.Payload, wireLen)
+			err = d.sendJumbo(tx, parts, wireLen)
 		}
 	}
+	clear(parts) // drop the payload references
+	d.txParts = parts[:0]
 	if err != nil {
 		return fmt.Errorf("shmdrv: send: %w", err)
 	}
@@ -281,17 +289,19 @@ func (d *Driver) Send(p *core.Packet) error {
 	return nil
 }
 
-// sendRendezvous writes the frame once into an arena region and pushes
-// its 16-byte reference. A region carved but not published (the ring
-// push failed — peer died under us) is abandoned back to the arena so
-// "error = not accepted" holds without leaking the slot.
-func (d *Driver) sendRendezvous(tx *shmring.Dir, hdr, payload []byte, wireLen int) error {
+// sendRendezvous writes the frame's parts once into an arena region and
+// pushes its 16-byte reference. A region carved but not published (the
+// ring push failed — peer died under us) is abandoned back to the arena
+// so "error = not accepted" holds without leaking the slot.
+func (d *Driver) sendRendezvous(tx *shmring.Dir, parts [][]byte, wireLen int) error {
 	off, region, err := tx.Alloc(wireLen)
 	if err != nil {
 		return err
 	}
-	copy(region, hdr)
-	copy(region[len(hdr):], payload)
+	n := 0
+	for _, b := range parts {
+		n += copy(region[n:], b)
+	}
 	var ref [16]byte
 	putU64(ref[:], off)
 	putU64(ref[8:], uint64(wireLen))
@@ -307,23 +317,22 @@ func (d *Driver) sendRendezvous(tx *shmring.Dir, hdr, payload []byte, wireLen in
 // lease. A partially streamed frame (the peer died mid-stream) is
 // simply discarded by the receiver — nothing is delivered, so an error
 // return still means "not accepted".
-func (d *Driver) sendJumbo(tx *shmring.Dir, hdr, payload []byte, wireLen int) error {
+func (d *Driver) sendJumbo(tx *shmring.Dir, parts [][]byte, wireLen int) error {
 	var total [8]byte
 	putU64(total[:], uint64(wireLen))
 	if err := tx.Push(shmring.RecJumboStart, total[:]); err != nil {
 		return err
 	}
 	segMax := d.jumboSegMax()
-	if err := tx.Push(shmring.RecJumboSeg, hdr); err != nil {
-		return err
-	}
-	for off := 0; off < len(payload); off += segMax {
-		end := off + segMax
-		if end > len(payload) {
-			end = len(payload)
-		}
-		if err := tx.Push(shmring.RecJumboSeg, payload[off:end]); err != nil {
-			return err
+	for _, b := range parts {
+		for off := 0; off < len(b); off += segMax {
+			end := off + segMax
+			if end > len(b) {
+				end = len(b)
+			}
+			if err := tx.Push(shmring.RecJumboSeg, b[off:end]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -8,9 +8,14 @@
 // packet. The driver is event-driven, with two I/O goroutines started by
 // Bind. Send encodes the length prefix and header into a pooled staging
 // buffer and hands the packet to the writer goroutine, which issues it
-// as one writev(2) of two iovecs — staging buffer and payload — with zero
-// payload copies (on connections without writev the frame is coalesced
-// into one pooled buffer and one Write). The moment the write returns,
+// as one writev(2): the staging buffer, then the payload — one segment,
+// or an aggregate's record headers and records, gathered from the
+// application buffers — with zero payload copies in user space (on
+// connections without writev the frame is coalesced into one pooled
+// buffer and one Write). Since the syscall, not the copy, is a frame's
+// cost, the rail declares its eager frame as its aggregation cap
+// (Profile.AggMax = EagerMax − HeaderLen), so one writev carries as many
+// small messages as a frame holds. The moment the write returns,
 // the writer reports SendComplete (or SendFailed), so the engine hands
 // the idle rail its next packet without delay. The reader goroutine
 // parses frames into arena leases and delivers each through
@@ -42,7 +47,8 @@ type Options struct {
 	Profile core.Profile
 }
 
-// DefaultProfile is a conservative loopback-TCP profile.
+// DefaultProfile is a conservative loopback-TCP profile. New derives
+// the rail's AggMax from its EagerMax.
 func DefaultProfile() core.Profile {
 	return core.Profile{
 		Name:      "tcp",
@@ -67,7 +73,8 @@ type Driver struct {
 	// sendq holds the one packet the engine may have posted: the engine
 	// waits for SendComplete before posting the next.
 	sendq chan frame
-	// iov and bufs are the writer goroutine's scratch for one writev.
+	// iov and bufs are the writer goroutine's scratch for one frame:
+	// the staging buffer, then the payload slices.
 	iov, bufs net.Buffers
 
 	mu     sync.Mutex
@@ -99,6 +106,11 @@ func New(conn net.Conn, opts Options) *Driver {
 	}
 	if prof.EagerMax == 0 {
 		prof.EagerMax = def.EagerMax
+	}
+	if prof.AggMax == 0 && prof.EagerMax > core.HeaderLen {
+		// An aggregate fills at most one eager frame, so the reader's
+		// lease stays in the frame's size class.
+		prof.AggMax = prof.EagerMax - core.HeaderLen
 	}
 	tc, _ := conn.(*net.TCPConn)
 	if tc != nil {
@@ -166,8 +178,9 @@ func (d *Driver) Send(p *core.Packet) error {
 		return ErrClosed
 	}
 	hdr := core.GetBuf(4 + core.HeaderLen)
-	p.Hdr.PayLen = uint32(len(p.Payload))
-	binary.LittleEndian.PutUint32(hdr.B, uint32(p.WireLen()))
+	n := p.Len()
+	p.Hdr.PayLen = uint32(n)
+	binary.LittleEndian.PutUint32(hdr.B, uint32(core.HeaderLen+n))
 	core.EncodeHeader(hdr.B[4:], &p.Hdr)
 	select {
 	case d.sendq <- frame{pkt: p, hdr: hdr}:
@@ -186,12 +199,14 @@ func (d *Driver) Send(p *core.Packet) error {
 func (d *Driver) writer() {
 	defer d.wg.Done()
 	for f := range d.sendq {
+		d.iov = f.pkt.AppendPayload(append(d.iov[:0], f.hdr.B))
 		var err error
 		if d.tc != nil {
-			err = d.writeVectored(f)
+			err = d.writeVectored()
 		} else {
-			err = d.writeCoalesced(f)
+			err = d.writeCoalesced()
 		}
+		clear(d.iov) // drop the payload references
 		f.hdr.Release()
 		if err != nil {
 			d.ev.SendFailed(d.rail, f.pkt, err)
@@ -201,28 +216,29 @@ func (d *Driver) writer() {
 	}
 }
 
-// writeVectored sends the staging buffer and the payload as one writev;
-// payload bytes are never copied.
-func (d *Driver) writeVectored(f frame) error {
-	d.iov = append(d.iov[:0], f.hdr.B)
-	if len(f.pkt.Payload) > 0 {
-		d.iov = append(d.iov, f.pkt.Payload)
-	}
+// writeVectored sends the frame's slices as one writev (empty ones are
+// skipped); payload bytes are never copied.
+func (d *Driver) writeVectored() error {
 	// WriteTo consumes its receiver, so write through bufs and keep iov
-	// to drop the payload reference afterwards.
+	// to drop the payload references afterwards.
 	d.bufs = d.iov
 	_, err := d.bufs.WriteTo(d.tc)
-	clear(d.iov)
 	return err
 }
 
 // writeCoalesced sends the frame as one Write for connections without
-// writev support: prefix, header and payload land in a single pooled
-// staging buffer, so a frame never costs two syscalls.
-func (d *Driver) writeCoalesced(f frame) error {
-	b := core.GetBuf(len(f.hdr.B) + len(f.pkt.Payload))
-	n := copy(b.B, f.hdr.B)
-	copy(b.B[n:], f.pkt.Payload)
+// writev support: its slices land in a single pooled staging buffer, so
+// a frame never costs two syscalls.
+func (d *Driver) writeCoalesced() error {
+	n := 0
+	for _, b := range d.iov {
+		n += len(b)
+	}
+	b := core.GetBuf(n)
+	n = 0
+	for _, s := range d.iov {
+		n += copy(b.B[n:], s)
+	}
 	_, err := d.conn.Write(b.B)
 	b.Release()
 	return err

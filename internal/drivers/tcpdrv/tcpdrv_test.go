@@ -46,7 +46,7 @@ func (r *recorder) snapshot() (int, int, []*core.Packet) {
 
 // dialPair connects a client and a server driver over loopback, both
 // still unbound; the drivers are closed when the test ends.
-func dialPair(t *testing.T) (*Driver, *Driver) {
+func dialPair(t testing.TB) (*Driver, *Driver) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

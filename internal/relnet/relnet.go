@@ -161,6 +161,11 @@ type Driver struct {
 	closed  bool
 	failed  bool
 	failErr error
+	// inflight counts the sections between a locked pass and the end of
+	// its flush and delivery (see finish): Close waits for them, so no
+	// lease a pass collected is still on its way to the transport or the
+	// engine when Close returns.
+	inflight sync.WaitGroup
 
 	// sender
 	nextSeq uint64 // next sequence number to assign (1-based)
@@ -313,9 +318,7 @@ func (d *Driver) Send(p *core.Packet) error {
 	tmp.Release()
 	d.pumpLocked(&out)
 	evs = append(evs, core.DriverEvent{Kind: core.EvSendComplete})
-	d.mu.Unlock()
-	d.flush(out)
-	d.deliver(evs)
+	d.finish(out, evs)
 	return nil
 }
 
@@ -326,6 +329,7 @@ func (d *Driver) Close() error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
+		d.inflight.Wait()
 		return nil
 	}
 	d.closed = true
@@ -337,6 +341,7 @@ func (d *Driver) Close() error {
 	}
 	d.prebind = nil
 	d.mu.Unlock()
+	d.inflight.Wait()
 	return d.tr.Close()
 }
 
@@ -432,6 +437,26 @@ func (d *Driver) transmitLocked(seg *segState, out *[]*core.Buf) {
 	*out = append(*out, c)
 }
 
+// finish ends a locked pass: it releases the lock, flushes out and
+// delivers evs. A pass of an open driver is counted in inflight before
+// the lock goes, so Close — which sets closed under the same lock and
+// then waits — cannot return while a retransmit timer, a Send or a
+// receive is between its lease copies and their hand-over. Close must
+// not be called from inside the driver's own event callbacks (the
+// core.Driver contract), which run within such a pass.
+func (d *Driver) finish(out []*core.Buf, evs []core.DriverEvent) {
+	open := !d.closed
+	if open {
+		d.inflight.Add(1)
+	}
+	d.mu.Unlock()
+	d.flush(out)
+	d.deliver(evs)
+	if open {
+		d.inflight.Done()
+	}
+}
+
 // flush hands collected datagrams to the transport, OUTSIDE the
 // driver lock: a loopback transport delivers synchronously, and the
 // peer's ack may re-enter this driver before Send returns.
@@ -498,9 +523,7 @@ func (d *Driver) onTimer(gen uint64) {
 			d.armTimerLocked()
 		}
 	}
-	d.mu.Unlock()
-	d.flush(out)
-	d.deliver(evs)
+	d.finish(out, evs)
 }
 
 // sampleRTTLocked feeds one valid RTT sample (Karn: from a segment
@@ -687,9 +710,7 @@ func (d *Driver) recvDatagram(f *core.Buf) {
 			out = append(out, a)
 		}
 	}
-	d.mu.Unlock()
-	d.flush(out)
-	d.deliver(evs)
+	d.finish(out, evs)
 }
 
 // absorbLocked integrates the next in-order segment into the frame

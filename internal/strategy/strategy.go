@@ -21,10 +21,15 @@
 //     baselines of Figures 2 and 3. The registry pins rail 0; NewFIFO
 //     and NewAggreg take the rail index.
 //   - aggregate: small segments that accumulated while the NIC was busy
-//     are copied into one packet (§3.1) on the small-message rail: the
-//     pinned rail, or else the lowest-latency up rail (§3.3). Large
-//     segments go to any idle rail, overtaking smalls if need be.
-//     Without aggregation every segment is its own packet, in order.
+//     leave as one packet (§3.1) on the small-message rail: the pinned
+//     rail, or else the lowest-latency up rail (§3.3). The records are
+//     gathered, not copied: the driver reads them from the application
+//     buffers (one writev on tcp). The packet, and every segment in it,
+//     is at most the rail's Profile.AggMax — the engine's AggThreshold
+//     unless the rail declares more, as a tcp rail does up to its eager
+//     frame. Segments above AggThreshold go to any idle rail, overtaking
+//     smalls if need be. Without aggregation every segment is its own
+//     packet, in order.
 //   - body: how a granted rendezvous body leaves. whole: in one chunk
 //     to whichever rail asks first (greedy balancing, §3.2). plan: split
 //     once into pinned per-rail shares by weight, each at least MinChunk
@@ -182,7 +187,7 @@ func (s *scheduler) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
 	var u *core.Unit
 	if s.aggregate {
 		if s.pinned || r == fastest(b) {
-			if units := gatherSmalls(b); len(units) > 0 {
+			if units := s.gatherSmalls(b, r); len(units) > 0 {
 				return b.MakeEager(units...)
 			}
 		}
@@ -228,22 +233,24 @@ func fastest(b *core.Backlog) *core.Rail {
 	return best
 }
 
-// gatherSmalls pops the first small segment and every further small
-// segment that fits with it in one aggregated packet of at most
-// AggThreshold payload bytes (record headers included). Large segments
-// are skipped over, not disturbed — the paper allows reordering. Returns
-// an empty slice if no small segment is pending. The returned slice is
-// the backlog's reusable scratch: valid until the next Schedule call on
-// the same gate, which is fine because the caller hands it straight to
-// MakeEager.
-func gatherSmalls(b *core.Backlog) []*core.Unit {
-	budget := b.AggThreshold()
+// gatherSmalls pops the first segment eligible for aggregation on rail
+// r and every further one that fits with it in one aggregated packet of
+// at most the rail's AggMax payload bytes (record headers included). A
+// segment is eligible when it fits that cap alone; the stripping rows
+// also keep every segment above AggThreshold for rendezvous. Other
+// segments are skipped over, not disturbed — the paper allows
+// reordering. Returns an empty slice if no eligible segment is pending.
+// The returned slice is the backlog's reusable scratch: valid until the
+// next Schedule call on the same gate, which is fine because the caller
+// hands it straight to MakeEager.
+func (s *scheduler) gatherSmalls(b *core.Backlog, r *core.Rail) []*core.Unit {
+	budget := b.AggMax(r)
 	units := b.Scratch()
 	total := 0
 	i := 0
 	for i < b.SegCount() {
 		u := b.Seg(i)
-		if !small(b, u) {
+		if u.Len() > budget || s.body != whole && !small(b, u) {
 			i++
 			continue
 		}
