@@ -70,8 +70,9 @@ func (b *Backlog) Gate() *Gate { return b.gate }
 func (b *Backlog) Rails() []*Rail { return b.gate.rails }
 
 // AggThreshold returns the engine's aggregation limit (Config.AggThreshold):
-// the aggregate size of rails that declare no cap of their own, and the
-// segment size above which stripping strategies go by rendezvous.
+// the aggregate size of rails that declare no cap of their own, the
+// largest segment an unpinned strategy aggregates, and the segment size
+// above which stripping strategies go by rendezvous.
 func (b *Backlog) AggThreshold() int { return b.gate.eng.cfg.AggThreshold }
 
 // AggMax returns the largest aggregate payload, record headers included,

@@ -25,7 +25,9 @@ type Profile struct {
 	// it aggregates. Zero means the engine's Config.AggThreshold, the
 	// paper's copy-vs-resend break-even. A rail whose per-packet cost
 	// dwarfs the copy — tcp's writev syscall, which copies the bytes
-	// anyway — declares its eager frame here instead.
+	// anyway — declares its eager frame here instead (tcpdrv derives it
+	// from EagerMax). A cap below AggThreshold is safe: a segment the
+	// rail does not gather leaves as a packet of its own.
 	AggMax int
 }
 

@@ -37,8 +37,10 @@ type Config struct {
 	Clock Clock
 	// AggThreshold is the largest aggregated packet strategies build
 	// on a rail whose Profile.AggMax is zero (default 16 KiB, the
-	// paper's observed copy-vs-resend break-even region), and the
-	// segment size above which stripping strategies go by rendezvous.
+	// paper's observed copy-vs-resend break-even region), the largest
+	// segment strategies that are not pinned to one rail aggregate, and
+	// the segment size above which stripping strategies go by
+	// rendezvous.
 	// Aggregate records are gathered, not copied, until the driver
 	// frames them, so a rail may declare a larger cap of its own.
 	AggThreshold int

@@ -21,7 +21,7 @@ func BenchmarkTCPStreamAggregation(b *testing.B) {
 	for i := range sizes {
 		sizes[i] = int(math.Exp(math.Log(lo) + rng.Float64()*(math.Log(hi)-math.Log(lo))))
 	}
-	client, server := dialPair(b)
+	client, server := dialPair(b, Options{})
 	engA := core.New(core.Config{Strategy: strategy.NewAggreg(0)})
 	engB := core.New(core.Config{Strategy: strategy.NewAggreg(0)})
 	b.Cleanup(func() {

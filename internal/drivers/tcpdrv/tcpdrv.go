@@ -43,12 +43,13 @@ var ErrClosed = errors.New("tcpdrv: closed")
 // Options configures a TCP rail.
 type Options struct {
 	// Profile declares the rail characteristics to the engine. Zero
-	// values get defaults (see DefaultProfile).
+	// values get defaults (see DefaultProfile); AggMax is derived from
+	// EagerMax.
 	Profile core.Profile
 }
 
-// DefaultProfile is a conservative loopback-TCP profile. New derives
-// the rail's AggMax from its EagerMax.
+// DefaultProfile is a conservative loopback-TCP profile. New always
+// derives the rail's AggMax from its EagerMax.
 func DefaultProfile() core.Profile {
 	return core.Profile{
 		Name:      "tcp",
@@ -107,11 +108,11 @@ func New(conn net.Conn, opts Options) *Driver {
 	if prof.EagerMax == 0 {
 		prof.EagerMax = def.EagerMax
 	}
-	if prof.AggMax == 0 && prof.EagerMax > core.HeaderLen {
-		// An aggregate fills at most one eager frame, so the reader's
-		// lease stays in the frame's size class.
-		prof.AggMax = prof.EagerMax - core.HeaderLen
-	}
+	// An aggregate fills at most one eager frame, so the reader's lease
+	// stays in the frame's size class. EagerMax is the only input: a
+	// caller's AggMax is overwritten (floored at 1, since 0 would mean
+	// the engine's AggThreshold).
+	prof.AggMax = max(prof.EagerMax-core.HeaderLen, 1)
 	tc, _ := conn.(*net.TCPConn)
 	if tc != nil {
 		// Nagle stays off: a small frame must not wait for the peer's ack.

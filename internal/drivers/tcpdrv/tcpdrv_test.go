@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"newmad/internal/core"
+	"newmad/internal/strategy"
 )
 
 type recorder struct {
@@ -45,8 +46,9 @@ func (r *recorder) snapshot() (int, int, []*core.Packet) {
 }
 
 // dialPair connects a client and a server driver over loopback, both
-// still unbound; the drivers are closed when the test ends.
-func dialPair(t testing.TB) (*Driver, *Driver) {
+// with opts and still unbound; the drivers are closed when the test
+// ends.
+func dialPair(t testing.TB, opts Options) (*Driver, *Driver) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,10 +59,10 @@ func dialPair(t testing.TB) (*Driver, *Driver) {
 	var serr error
 	done := make(chan struct{})
 	go func() {
-		server, serr = Accept(l, Options{})
+		server, serr = Accept(l, opts)
 		close(done)
 	}()
-	client, err := Dial(l.Addr().String(), Options{})
+	client, err := Dial(l.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func dialPair(t testing.TB) (*Driver, *Driver) {
 // tcpPair is dialPair with a recorder bound to each end.
 func tcpPair(t *testing.T) (*Driver, *Driver, *recorder, *recorder) {
 	t.Helper()
-	client, server := dialPair(t)
+	client, server := dialPair(t, Options{})
 	rc, rs := &recorder{}, &recorder{}
 	client.Bind(0, rc)
 	server.Bind(0, rs)
@@ -123,7 +125,7 @@ func TestRoundTripSmallPacket(t *testing.T) {
 // a frame the peer sends earlier waits in the kernel and is delivered
 // once the driver is bound — nothing reaches a nil sink, nothing is lost.
 func TestFrameBeforeBindDeliveredAfter(t *testing.T) {
-	c, s := dialPair(t)
+	c, s := dialPair(t, Options{})
 	rc := &recorder{}
 	c.Bind(0, rc)
 	payload := []byte("sent before the peer bound")
@@ -248,6 +250,50 @@ func TestProfileOverrides(t *testing.T) {
 	defer c.Close()
 	if got := c.Profile(); got.Name != "wan" || got.Bandwidth != 1e6 || got.EagerMax != 1024 {
 		t.Fatalf("profile %+v", got)
+	}
+}
+
+// TestSmallEagerFrameSendsAboveAggCap: a rail whose EagerMax is 1 KiB
+// aggregates at most 960 B, below the engine's AggThreshold. A 2 KiB
+// message is neither gathered nor eager there, so it must leave by
+// rendezvous rather than wait forever.
+func TestSmallEagerFrameSendsAboveAggCap(t *testing.T) {
+	client, server := dialPair(t, Options{Profile: core.Profile{EagerMax: 1 << 10}})
+	if got := client.Profile().AggMax; got != 1<<10-core.HeaderLen {
+		t.Fatalf("AggMax %d, want EagerMax - HeaderLen", got)
+	}
+	engA := core.New(core.Config{Strategy: strategy.NewAggreg(0)})
+	engB := core.New(core.Config{Strategy: strategy.NewAggreg(0)})
+	t.Cleanup(func() {
+		engA.Close()
+		engB.Close()
+	})
+	ga, gb := engA.NewGate("B"), engB.NewGate("A")
+	ga.AddRail(client)
+	gb.AddRail(server)
+
+	msg := make([]byte, 2<<10)
+	for i := range msg {
+		msg[i] = byte(i * 7)
+	}
+	got := make([]byte, len(msg))
+	rr := gb.Irecv(1, got)
+	sr := ga.Isend(1, msg)
+	done := make(chan error, 2)
+	go func() { done <- engA.Wait(sr) }()
+	go func() { done <- engB.Wait(rr) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("2 KiB message never left a rail with a 1 KiB eager frame")
+		}
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("payload corrupted")
 	}
 }
 

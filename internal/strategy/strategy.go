@@ -24,12 +24,14 @@
 //     leave as one packet (§3.1) on the small-message rail: the pinned
 //     rail, or else the lowest-latency up rail (§3.3). The records are
 //     gathered, not copied: the driver reads them from the application
-//     buffers (one writev on tcp). The packet, and every segment in it,
-//     is at most the rail's Profile.AggMax — the engine's AggThreshold
-//     unless the rail declares more, as a tcp rail does up to its eager
-//     frame. Segments above AggThreshold go to any idle rail, overtaking
-//     smalls if need be. Without aggregation every segment is its own
-//     packet, in order.
+//     buffers (one writev on tcp). An aggregate is at most the rail's
+//     Profile.AggMax: the engine's AggThreshold, unless the rail
+//     declares its own cap, as a tcp rail declares its eager frame. A
+//     pinned row gathers every segment that fits its rail's cap; the
+//     unpinned rows gather only segments up to AggThreshold, so larger
+//     ones stay free for any idle rail. A segment the rail does not
+//     gather leaves as a packet of its own, overtaking smalls if need
+//     be. Without aggregation every segment is its own packet, in order.
 //   - body: how a granted rendezvous body leaves. whole: in one chunk
 //     to whichever rail asks first (greedy balancing, §3.2). plan: split
 //     once into pinned per-rail shares by weight, each at least MinChunk
@@ -191,7 +193,7 @@ func (s *scheduler) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
 				return b.MakeEager(units...)
 			}
 		}
-		u = firstLarge(b)
+		u = s.firstSolo(b, r)
 	} else {
 		u = b.PopSeg()
 	}
@@ -233,16 +235,23 @@ func fastest(b *core.Backlog) *core.Rail {
 	return best
 }
 
-// gatherSmalls pops the first segment eligible for aggregation on rail
-// r and every further one that fits with it in one aggregated packet of
-// at most the rail's AggMax payload bytes (record headers included). A
-// segment is eligible when it fits that cap alone; the stripping rows
-// also keep every segment above AggThreshold for rendezvous. Other
-// segments are skipped over, not disturbed — the paper allows
-// reordering. Returns an empty slice if no eligible segment is pending.
-// The returned slice is the backlog's reusable scratch: valid until the
-// next Schedule call on the same gate, which is fine because the caller
-// hands it straight to MakeEager.
+// gatherable reports whether rail r may carry u in an aggregate: u fits
+// the rail's AggMax and, unless the row is pinned, AggThreshold. A
+// pinned row sends everything on its one rail anyway; an unpinned row
+// keeps larger segments for greedy balancing or, when it strips, for
+// rendezvous.
+func (s *scheduler) gatherable(b *core.Backlog, r *core.Rail, u *core.Unit) bool {
+	return u.Len() <= b.AggMax(r) && (s.pinned || small(b, u))
+}
+
+// gatherSmalls pops the first segment gatherable on rail r and every
+// further one that fits with it in one aggregated packet of at most the
+// rail's AggMax payload bytes (record headers included). Other segments
+// are skipped over, not disturbed — the paper allows reordering. Returns
+// an empty slice if no gatherable segment is pending. The returned slice
+// is the backlog's reusable scratch: valid until the next Schedule call
+// on the same gate, which is fine because the caller hands it straight
+// to MakeEager.
 func (s *scheduler) gatherSmalls(b *core.Backlog, r *core.Rail) []*core.Unit {
 	budget := b.AggMax(r)
 	units := b.Scratch()
@@ -250,7 +259,7 @@ func (s *scheduler) gatherSmalls(b *core.Backlog, r *core.Rail) []*core.Unit {
 	i := 0
 	for i < b.SegCount() {
 		u := b.Seg(i)
-		if u.Len() > budget || s.body != whole && !small(b, u) {
+		if !s.gatherable(b, r, u) {
 			i++
 			continue
 		}
@@ -272,11 +281,12 @@ func (s *scheduler) gatherSmalls(b *core.Backlog, r *core.Rail) []*core.Unit {
 	return units
 }
 
-// firstLarge pops the first segment bigger than the aggregation
-// threshold, or nil.
-func firstLarge(b *core.Backlog) *core.Unit {
+// firstSolo pops the first segment rail r does not gather, or nil. On
+// the rail that gathers, that is every segment gatherSmalls left behind,
+// so no segment is stranded between the two.
+func (s *scheduler) firstSolo(b *core.Backlog, r *core.Rail) *core.Unit {
 	for i := 0; i < b.SegCount(); i++ {
-		if !small(b, b.Seg(i)) {
+		if !s.gatherable(b, r, b.Seg(i)) {
 			return b.TakeSeg(i)
 		}
 	}

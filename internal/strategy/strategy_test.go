@@ -146,6 +146,74 @@ func TestAggregLargeBypassesAggregation(t *testing.T) {
 	}
 }
 
+// tcpProf is a rail that declares its eager frame as its aggregation
+// cap, as tcpdrv does.
+func tcpProf(lat time.Duration) core.Profile {
+	return core.Profile{Name: "tcp", Latency: lat, Bandwidth: 1200e6, EagerMax: 64 << 10,
+		AggMax: 64<<10 - core.HeaderLen}
+}
+
+// TestAggregGathersUpToRailCap: a pinned row gathers segments above
+// AggThreshold when its rail declares a larger cap.
+func TestAggregGathersUpToRailCap(t *testing.T) {
+	s := strategy.NewAggreg(0)
+	b, rails := fixture(t, s, tcpProf(30*time.Microsecond))
+	s.Submit(b, seg(20<<10, 0))
+	s.Submit(b, seg(256, 1))
+	s.Submit(b, seg(20<<10, 2))
+	s.Submit(b, seg(30<<10, 3)) // does not fit beside the others
+	p := s.Schedule(b, rails[0])
+	if p == nil || p.Hdr.Agg != 3 || p.Len() > 64<<10-core.HeaderLen {
+		t.Fatalf("want a 3-way aggregate within the rail's cap, got %v", p)
+	}
+	if p = s.Schedule(b, rails[0]); p == nil || p.Hdr.Agg != 0 || p.Len() != 30<<10 {
+		t.Fatalf("leftover segment mishandled: %v", p)
+	}
+}
+
+// TestAggregCapBelowThresholdStrandsNothing: on a rail whose cap is
+// below AggThreshold, a segment between the two is not gathered, so it
+// must leave on its own — eagerly if it fits the eager frame, else by
+// rendezvous — instead of waiting forever.
+func TestAggregCapBelowThresholdStrandsNothing(t *testing.T) {
+	for _, name := range []string{"aggreg", "aggrail"} {
+		s := strategy.Must(name)
+		prof := core.Profile{Name: "wan", Latency: time.Millisecond, Bandwidth: 1e6,
+			EagerMax: 1 << 10, AggMax: 1<<10 - core.HeaderLen}
+		b, rails := fixture(t, s, prof)
+		s.Submit(b, seg(2<<10, 0))
+		s.Submit(b, seg(1000, 1))
+		if p := s.Schedule(b, rails[0]); p == nil || p.Hdr.Kind != core.KRTS {
+			t.Fatalf("%s: 2 KiB segment should rendezvous: %v", name, p)
+		}
+		if p := s.Schedule(b, rails[0]); p == nil || p.Hdr.Kind != core.KData || p.Len() != 1000 {
+			t.Fatalf("%s: 1000 B segment should go eagerly alone: %v", name, p)
+		}
+		if b.SegCount() != 0 {
+			t.Fatalf("%s: %d segments stranded", name, b.SegCount())
+		}
+	}
+}
+
+// TestAggRailCappedRailsKeepLargeBalanced: on unpinned rows a rail's
+// larger cap does not pull segments above AggThreshold onto the fastest
+// rail; they stay free for any idle rail, as on the default cap.
+func TestAggRailCappedRailsKeepLargeBalanced(t *testing.T) {
+	s := strategy.Must("aggrail")
+	b, rails := fixture(t, s, tcpProf(60*time.Microsecond), tcpProf(30*time.Microsecond))
+	s.Submit(b, seg(512, 0))
+	s.Submit(b, seg(20<<10, 1))
+	s.Submit(b, seg(512, 2))
+	p := s.Schedule(b, rails[1]) // fastest
+	if p == nil || p.Hdr.Agg != 2 || p.Len() != 2*(512+core.HeaderLen) {
+		t.Fatalf("fastest rail should gather only the smalls: %v", p)
+	}
+	p = s.Schedule(b, rails[0])
+	if p == nil || p.Hdr.Kind != core.KData || p.Len() != 20<<10 {
+		t.Fatalf("slow rail should take the 20 KiB segment eagerly: %v", p)
+	}
+}
+
 // TestAggregSmallsOnPinnedRail: a pinned row aggregates on its pinned
 // rail even when another rail has lower latency, and the pin follows
 // the constructor's rail index.
