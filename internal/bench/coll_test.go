@@ -285,3 +285,85 @@ func TestExtCollFigureBuilds(t *testing.T) {
 		}
 	}
 }
+
+// chainedBcasts runs one chained 1 MiB Bcast per root in roots, all
+// started together, on an 8-rank split cluster over nics, and returns
+// the makespan in µs and the bytes each rail class carried. Every rank
+// checks every payload byte for byte.
+func chainedBcasts(t *testing.T, nics []simnet.NICParams, roots int) (us float64, railBytes []uint64) {
+	const ranks, size = 8, 1 << 20
+	c := NewCluster(ClusterConfig{Nodes: ranks, NICs: nics, Strategy: splitStrat, Sample: true})
+	var start, end des.Time
+	c.SpawnRanks(func(p *des.Proc, comm *mpl.Comm) {
+		sel := comm.Selector()
+		sel.Force = mpl.AlgoPipeline
+		comm.SetSelector(sel)
+		mustColl(comm.Barrier())
+		if comm.Rank() == 0 {
+			start = p.Now()
+		}
+		bufs := make([][]byte, roots)
+		colls := make([]*mpl.Coll, roots)
+		for root := range colls {
+			bufs[root] = make([]byte, size)
+			if comm.Rank() == root {
+				for i := range bufs[root] {
+					bufs[root][i] = byte(root + i)
+				}
+			}
+			colls[root] = comm.IBcast(root, bufs[root])
+		}
+		for root, co := range colls {
+			mustColl(co.Wait())
+			for i, b := range bufs[root] {
+				if b != byte(root+i) {
+					t.Errorf("rank %d: bcast from %d corrupt at byte %d", comm.Rank(), root, i)
+					return
+				}
+			}
+		}
+		end = max(end, p.Now())
+	})
+	c.W.Run()
+	railBytes = make([]uint64, len(nics))
+	for i := range c.Gates {
+		for _, g := range c.Gates[i] {
+			if g == nil {
+				continue
+			}
+			for k, r := range g.Rails() {
+				_, n := r.Stats()
+				railBytes[k] += n
+			}
+		}
+	}
+	return float64(end-start) / 1e3, railBytes
+}
+
+// TestSplitBcastUsesBothRails is the paper's heterogeneous-split claim
+// on chained Bcasts: over Myri-10G + QsNetII, split must finish before
+// the same broadcasts over QsNetII, the best single rail for small
+// messages, alone. A chain keeps one 16 KiB eager chunk in flight per
+// link, so a lone chain puts every chunk on Myri-10G, which is predicted
+// to deliver it first; with a chain from every root at once the links
+// queue, and each rail must carry at least a quarter of the bytes.
+func TestSplitBcastUsesBothRails(t *testing.T) {
+	for _, roots := range []int{1, 8} {
+		two, bytes := chainedBcasts(t, bothRails(), roots)
+		one, _ := chainedBcasts(t, quadRails(), roots)
+		t.Logf("%d chained 1 MiB bcasts: two rails %.1f us, qsnet2 alone %.1f us; myri10g %d B, qsnet2 %d B",
+			roots, two, one, bytes[0], bytes[1])
+		if two >= one {
+			t.Errorf("%d chains: two rails %.1f us, not below qsnet2 alone %.1f us", roots, two, one)
+		}
+		if roots == 1 {
+			continue
+		}
+		total := bytes[0] + bytes[1]
+		for k, n := range bytes {
+			if 4*n < total {
+				t.Errorf("%d chains: rail %d carried %d of %d bytes, under a quarter", roots, k, n, total)
+			}
+		}
+	}
+}

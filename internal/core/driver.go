@@ -9,9 +9,15 @@ import "time"
 type Profile struct {
 	// Name labels the underlying network ("myri10g", "tcp0", ...).
 	Name string
-	// Latency is the one-way small-message latency.
+	// Latency is the one-way small-message latency. With Bandwidth it
+	// is the rail's model for placement too: Rail.ETA predicts when a
+	// packet posted now would arrive, and the stripping strategies send
+	// pending small segments on whichever idle rail that puts first.
 	Latency time.Duration
 	// Bandwidth is the sustained large-transfer rate in bytes per second.
+	// Besides weighting split shares, it paces the rail's predicted
+	// drain: each post keeps the wire busy for the packet's length at
+	// this rate (see Rail.ETA).
 	Bandwidth float64
 	// EagerMax is the largest payload to send eagerly; larger segments go
 	// through the rendezvous protocol.

@@ -211,7 +211,7 @@ func (e *Engine) Close() error {
 		rails := g.Rails()
 		g.dom.Lock()
 		for _, r := range g.rails {
-			r.down.Store(true)
+			r.markDown()
 			r.retiring = false
 		}
 		g.dom.Unlock()
@@ -288,7 +288,9 @@ func (e *Engine) post(r *Rail, p *Packet) {
 	if p.Hdr.Kind == KRTS {
 		r.gate.stats.RdvStarted++
 	}
-	p.postedAt = e.clock.Now()
+	now := e.clock.Now()
+	p.postedAt = now
+	r.freeAt = max(now, r.freeAt) + wireNs(n, r.profile.Load().Bandwidth)
 	e.trace("post", r.gate, r.index, p.Hdr, n)
 	if err := r.drv.Send(p); err != nil {
 		e.failRail(r, p, err)
@@ -377,7 +379,7 @@ func (e *Engine) failRail(r *Rail, p *Packet, err error) {
 		return
 	}
 	g := r.gate
-	r.down.Store(true)
+	r.markDown()
 	r.busy.Store(false)
 	r.current = nil
 	e.retireRail(r)
@@ -427,7 +429,7 @@ func (e *Engine) railFailure(r *Rail, err error) {
 		}
 		return
 	}
-	r.down.Store(true)
+	r.markDown()
 	r.busy.Store(false)
 	e.retireRail(r)
 	p := r.current

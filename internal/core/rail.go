@@ -33,6 +33,14 @@ type Rail struct {
 	orphan *Packet
 	// est models observed latency/bandwidth online; fed by sendComplete.
 	est *Estimator
+	// freeAt is the engine-clock time, in ns, at which the rail's wire is
+	// predicted to have drained everything posted on it: post advances it
+	// by each packet's length over the profiled bandwidth. Busy says only
+	// whether the driver still holds a packet, and a driver may report
+	// completion while the bytes are still queued below it (a socket
+	// buffer); freeAt tells a strategy how far behind the rail is. Zero
+	// on a fresh rail and after the rail goes down; gate-domain owned.
+	freeAt int64
 
 	// stats
 	pktsSent  atomic.Uint64
@@ -69,6 +77,33 @@ func (r *Rail) Busy() bool { return r.busy.Load() }
 // Down reports whether the rail has been marked failed.
 func (r *Rail) Down() bool { return r.down.Load() }
 
+// markDown flags the rail failed and forgets its predicted backlog.
+// Caller owns the gate's domain.
+func (r *Rail) markDown() {
+	r.down.Store(true)
+	r.freeAt = 0
+}
+
+// ETA predicts the engine-clock time, in ns, at which an n-byte packet
+// posted on the rail now would reach the peer: once the rail has drained
+// what it was already given, the profile's Latency plus n bytes at its
+// Bandwidth. Comparing two rails' ETAs tells which would deliver the
+// packet first. Call owning the gate's domain, as a strategy's Schedule
+// does.
+func (r *Rail) ETA(n int) int64 {
+	prof := r.profile.Load()
+	return max(r.gate.eng.clock.Now(), r.freeAt) + int64(prof.Latency) + wireNs(n, prof.Bandwidth)
+}
+
+// wireNs is the time, in ns, n bytes take at bw bytes per second; zero
+// when the bandwidth is unknown.
+func wireNs(n int, bw float64) int64 {
+	if bw <= 0 {
+		return 0
+	}
+	return int64(float64(n) * 1e9 / bw)
+}
+
 // MarkDown manually disables the rail; pending and future work is routed
 // to the remaining rails. An in-flight packet is left to complete (the
 // rail is healthy, just administratively retired): its driver stays open
@@ -78,7 +113,7 @@ func (r *Rail) MarkDown() {
 	g := r.gate
 	g.dom.Lock()
 	defer g.dom.Unlock()
-	r.down.Store(true)
+	r.markDown()
 	if r.current != nil {
 		r.retiring = true
 		return // sendComplete retires the rail once the packet drains

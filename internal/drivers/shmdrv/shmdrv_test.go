@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -273,19 +274,21 @@ func TestAttachOrCreateRace(t *testing.T) {
 	waitFor(t, "raced delivery", func() bool { n, _, _ := s2.counts(); return n >= 1 })
 }
 
-// ringBytes reaches a direction's ring through its unexported field, so
-// the test can play a hostile peer scribbling on the shared mapping.
-func ringBytes(d *shmring.Dir) []byte {
-	f := reflect.ValueOf(d).Elem().FieldByName("ring")
+// mapped reaches one of a direction's unexported views of the mapping
+// ("ring" or "arena"), so the test can play a hostile peer scribbling on
+// it.
+func mapped(d *shmring.Dir, field string) []byte {
+	f := reflect.ValueOf(d).Elem().FieldByName(field)
 	return *(*[]byte)(unsafe.Pointer(f.UnsafeAddr()))
 }
 
 // TestHostileRecordsRailDownOnce: a ring record whose length word does
 // not fit what the peer published, an inline record that does not
 // decode as a frame, a rendezvous reference to a region that is out of
-// bounds, never carved or already delivered, and a jumbo header no
-// frame can match each end the rail with exactly one RailDown naming
-// the cause, after delivering what came before — never a panic.
+// bounds, never carved or already delivered, a jumbo header no frame
+// can match, and a region state word rewritten while the receiver holds
+// the region each end the rail with exactly one RailDown naming the
+// cause, after delivering what came before — never a panic.
 func TestHostileRecordsRailDownOnce(t *testing.T) {
 	skipUnsupported(t)
 	ref := func(off, n uint64) []byte {
@@ -305,12 +308,15 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 	cases := []struct {
 		name, reason string
 		forge        func(tx *shmring.Dir) error
+		// held forges after the pre-forgery packet arrived and before
+		// the receiver releases it, freeing its arena region.
+		held bool
 	}{
 		{"length word", "corrupt ring", func(tx *shmring.Dir) error {
 			if err := tx.Push(shmring.RecInline, []byte("sixteen bytes ok")); err != nil {
 				return err
 			}
-			ring := ringBytes(tx)
+			ring := mapped(tx, "ring")
 			for i := 0; i < len(ring)-16; i += 16 {
 				// The forged record is the second one in the ring.
 				if string(ring[i+16:i+32]) == "sixteen bytes ok" {
@@ -319,28 +325,33 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 				}
 			}
 			return errors.New("forged record not found in the ring")
-		}},
+		}, false},
 		{"undecodable frame", "corrupt frame", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecInline, []byte("not a frame"))
-		}},
+		}, false},
 		{"rendezvous misaligned", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, ref(1<<40+8, 64))
-		}},
+		}, false},
 		{"rendezvous past arena", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, ref(16, 1<<30))
-		}},
+		}, false},
 		{"rendezvous never carved", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, ref(512<<10+16, 0))
-		}},
+		}, false},
 		{"rendezvous delivered twice", "corrupt rendezvous record", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecRendezvous, append([]byte(nil), ringBytes(tx)[16:32]...))
-		}},
+			return tx.Push(shmring.RecRendezvous, append([]byte(nil), mapped(tx, "ring")[16:32]...))
+		}, false},
 		{"jumbo beyond int", "corrupt jumbo header", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecJumboStart, jumboStart(1<<63+1))
-		}},
+		}, false},
 		{"jumbo beyond address space", "corrupt jumbo header", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecJumboStart, jumboStart(1<<62))
-		}},
+		}, false},
+		{"region state forged while held", "arena region", func(tx *shmring.Dir) error {
+			// The state word follows the first region's 8-byte length.
+			(*atomic.Uint32)(unsafe.Pointer(&mapped(tx, "arena")[8])).Store(0xbad)
+			return nil
+		}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -356,11 +367,20 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 			if err := a.Send(dataPkt(1, before)); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.forge(a.seg.TX()); err != nil {
-				t.Fatal(err)
+			sb := &sink{hold: c.held}
+			if !c.held {
+				if err := c.forge(a.seg.TX()); err != nil {
+					t.Fatal(err)
+				}
 			}
-			sb := &sink{}
 			b.Bind(0, sb) // b's receiver starts consuming only now
+			if c.held {
+				waitFor(t, "pre-forgery arrival", func() bool { n, _, _ := sb.counts(); return n >= 1 })
+				if err := c.forge(a.seg.TX()); err != nil {
+					t.Fatal(err)
+				}
+				sb.releaseHeld()
+			}
 			waitFor(t, "rail-down report", func() bool { _, _, d := sb.counts(); return d >= 1 })
 			time.Sleep(50 * time.Millisecond)
 			arrivals, _, downs := sb.counts()

@@ -234,9 +234,10 @@ type Seg struct {
 	closeDone atomic.Bool // Close ran (distinct from Kill's closed)
 	unlinked  atomic.Bool
 	unmapped  atomic.Bool
-	// corrupt holds the first malformed record TryPop found: the peer
-	// controls every byte of the mapping, so a bad record is hostile
-	// input, and from then on PeerGone reports the peer dead with it.
+	// corrupt holds the first malformed record TryPop found, or the
+	// first arena region Free found in a state the peer forged: the peer
+	// controls every byte of the mapping, so either is hostile input, and
+	// from then on PeerGone reports the peer dead with it.
 	corrupt atomic.Pointer[error]
 }
 
@@ -590,7 +591,7 @@ func (d *Dir) TryPop(fn func(kind uint32, a, b []byte)) bool {
 	return true
 }
 
-// markCorrupt records the first malformed-record finding.
+// markCorrupt records the first corruption finding.
 func (s *Seg) markCorrupt(cause error) {
 	err := fmt.Errorf("%w: corrupt ring on segment %s: %v", ErrPeerGone, s.name, cause)
 	s.corrupt.CompareAndSwap(nil, &err)
@@ -738,7 +739,10 @@ func (d *Dir) Region(off uint64, n int) ([]byte, error) {
 // payloads — the RECEIVER frees the arena region (the producer merely
 // reclaims in order), exactly once, when the packet lease built over it
 // releases. Also used by the producer to abandon a carved region whose
-// ring record was never published.
+// ring record was never published. The state word lives in the mapping,
+// so the peer can rewrite it under a region this side holds; a region
+// found neither held nor busy marks the segment corrupt, and PeerGone
+// reports the peer dead from then on. This side's lease ends either way.
 func (d *Dir) Free(off uint64) {
 	if !d.seg.enter() {
 		return
@@ -746,7 +750,7 @@ func (d *Dir) Free(off uint64) {
 	defer d.seg.exit()
 	st := d.regState((off - regHdrLen) & d.arMask)
 	if !st.CompareAndSwap(regHeld, regFree) && !st.CompareAndSwap(regBusy, regFree) {
-		panic("shmring: arena region freed twice")
+		d.seg.markCorrupt(fmt.Errorf("arena region %d freed in state %d", off, st.Load()))
 	}
 	arenaFrees.Add(1)
 	arenaLive.Add(-1)

@@ -22,16 +22,23 @@
 //     and NewAggreg take the rail index.
 //   - aggregate: small segments that accumulated while the NIC was busy
 //     leave as one packet (§3.1) on the small-message rail: the pinned
-//     rail, or else the lowest-latency up rail (§3.3). The records are
-//     gathered, not copied: the driver reads them from the application
-//     buffers (one writev on tcp). An aggregate is at most the rail's
-//     Profile.AggMax: the engine's AggThreshold, unless the rail
-//     declares its own cap, as a tcp rail declares its eager frame. A
-//     pinned row gathers every segment that fits its rail's cap; the
-//     unpinned rows gather only segments up to AggThreshold, so larger
-//     ones stay free for any idle rail. A segment the rail does not
-//     gather leaves as a packet of its own, overtaking smalls if need
-//     be. Without aggregation every segment is its own packet, in order.
+//     rail, or else the lowest-latency up rail (§3.3). On the stripping
+//     rows another idle rail gathers them too when Rail.ETA predicts it
+//     delivers the first one before the lowest-latency rail and that
+//     segment is above the rail's PIOMax, so no PIO copy competes for
+//     the host CPU. Chunks thus spill onto the other rails while the
+//     lowest-latency rail's wire is backed up, and even a lone segment
+//     leaves on a higher-bandwidth rail when it is large enough to
+//     arrive there first. The records are gathered, not copied: the
+//     driver reads them from the application buffers (one writev on
+//     tcp). An aggregate is at most the rail's Profile.AggMax: the
+//     engine's AggThreshold, unless the rail declares its own cap, as a
+//     tcp rail declares its eager frame. A pinned row gathers every
+//     segment that fits its rail's cap; the unpinned rows gather only
+//     segments up to AggThreshold, so larger ones stay free for any idle
+//     rail. A segment the rail does not gather leaves as a packet of its
+//     own, overtaking smalls if need be. Without aggregation every
+//     segment is its own packet, in order.
 //   - body: how a granted rendezvous body leaves. whole: in one chunk
 //     to whichever rail asks first (greedy balancing, §3.2). plan: split
 //     once into pinned per-rail shares by weight, each at least MinChunk
@@ -188,7 +195,7 @@ func (s *scheduler) Schedule(b *core.Backlog, r *core.Rail) *core.Packet {
 	}
 	var u *core.Unit
 	if s.aggregate {
-		if s.pinned || r == fastest(b) {
+		if s.gathersOn(b, r) {
 			if units := s.gatherSmalls(b, r); len(units) > 0 {
 				return b.MakeEager(units...)
 			}
@@ -233,6 +240,34 @@ func fastest(b *core.Backlog) *core.Rail {
 		}
 	}
 	return best
+}
+
+// gathersOn reports whether rail r gathers pending small segments. The
+// pinned rail and the lowest-latency up rail always do (§3.3). On a
+// stripping row another idle rail does too when it is predicted to
+// deliver the first segment it would gather before the lowest-latency
+// rail could (that rail's wire is still draining earlier packets, or
+// the segment is large enough for r's bandwidth to make up its
+// latency), and the segment is above r's PIOMax, so r takes DMA work
+// and no PIO copy competes for the host's CPU.
+func (s *scheduler) gathersOn(b *core.Backlog, r *core.Rail) bool {
+	if s.pinned {
+		return true
+	}
+	f := fastest(b)
+	if r == f {
+		return true
+	}
+	if s.body == whole || f == nil {
+		return false
+	}
+	for i := 0; i < b.SegCount(); i++ {
+		if u := b.Seg(i); s.gatherable(b, r, u) {
+			n := u.Len()
+			return n > r.Profile().PIOMax && r.ETA(n) < f.ETA(n)
+		}
+	}
+	return false
 }
 
 // gatherable reports whether rail r may carry u in an aggregate: u fits
