@@ -9,6 +9,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -189,5 +190,87 @@ func TestCollectiveCancelPreservesTagSpace(t *testing.T) {
 		if want := int64(ranks * (ranks + 1) / 2); sums[r] != want {
 			t.Fatalf("rank %d: sum = %d, want %d", r, sums[r], want)
 		}
+	}
+}
+
+// TestBcastChainCancelMidChain: a chained Bcast whose deadline expires
+// mid-chain, while the root still has chunks to send and every relay
+// holds pre-posted receives and forwarded sends, is torn down on every
+// gate. No receive stays posted, no send stays queued or in flight, no
+// buffer lease is left live, and the next collective still matches. A
+// lone 1 MiB chain takes about 850 us on these rails; the deadlines
+// fall at several points of it.
+func TestBcastChainCancelMidChain(t *testing.T) {
+	for _, us := range []int{300, 400, 500} {
+		t.Run(fmt.Sprintf("%dus", us), func(t *testing.T) { cancelChainAt(t, time.Duration(us)*time.Microsecond) })
+	}
+}
+
+func cancelChainAt(t *testing.T, deadline time.Duration) {
+	const ranks, size, root = 8, 1 << 20, 3
+	live := core.PoolStats().Live
+	c := NewCluster(ClusterConfig{Nodes: ranks, NICs: bothRails(), Strategy: splitStrat, Sample: true})
+	errs := make([]error, ranks)
+	got := make([][]byte, ranks)
+	sums := make([]int64, ranks)
+	c.SpawnRanks(func(pr *des.Proc, comm *mpl.Comm) {
+		sel := comm.Selector()
+		sel.Force = mpl.AlgoPipeline
+		comm.SetSelector(sel)
+		mustColl(comm.Barrier())
+		buf := make([]byte, size)
+		if comm.Rank() == root {
+			for i := range buf {
+				buf[i] = byte(i%251 + 1)
+			}
+		}
+		ctx := WithSimTimeout(context.Background(), pr, deadline)
+		errs[comm.Rank()] = comm.BcastCtx(ctx, root, buf)
+		got[comm.Rank()] = buf
+		// The cancel has already reached this rank's gates, which hold
+		// only its own sends and receives: none may still be queued or
+		// posted, whatever the other ranks do next. (Abort notices for
+		// the peers may still wait in the control queue.)
+		for peer, g := range c.Gates[comm.Rank()] {
+			if g == nil {
+				continue
+			}
+			b := g.Backlog()
+			if s := g.Stats(); s.PostedRecvs != 0 || b.SegCount() != 0 || b.BodyCount() != 0 {
+				t.Errorf("rank %d gate to %d after the cancel: %d receives posted, %d segments and %d bodies queued",
+					comm.Rank(), peer, s.PostedRecvs, b.SegCount(), b.BodyCount())
+			}
+		}
+		var err error
+		sums[comm.Rank()], err = comm.AllSumInt64(int64(comm.Rank()))
+		mustColl(err)
+	})
+	c.W.Run()
+	for r, err := range errs {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("rank %d: BcastCtx = %v, want DeadlineExceeded", r, err)
+		}
+		if sums[r] != ranks*(ranks-1)/2 {
+			t.Errorf("rank %d: sum after the cancelled bcast = %d", r, sums[r])
+		}
+	}
+	// Mid-chain: the first relay holds some of the payload but not all.
+	first := got[(root+1)%ranks]
+	if first[0] == 0 || first[size-1] != 0 {
+		t.Fatalf("deadline did not fall mid-chain: first relay's bytes 0 and %d are %d and %d", size-1, first[0], first[size-1])
+	}
+	for i := range c.Gates {
+		for j, g := range c.Gates[i] {
+			if g == nil {
+				continue
+			}
+			if s := g.Stats(); s.PostedRecvs != 0 || s.PendingSends != 0 || !g.Backlog().Empty() {
+				t.Errorf("gate %d->%d: %d receives posted, %d sends in flight, backlog empty %v",
+					i, j, s.PostedRecvs, s.PendingSends, g.Backlog().Empty())
+			}
+		}
+	}
+	if d := core.PoolStats().Live - live; d != 0 {
+		t.Errorf("pool Live delta %d, want 0", d)
 	}
 }

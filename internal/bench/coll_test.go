@@ -343,10 +343,11 @@ func chainedBcasts(t *testing.T, nics []simnet.NICParams, roots int) (us float64
 // TestSplitBcastUsesBothRails is the paper's heterogeneous-split claim
 // on chained Bcasts: over Myri-10G + QsNetII, split must finish before
 // the same broadcasts over QsNetII, the best single rail for small
-// messages, alone. A chain keeps one 16 KiB eager chunk in flight per
-// link, so a lone chain puts every chunk on Myri-10G, which is predicted
-// to deliver it first; with a chain from every root at once the links
-// queue, and each rail must carry at least a quarter of the bytes.
+// messages, alone, and each rail must carry at least a quarter of the
+// bytes. A relay forwards each chunk as soon as it holds it, so a link
+// carries several chunks at once and split's predicted-arrival placement
+// spreads consecutive chunks over both rails, for a lone chain as for a
+// chain from every root at once.
 func TestSplitBcastUsesBothRails(t *testing.T) {
 	for _, roots := range []int{1, 8} {
 		two, bytes := chainedBcasts(t, bothRails(), roots)
@@ -356,9 +357,6 @@ func TestSplitBcastUsesBothRails(t *testing.T) {
 		if two >= one {
 			t.Errorf("%d chains: two rails %.1f us, not below qsnet2 alone %.1f us", roots, two, one)
 		}
-		if roots == 1 {
-			continue
-		}
 		total := bytes[0] + bytes[1]
 		for k, n := range bytes {
 			if 4*n < total {
@@ -366,4 +364,35 @@ func TestSplitBcastUsesBothRails(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChainBcastEveryRootRagged runs a chained Bcast from every root in
+// turn on the two-rail cluster, with a ragged last chunk, and checks
+// every byte on every rank: consecutive chunks ride different rails and
+// may arrive out of order, and a relay must still forward each into the
+// right slot of its successor's buffer.
+func TestChainBcastEveryRootRagged(t *testing.T) {
+	const ranks, size = 8, 1<<20 + 5
+	c := NewCluster(ClusterConfig{Nodes: ranks, NICs: bothRails(), Strategy: splitStrat, Sample: true})
+	c.SpawnRanks(func(p *des.Proc, comm *mpl.Comm) {
+		sel := comm.Selector()
+		sel.Force = mpl.AlgoPipeline
+		comm.SetSelector(sel)
+		buf := make([]byte, size)
+		for root := 0; root < ranks; root++ {
+			if comm.Rank() == root {
+				for i := range buf {
+					buf[i] = byte(root*7 + i)
+				}
+			}
+			mustColl(comm.Bcast(root, buf))
+			for i, b := range buf {
+				if b != byte(root*7+i) {
+					t.Errorf("rank %d: bcast from %d corrupt at byte %d", comm.Rank(), root, i)
+					return
+				}
+			}
+		}
+	})
+	c.W.Run()
 }

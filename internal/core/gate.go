@@ -516,6 +516,7 @@ type GateStats struct {
 	AggSegments  uint64 // segment records carried inside aggregates
 	FailedRails  int
 	PendingSends int // packets currently in flight across rails
+	PostedRecvs  int // receives posted and not yet complete
 }
 
 // Stats returns a snapshot of the gate's counters.
@@ -523,6 +524,9 @@ func (g *Gate) Stats() GateStats {
 	g.dom.Lock()
 	defer g.dom.Unlock()
 	s := g.stats
+	for _, q := range g.posted {
+		s.PostedRecvs += len(q)
+	}
 	for _, r := range g.rails {
 		s.PktsSent += r.pktsSent.Load()
 		if r.down.Load() {

@@ -24,10 +24,19 @@ import (
 // orders.
 
 // post describes one point-to-point operation within a stage.
+//
+// A receive may carry a follow-up send, fwd, which the engine issues
+// once that receive and every earlier receive of the stage have
+// completed: follow-ups leave in post order, whatever order the rails
+// deliver in. That order is what keeps forwarded chunks matched, since
+// the n-th receive on a tag takes the n-th send on it. A stage's direct
+// sends and its follow-ups must not share a peer, or their relative
+// order on that gate would be undefined.
 type post struct {
 	peer int
 	send bool
 	data []byte // payload to send, or the receive destination
+	fwd  *post  // on a receive: the send issued when it completes
 }
 
 // stage is one dependency level of a collective schedule: its posts are
@@ -55,11 +64,19 @@ type Coll struct {
 	// reqs are the point-to-point requests of the in-flight stage, kept
 	// so Cancel can abort them on their gates; cleared at each stage
 	// boundary.
-	reqs   []core.Request
-	done   bool
-	err    error
-	cbs    []func()
-	doneCh chan struct{}
+	reqs []core.Request
+	// The in-flight stage's follow-up state: its posts, which of its
+	// receives have completed (nil when no post has a follow-up), the
+	// cursor of the next post whose follow-up may leave, and whether a
+	// goroutine is issuing follow-ups right now.
+	posts      []post
+	arrived    []bool
+	cursor     int
+	forwarding bool
+	done       bool
+	err        error
+	cbs        []func()
+	doneCh     chan struct{}
 }
 
 // startColl launches the schedule and returns its handle.
@@ -97,36 +114,101 @@ func (co *Coll) schedule() {
 		}
 		// The +1 is a posting hold: requests posted below may complete
 		// synchronously (in-memory rails), and the hold keeps the stage
-		// from advancing out from under the posting loop.
+		// from advancing out from under the posting loop. Each
+		// follow-up send holds one credit more.
 		co.pending = len(st.posts) + 1
+		fwds := 0
+		for _, p := range st.posts {
+			if p.fwd != nil {
+				fwds++
+			}
+		}
+		co.pending += fwds
 		co.afterFn = st.after
 		co.reqs = co.reqs[:0]
+		co.posts, co.arrived, co.cursor = st.posts, nil, 0
+		if fwds > 0 {
+			co.arrived = make([]bool, len(st.posts))
+		}
 		co.mu.Unlock()
-		for _, p := range st.posts {
-			p := p
-			g := co.comm.gate(p.peer)
-			g.Exec(func(ops core.Ops) {
-				if co.Done() {
-					// A sibling post of this stage already failed the
-					// collective (e.g. a dead gate completing its send
-					// synchronously): don't orphan requests on the
-					// healthy gates.
-					return
-				}
-				var req core.Request
-				if p.send {
-					req = ops.Isend(co.tag, p.data)
-				} else {
-					req = ops.Irecv(co.tag, p.data)
-				}
-				co.track(req)
-				req.OnComplete(func() { co.reqDone(req) })
-			})
+		for i, p := range st.posts {
+			done := co.reqDone
+			if fwds > 0 && !p.send {
+				done = func(req core.Request) { co.arrive(i, req) }
+			}
+			co.issue(p, done)
 		}
 		if !co.release() {
 			return
 		}
 	}
+}
+
+// issue posts p on its peer's gate through the non-blocking Exec path
+// and routes the request's completion to done.
+func (co *Coll) issue(p post, done func(core.Request)) {
+	co.comm.gate(p.peer).Exec(func(ops core.Ops) {
+		if co.Done() {
+			// A sibling post of this stage already failed the
+			// collective (e.g. a dead gate completing its send
+			// synchronously): don't orphan requests on the healthy
+			// gates.
+			return
+		}
+		var req core.Request
+		if p.send {
+			req = ops.Isend(co.tag, p.data)
+		} else {
+			req = ops.Irecv(co.tag, p.data)
+		}
+		co.track(req)
+		req.OnComplete(func() { done(req) })
+	})
+}
+
+// arrive is the completion callback of a receive in a stage with
+// follow-ups: it marks post i complete, issues whatever follow-ups that
+// unblocks, then drops the receive's own credit.
+func (co *Coll) arrive(i int, req core.Request) {
+	if err := req.Err(); err != nil {
+		co.finish(err)
+		return
+	}
+	co.mu.Lock()
+	co.arrived[i] = true
+	co.forward()
+	co.reqDone(req)
+}
+
+// forward advances the follow-up cursor past every completed receive
+// (and every send) and issues the follow-ups it passes, in post order.
+// Called with co.mu held; returns with it released. One goroutine
+// forwards at a time: a completion that finds another goroutine
+// forwarding only marks its receive, and that goroutine picks it up
+// before it stops, so the Exec calls, and hence the sends on each gate,
+// keep post order. A follow-up may complete inside its Exec and finish
+// the stage; the loop then continues on the next stage's state, or stops
+// when that stage has no follow-ups.
+func (co *Coll) forward() {
+	if co.forwarding {
+		co.mu.Unlock()
+		return
+	}
+	co.forwarding = true
+	for !co.done && co.arrived != nil && co.cursor < len(co.posts) {
+		p := co.posts[co.cursor]
+		if !p.send && !co.arrived[co.cursor] {
+			break
+		}
+		co.cursor++
+		if p.fwd != nil {
+			co.mu.Unlock()
+			co.issue(*p.fwd, co.reqDone)
+			co.mu.Lock()
+		}
+	}
+	co.forwarding = false
+	co.mu.Unlock()
 }
 
 // release drops one pending credit. When the stage's count reaches zero it

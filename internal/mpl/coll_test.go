@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"newmad/internal/core"
+	"newmad/internal/drivers/memdrv"
 	"newmad/internal/mpl"
 	"newmad/internal/strategy"
 )
@@ -38,7 +39,7 @@ var collAlgos = []mpl.Algo{mpl.AlgoAuto, mpl.AlgoLinear, mpl.AlgoTree, mpl.AlgoP
 func TestBcastAlgorithms(t *testing.T) {
 	for _, ranks := range []int{2, 3, 5, 8} {
 		for _, algo := range collAlgos {
-			for _, size := range []int{1, 1 << 10, 100 << 10} {
+			for _, size := range []int{0, 1, 1 << 10, 100 << 10} {
 				t.Run(fmt.Sprintf("r%d/%v/%d", ranks, algo, size), func(t *testing.T) {
 					c := newCluster(t, ranks)
 					c.setSelector(forced(algo))
@@ -325,27 +326,104 @@ func TestIBarrierTest(t *testing.T) {
 	})
 }
 
+// TestCollectivesSizeOne runs every collective on a one-rank
+// communicator, under the default selector and forced to the pipelined
+// family, whose chained Bcast has no successor to forward to.
 func TestCollectivesSizeOne(t *testing.T) {
-	eng := core.New(core.Config{Strategy: strategy.Must("balance")})
-	cm, err := mpl.New(eng, 0, []*core.Gate{nil}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, sel := range []mpl.Selector{mpl.DefaultSelector(), forced(mpl.AlgoPipeline)} {
+		t.Run(sel.Force.String(), func(t *testing.T) {
+			eng := core.New(core.Config{Strategy: strategy.Must("balance")})
+			cm, err := mpl.New(eng, 0, []*core.Gate{nil}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm.SetSelector(sel)
+			cm.Barrier()
+			buf := []byte("solo")
+			if err := cm.Bcast(0, buf); err != nil || string(buf) != "solo" {
+				t.Fatalf("size-1 bcast = %q, err %v", buf, err)
+			}
+			recv := make([]byte, 8)
+			cm.Allreduce(int64Contribution(0, 1), recv, mpl.OpSumInt64())
+			if !bytes.Equal(recv, refSumInt64(1, 1)) {
+				t.Fatal("size-1 allreduce")
+			}
+			a2a := make([]byte, 4)
+			cm.Alltoall([]byte("self"), a2a)
+			if string(a2a) != "self" {
+				t.Fatal("size-1 alltoall")
+			}
+			if got, err := cm.AllSumInt64(41); err != nil || got != 41 {
+				t.Fatalf("size-1 allsum = %d, err %v", got, err)
+			}
+		})
 	}
-	cm.Barrier()
-	buf := []byte("solo")
-	cm.Bcast(0, buf)
-	recv := make([]byte, 8)
-	cm.Allreduce(int64Contribution(0, 1), recv, mpl.OpSumInt64())
-	if !bytes.Equal(recv, refSumInt64(1, 1)) {
-		t.Fatal("size-1 allreduce")
+}
+
+// TestChainForwardsInPostOrder holds the root's first rail so that the
+// relay's later chunks arrive on the second rail before its first one:
+// the relay must not forward any chunk until the first has arrived,
+// because its successor matches the n-th receive to the n-th send.
+func TestChainForwardsInPostOrder(t *testing.T) {
+	const ranks, chunk, size = 3, 1 << 10, 2<<10 + 5 // 3 chunks, the last ragged
+	engs := make([]*core.Engine, ranks)
+	gates := make([][]*core.Gate, ranks)
+	for i := range engs {
+		engs[i] = core.New(core.Config{Strategy: strategy.Must("balance")})
+		gates[i] = make([]*core.Gate, ranks)
 	}
-	a2a := make([]byte, 4)
-	cm.Alltoall([]byte("self"), a2a)
-	if string(a2a) != "self" {
-		t.Fatal("size-1 alltoall")
+	var held *memdrv.Driver
+	for i := 0; i < ranks; i++ {
+		for j := i + 1; j < ranks; j++ {
+			gates[i][j] = engs[i].NewGate(fmt.Sprintf("r%d", j))
+			gates[j][i] = engs[j].NewGate(fmt.Sprintf("r%d", i))
+			rails := 1
+			if i == 0 && j == 1 {
+				rails = 2 // root to relay
+			}
+			for k := 0; k < rails; k++ {
+				a, b := memdrv.Pair(fmt.Sprintf("%d-%d.%d", i, j, k), memdrv.DefaultProfile())
+				gates[i][j].AddRail(a)
+				gates[j][i].AddRail(b)
+				if held == nil {
+					held = a
+				}
+			}
+		}
 	}
-	if got, err := cm.AllSumInt64(41); err != nil || got != 41 {
-		t.Fatalf("size-1 allsum = %d, err %v", got, err)
+	sel := forced(mpl.AlgoPipeline)
+	sel.Chunk = chunk
+	comms := make([]*mpl.Comm, ranks)
+	for i := range comms {
+		cm, err := mpl.New(engs[i], i, gates[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm.SetSelector(sel)
+		comms[i] = cm
+	}
+	want := pattern(0, size)
+	bufs := [][]byte{append([]byte(nil), want...), make([]byte, size), make([]byte, size)}
+	// Chunk 0 leaves on the held rail; chunks 1 and 2 take the other
+	// one and arrive first.
+	held.HoldCompletions()
+	colls := []*mpl.Coll{nil, comms[1].IBcast(0, bufs[1]), comms[2].IBcast(0, bufs[2])}
+	colls[0] = comms[0].IBcast(0, bufs[0])
+	zero := make([]byte, size)
+	if !bytes.Equal(bufs[1][chunk:], want[chunk:]) || !bytes.Equal(bufs[1][:chunk], zero[:chunk]) {
+		t.Fatal("setup: the relay should hold chunks 1 and 2 but not chunk 0")
+	}
+	if s := gates[1][2].Stats(); s.PktsSent != 0 || !bytes.Equal(bufs[2], zero) {
+		t.Fatalf("relay forwarded %d packets before its first chunk arrived", s.PktsSent)
+	}
+	held.ReleaseCompletions()
+	for r, co := range colls {
+		if err := co.Wait(); err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		if !bytes.Equal(bufs[r], want) {
+			t.Errorf("rank %d: corrupt bcast", r)
+		}
 	}
 }
 

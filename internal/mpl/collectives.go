@@ -230,36 +230,37 @@ func (c *Comm) bcastStages(root int, buf []byte, algo Algo) []stage {
 }
 
 // bcastChain is the pipelined broadcast: the ranks form a chain in
-// virtual rank order and the payload moves down it in chunks, each rank
-// forwarding chunk k-1 to its successor while receiving chunk k from its
-// predecessor.
+// virtual rank order and the payload moves down it in chunks, as one
+// dataflow stage. The root posts every chunk's send; every other rank
+// pre-posts every chunk's receive, and a relay's receive carries a
+// follow-up send that forwards the chunk to its successor as soon as it
+// (and every chunk before it) has arrived. A link thus carries as many
+// chunks at once as the strategy will place, so on a multi-rail gate
+// consecutive chunks ride different rails.
 func (c *Comm) bcastChain(root int, buf []byte) []stage {
 	size := c.Size()
+	if size == 1 {
+		return nil
+	}
 	chunk := c.Selector().chunk()
 	v := vrank(c.rank, root, size)
-	n := len(buf)
-	chunks := (n + chunk - 1) / chunk
-	slice := func(k int) []byte {
-		hi := (k + 1) * chunk
-		if hi > n {
-			hi = n
-		}
-		return buf[k*chunk : hi]
-	}
-	var stages []stage
-	for k := 0; k <= chunks; k++ {
-		var ps []post
-		if v > 0 && k < chunks {
-			ps = append(ps, post{peer: realRank(v-1, root, size), data: slice(k)})
-		}
-		if v < size-1 && k > 0 {
-			ps = append(ps, post{peer: realRank(v+1, root, size), send: true, data: slice(k - 1)})
-		}
-		if len(ps) > 0 {
-			stages = append(stages, stage{posts: ps})
+	prev, next := realRank(v-1, root, size), realRank(v+1, root, size)
+	var ps []post
+	for lo := 0; lo < len(buf); lo += chunk {
+		b := buf[lo:min(lo+chunk, len(buf))]
+		switch {
+		case v == 0:
+			ps = append(ps, post{peer: next, send: true, data: b})
+		case v < size-1:
+			ps = append(ps, post{peer: prev, data: b, fwd: &post{peer: next, send: true, data: b}})
+		default:
+			ps = append(ps, post{peer: prev, data: b})
 		}
 	}
-	return stages
+	if len(ps) == 0 {
+		return nil
+	}
+	return []stage{{posts: ps}}
 }
 
 // Bcast broadcasts root's buf to every rank.

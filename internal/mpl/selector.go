@@ -98,7 +98,9 @@ type Selector struct {
 	SmallMax int
 	// Chunk is the pipeline chunk size for the chained Bcast. Seeded
 	// selectors cap it at the rails' smallest EagerMax, so a chain chunk
-	// never pays a rendezvous round trip.
+	// never pays a rendezvous round trip. Every chunk is posted at once
+	// and relays forward each on arrival, so Chunk sets the per-hop
+	// latency of the chain, not how many chunks a link carries at once.
 	Chunk int
 	// FanoutMaxRanks bounds the linear small-message regime: beyond this
 	// many ranks the O(N) fan-out overtakes log2(N) hops even for tiny
