@@ -25,7 +25,7 @@ import (
 // ShmLatencyPoint is one same-host transport comparison: half-RTT
 // pingpong latency at SizeBytes over each rail, with the derived
 // one-way bandwidth (informative for the large sizes, where the
-// rendezvous/jumbo paths dominate).
+// rendezvous path dominates).
 type ShmLatencyPoint struct {
 	SizeBytes    int     `json:"size_bytes"`
 	ShmHalfRTTNs float64 `json:"shm_half_rtt_ns"`
@@ -35,7 +35,7 @@ type ShmLatencyPoint struct {
 }
 
 // ShmLatencySizes are the report's sweep points: an inline-path size, a
-// ring-edge size, a rendezvous size and a jumbo/bandwidth size.
+// ring-edge size, a rendezvous size and a bandwidth size.
 func ShmLatencySizes() []int { return []int{64, 4 << 10, 64 << 10, 1 << 20} }
 
 // pingpong measures the mean half-RTT at one size: warmup+iters full

@@ -77,12 +77,13 @@ func (b *Backlog) AggThreshold() int { return b.gate.eng.cfg.AggThreshold }
 
 // AggMax returns the largest aggregate payload, record headers included,
 // a strategy should build for rail r: the rail's Profile.AggMax, or
-// AggThreshold when the rail declares none.
+// AggThreshold when the rail declares none, capped at MaxPayload.
 func (b *Backlog) AggMax(r *Rail) int {
-	if m := r.Profile().AggMax; m > 0 {
-		return m
+	m := r.Profile().AggMax
+	if m <= 0 {
+		m = b.AggThreshold()
 	}
-	return b.AggThreshold()
+	return min(m, MaxPayload)
 }
 
 // MinChunk returns the smallest rendezvous chunk a strategy should carve,
@@ -281,19 +282,20 @@ func (b *Backlog) StartRdv(u *Unit) *Packet {
 	return p
 }
 
-// ChunkFrom carves the next chunk of at most max bytes from body u and
-// returns it as a KChunk packet. When the body has no unscheduled bytes
-// left it is removed from the granted list. The chunk payload aliases the
+// ChunkFrom carves the next chunk of at most max bytes, and never more
+// than MaxPayload, from body u and returns it as a KChunk packet; max <=
+// 0 asks for MaxPayload. When the body has no unscheduled bytes left it
+// is removed from the granted list. The chunk payload aliases the
 // application buffer.
 func (b *Backlog) ChunkFrom(u *Unit, max int) *Packet {
 	if len(u.spans) == 0 {
 		panic("core: ChunkFrom on drained body " + u.String())
 	}
-	s := &u.spans[0]
-	n := s.to - s.from
-	if max > 0 && n > max {
-		n = max
+	if max <= 0 || max > MaxPayload {
+		max = MaxPayload
 	}
+	s := &u.spans[0]
+	n := min(s.to-s.from, max)
 	off := s.from
 	s.from += n
 	if s.from == s.to {

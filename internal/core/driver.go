@@ -20,7 +20,8 @@ type Profile struct {
 	// this rate (see Rail.ETA).
 	Bandwidth float64
 	// EagerMax is the largest payload to send eagerly; larger segments go
-	// through the rendezvous protocol.
+	// through the rendezvous protocol. Values above MaxPayload act as
+	// MaxPayload.
 	EagerMax int
 	// PIOMax is the largest wire packet the driver sends with programmed
 	// I/O. Strategies keep rendezvous chunks above this so large
@@ -33,7 +34,8 @@ type Profile struct {
 	// dwarfs the copy — tcp's writev syscall, which copies the bytes
 	// anyway — declares its eager frame here instead (tcpdrv derives it
 	// from EagerMax). A cap below AggThreshold is safe: a segment the
-	// rail does not gather leaves as a packet of its own.
+	// rail does not gather leaves as a packet of its own. Values above
+	// MaxPayload act as MaxPayload.
 	AggMax int
 }
 

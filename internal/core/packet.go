@@ -72,6 +72,13 @@ type Header struct {
 // HeaderLen is the encoded header size in bytes.
 const HeaderLen = 1 + 1 + 2 + 4 + 8 + 2 + 2 + 8 + 8 + 8 + 8 + 8 + 4
 
+// MaxPayload is the largest payload of any packet the engine posts,
+// inclusive: the largest pooled buffer class. EagerOK, Backlog.AggMax
+// and Backlog.ChunkFrom clamp to it and the split rows cut their
+// shares by it, so a wire frame is never longer than HeaderLen +
+// MaxPayload, and drivers reject a peer that claims more.
+const MaxPayload = 8 << 20
+
 // EncodeHeader writes h into buf, which must be at least HeaderLen bytes,
 // and returns HeaderLen.
 func EncodeHeader(buf []byte, h *Header) int {

@@ -34,6 +34,7 @@ type Discarder interface {
 	Discard(b *Backlog, u *Unit)
 }
 
-// EagerOK reports whether unit u fits rail r's eager path; larger units
-// must go through the rendezvous protocol (Backlog.StartRdv).
-func EagerOK(u *Unit, r *Rail) bool { return u.Len() <= r.Profile().EagerMax }
+// EagerOK reports whether unit u fits rail r's eager path, EagerMax
+// capped at MaxPayload; larger units must go through the rendezvous
+// protocol (Backlog.StartRdv).
+func EagerOK(u *Unit, r *Rail) bool { return u.Len() <= min(r.Profile().EagerMax, MaxPayload) }

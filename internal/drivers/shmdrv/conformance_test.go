@@ -11,8 +11,6 @@ import (
 // while staying comfortably above scheduler hiccups under -race.
 func testOptions() Options {
 	return Options{
-		RingBytes:   64 << 10,
-		ArenaBytes:  1 << 20,
 		Heartbeat:   20 * time.Millisecond,
 		PeerTimeout: 300 * time.Millisecond,
 	}

@@ -8,18 +8,20 @@
 // is committed to shared memory before Send returns, then the
 // completion fires — so outside Send the engine never has a packet
 // parked in this driver, and a killed peer surfaces as a refused Send
-// the engine cleanly reroutes. Three paths by frame size:
+// the engine cleanly reroutes. Two paths by frame size:
 //
 //   - inline (≤ DefaultInlineMax): the whole wire frame copies through
 //     the ring — one copy in, one copy out into a pooled lease;
-//   - rendezvous (fits the arena): the frame is written once into an
+//   - rendezvous (anything larger): the frame is written once into an
 //     arena region and a 16-byte reference crosses the ring; the
 //     receiver wraps the region itself as the packet's lease
 //     (core.WrapBuf) — zero intermediate copies, the RDMA-write
-//     analogue;
-//   - jumbo (exceeds the arena): the frame streams through the ring in
-//     bounded segments and reassembles into one pooled lease, so
-//     arbitrarily large strategy chunks stay correct.
+//     analogue.
+//
+// The engine never posts a payload above core.MaxPayload, and the
+// default arena holds one region of that largest frame, so every frame
+// takes one of the two. An attacher refuses a segment whose arena could
+// not hold it.
 //
 // Rendezvous regions follow a single-owner lease rule: the RECEIVER
 // releases the arena slot — the region rides the packet it delivered,
@@ -35,7 +37,8 @@
 // a peer that closed, or whose heartbeat went stale, into a single
 // RailDown after draining what was already published. Everything read
 // out of the mapping is the peer's to forge, so a malformed ring record
-// or a frame that does not decode is the same single RailDown, with the
+// — a kind other than the two, a frame above the engine's bound — or a
+// frame that does not decode is the same single RailDown, with the
 // reason, never a panic. The creator unlinks the segment file and its
 // doorbell FIFOs as soon as the peer attaches, so a crashed process
 // cannot leak /dev/shm files for established rails; segments orphaned
@@ -45,7 +48,6 @@ package shmdrv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -69,10 +71,6 @@ const (
 type Options struct {
 	// Profile declares the rail characteristics; zero gets DefaultProfile.
 	Profile core.Profile
-	// RingBytes / ArenaBytes size the per-direction ring and rendezvous
-	// arena; zero gets the shmring defaults (256 KiB / 16 MiB).
-	RingBytes  int
-	ArenaBytes int
 	// Heartbeat is this side's liveness stamp interval; zero gets
 	// DefaultHeartbeat.
 	Heartbeat time.Duration
@@ -92,13 +90,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// ringConfig is the segment geometry every shm rail uses: the shmring
+// defaults, whose arena holds one region of maxFrame.
 func (o Options) ringConfig() shmring.Config {
-	return shmring.Config{
-		RingBytes:   o.RingBytes,
-		ArenaBytes:  o.ArenaBytes,
-		PeerTimeout: o.PeerTimeout,
-	}
+	return shmring.Config{PeerTimeout: o.PeerTimeout}
 }
+
+// maxFrame is the longest wire frame the engine posts.
+const maxFrame = core.HeaderLen + core.MaxPayload
 
 // DefaultProfile is the declared profile for an untuned shm rail:
 // sub-microsecond latency, memory-bus bandwidth, and the tcp rail's
@@ -155,12 +154,18 @@ func Create(name string, opts Options) (*Driver, error) {
 }
 
 // Attach joins an existing segment (side 1) and starts this side of
-// the rail.
+// the rail. The geometry is the creator's to choose, and a segment
+// whose arena cannot hold one region of the largest frame is refused:
+// its rendezvous path would fail the first such send.
 func Attach(name string, opts Options) (*Driver, error) {
 	opts = opts.withDefaults()
 	seg, err := shmring.Open(name, opts.ringConfig())
 	if err != nil {
 		return nil, err
+	}
+	if cfg := seg.Config(); cfg.MaxRegion() < maxFrame {
+		seg.Close()
+		return nil, fmt.Errorf("shmdrv: attach %s: %d-byte arena cannot hold a %d-byte frame", name, cfg.ArenaBytes, maxFrame)
 	}
 	return newDriver(seg, opts), nil
 }
@@ -240,20 +245,10 @@ func (d *Driver) Bind(rail int, ev core.Events) {
 	d.mu.Unlock()
 }
 
-// jumboSegMax bounds one streamed segment of a jumbo frame so a single
-// record never dominates the ring.
-func (d *Driver) jumboSegMax() int {
-	seg := d.seg.Config().RingBytes / 4
-	if seg > 32<<10 {
-		seg = 32 << 10
-	}
-	return seg
-}
-
 // Send implements core.Driver. The frame is fully committed to the
-// segment — ring record published, or arena region published, or every
-// jumbo segment pushed — before the synchronous completion fires, so an
-// error return always means "not accepted" and the engine may safely
+// segment — ring record or arena region published — before the
+// synchronous completion fires, so an error return always means "not
+// accepted" and the engine may safely
 // reroute the packet. Blocking happens only against a live, slow peer
 // (ring or arena full); a dead or closed peer fails the call instead.
 func (d *Driver) Send(p *core.Packet) error {
@@ -276,9 +271,6 @@ func (d *Driver) Send(p *core.Packet) error {
 		err = tx.Push(shmring.RecInline, parts...)
 	} else {
 		err = d.sendRendezvous(tx, parts, wireLen)
-		if errors.Is(err, shmring.ErrTooLarge) {
-			err = d.sendJumbo(tx, parts, wireLen)
-		}
 	}
 	clear(parts) // drop the payload references
 	d.txParts = parts[:0]
@@ -312,32 +304,6 @@ func (d *Driver) sendRendezvous(tx *shmring.Dir, parts [][]byte, wireLen int) er
 	return nil
 }
 
-// sendJumbo streams a frame too large for the arena through the ring in
-// bounded segments; the receiver reassembles them into one pooled
-// lease. A partially streamed frame (the peer died mid-stream) is
-// simply discarded by the receiver — nothing is delivered, so an error
-// return still means "not accepted".
-func (d *Driver) sendJumbo(tx *shmring.Dir, parts [][]byte, wireLen int) error {
-	var total [8]byte
-	putU64(total[:], uint64(wireLen))
-	if err := tx.Push(shmring.RecJumboStart, total[:]); err != nil {
-		return err
-	}
-	segMax := d.jumboSegMax()
-	for _, b := range parts {
-		for off := 0; off < len(b); off += segMax {
-			end := off + segMax
-			if end > len(b) {
-				end = len(b)
-			}
-			if err := tx.Push(shmring.RecJumboSeg, b[off:end]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // heartbeat stamps this side's liveness and, on the creator side,
 // unlinks the segment file and its doorbells the moment the peer
 // attaches — from then on the rail exists only as the two mappings and
@@ -359,12 +325,6 @@ func (d *Driver) heartbeat() {
 	}
 }
 
-// jumbo tracks one streaming reassembly in progress.
-type jumbo struct {
-	buf  *core.Buf
-	fill int
-}
-
 // receiver is the consume loop: it drains the RX ring into packets,
 // delivers them in batches through the bound Events sink, and is the
 // single authority on peer death — exactly one RailDown, and only after
@@ -381,7 +341,6 @@ func (d *Driver) receiver() {
 	d.mu.Unlock()
 
 	rx := d.seg.RX()
-	var jb *jumbo
 	var pending []*core.Packet
 	flush := func() {
 		if len(pending) == 0 {
@@ -402,12 +361,7 @@ func (d *Driver) receiver() {
 		}
 		pending = pending[:0]
 	}
-	defer func() {
-		flush()
-		if jb != nil {
-			jb.buf.Release() // truncated jumbo: nothing was delivered
-		}
-	}()
+	defer flush()
 
 	// bad is the first frame the peer sent that failed to decode; like a
 	// malformed ring record (which PeerGone reports), it ends the rail.
@@ -415,7 +369,7 @@ func (d *Driver) receiver() {
 	pop := func() bool {
 		return rx.TryPop(func(kind uint32, a, b []byte) {
 			if bad == nil {
-				bad = d.consume(&pending, &jb, kind, a, b)
+				bad = d.consume(&pending, kind, a, b)
 			}
 		}) && bad == nil
 	}
@@ -462,32 +416,38 @@ func (d *Driver) receiver() {
 	}
 }
 
-// maxJumbo is the largest frame a peer could stream: no Go slice
-// outgrows an int, nor the 48-bit heap address space of 64-bit
-// platforms.
-const maxJumbo = min(math.MaxInt, 1<<48-1)
-
-// consume turns one ring record into pending arrivals. It fails on a
+// consume turns one ring record into a pending arrival. It fails on a
 // frame that does not decode, and on a record the peer could not have
-// sent: a rendezvous reference to a region that is out of bounds or not
-// awaiting delivery, or a jumbo frame larger than maxJumbo.
-func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b []byte) error {
+// sent: a kind other than inline or rendezvous, an inline frame above
+// DefaultInlineMax, a reference that is not 16 bytes, a frame longer
+// than maxFrame, or a region that is out of bounds or not awaiting
+// delivery.
+func (d *Driver) consume(pending *[]*core.Packet, kind uint32, a, b []byte) error {
+	n := len(a) + len(b)
 	switch kind {
 	case shmring.RecInline:
-		n := len(a) + len(b)
+		if n > DefaultInlineMax {
+			return fmt.Errorf("corrupt inline record from peer: %d-byte frame", n)
+		}
 		f := core.GetBuf(n)
 		copy(f.B, a)
 		copy(f.B[len(a):], b)
 		return d.arrive(pending, f)
 
 	case shmring.RecRendezvous:
+		if n != 16 {
+			return fmt.Errorf("corrupt rendezvous record from peer: %d-byte reference", n)
+		}
 		var ref [16]byte
 		copy(ref[:], a)
 		copy(ref[len(a):], b)
 		off := getU64(ref[:])
-		n := int(getU64(ref[8:]))
+		size := getU64(ref[8:])
+		if size > maxFrame {
+			return fmt.Errorf("corrupt rendezvous record from peer: %d-byte frame exceeds %d", size, maxFrame)
+		}
 		rx := d.seg.RX()
-		region, err := rx.Region(off, n)
+		region, err := rx.Region(off, int(size))
 		if err != nil {
 			return fmt.Errorf("corrupt rendezvous record from peer: %w", err)
 		}
@@ -500,36 +460,8 @@ func (d *Driver) consume(pending *[]*core.Packet, jb **jumbo, kind uint32, a, b 
 			d.seg.Unref()
 		})
 		return d.arrive(pending, f)
-
-	case shmring.RecJumboStart:
-		var tot [8]byte
-		copy(tot[:], a)
-		copy(tot[len(a):], b)
-		if *jb != nil {
-			(*jb).buf.Release() // a new stream preempts a truncated one
-			*jb = nil
-		}
-		total := getU64(tot[:])
-		if total > maxJumbo {
-			return fmt.Errorf("corrupt jumbo header from peer: %d-byte frame", total)
-		}
-		*jb = &jumbo{buf: core.GetBuf(int(total))}
-
-	case shmring.RecJumboSeg:
-		if *jb == nil {
-			return nil // segment of a stream we never saw start; drop
-		}
-		s := *jb
-		copy(s.buf.B[s.fill:], a)
-		copy(s.buf.B[s.fill+len(a):], b)
-		s.fill += len(a) + len(b)
-		if s.fill >= len(s.buf.B) {
-			f := s.buf
-			*jb = nil
-			return d.arrive(pending, f)
-		}
 	}
-	return nil
+	return fmt.Errorf("corrupt ring record from peer: unknown kind %d", kind)
 }
 
 // arrive decodes one full frame lease into a pending packet. Ownership

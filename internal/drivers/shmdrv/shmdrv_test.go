@@ -2,7 +2,9 @@ package shmdrv
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,6 +17,7 @@ import (
 
 	"newmad/internal/core"
 	"newmad/internal/shmring"
+	"newmad/internal/strategy"
 )
 
 // TestMain is the orphaned-segment sweeper: any /dev/shm file left by a
@@ -130,21 +133,17 @@ func dataPkt(tag uint32, payload []byte) *core.Packet {
 	}
 }
 
-// TestThreePathsDeliver pushes one frame down each size path — inline
-// through the ring, rendezvous through the arena, jumbo streamed in
-// segments — and byte-verifies all three at the peer.
-func TestThreePathsDeliver(t *testing.T) {
+// TestTwoPathsDeliver pushes frames down both size paths — inline
+// through the ring, rendezvous through the arena, up to the largest
+// frame the engine posts — and byte-verifies all three at the peer.
+func TestTwoPathsDeliver(t *testing.T) {
 	skipUnsupported(t)
-	// Arena at the 64 KiB floor: a 256 KiB frame cannot fit and must
-	// take the jumbo path.
-	opts := testOptions()
-	opts.ArenaBytes = 64 << 10
-	a, _, sa, sb := testPair(t, opts)
+	a, _, sa, sb := testPair(t, testOptions())
 
-	inline := bytes.Repeat([]byte{0xAA}, 1000)   // 1 KiB + header: inline
-	rdv := bytes.Repeat([]byte{0xBB}, 40<<10)    // 40 KiB: arena region
-	jumbo := bytes.Repeat([]byte{0xCC}, 256<<10) // 256 KiB: exceeds arena
-	for i, payload := range [][]byte{inline, rdv, jumbo} {
+	inline := bytes.Repeat([]byte{0xAA}, 1000)             // 1 KiB + header: inline
+	rdv := bytes.Repeat([]byte{0xBB}, 40<<10)              // 40 KiB: arena region
+	largest := bytes.Repeat([]byte{0xCC}, core.MaxPayload) // the largest frame: one arena region
+	for i, payload := range [][]byte{inline, rdv, largest} {
 		if err := a.Send(dataPkt(uint32(i), payload)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -153,7 +152,7 @@ func TestThreePathsDeliver(t *testing.T) {
 	if _, comp, _ := sa.counts(); comp != 3 {
 		t.Fatalf("completions: %d", comp)
 	}
-	for i, want := range [][]byte{inline, rdv, jumbo} {
+	for i, want := range [][]byte{inline, rdv, largest} {
 		if !bytes.Equal(sb.payload(i), want) {
 			t.Fatalf("frame %d corrupted (%d bytes)", i, len(sb.payload(i)))
 		}
@@ -283,23 +282,20 @@ func mapped(d *shmring.Dir, field string) []byte {
 }
 
 // TestHostileRecordsRailDownOnce: a ring record whose length word does
-// not fit what the peer published, an inline record that does not
-// decode as a frame, a rendezvous reference to a region that is out of
-// bounds, never carved or already delivered, a jumbo header no frame
-// can match, and a region state word rewritten while the receiver holds
-// the region each end the rail with exactly one RailDown naming the
-// cause, after delivering what came before — never a panic.
+// not fit what the peer published, a record of a retired or unknown
+// kind, an inline record above DefaultInlineMax or that does not decode
+// as a frame, a rendezvous reference that is not 16 bytes, claims a
+// frame above the engine's bound, or names a region that is out of
+// bounds, never carved or already delivered, and a region state word
+// rewritten while the receiver holds the region each end the rail with
+// exactly one RailDown naming the cause, after delivering what came
+// before — never a panic.
 func TestHostileRecordsRailDownOnce(t *testing.T) {
 	skipUnsupported(t)
 	ref := func(off, n uint64) []byte {
 		var b [16]byte
 		putU64(b[:], off)
 		putU64(b[8:], n)
-		return b[:]
-	}
-	jumboStart := func(total uint64) []byte {
-		var b [8]byte
-		putU64(b[:], total)
 		return b[:]
 	}
 	// The pre-forgery packet rides the rendezvous path, so its record is
@@ -326,14 +322,24 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 			}
 			return errors.New("forged record not found in the ring")
 		}, false},
+		{"inline above threshold", "corrupt inline record", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecInline, make([]byte, DefaultInlineMax+1))
+		}, false},
 		{"undecodable frame", "corrupt frame", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecInline, []byte("not a frame"))
 		}, false},
 		{"rendezvous misaligned", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, ref(1<<40+8, 64))
 		}, false},
-		{"rendezvous past arena", "corrupt rendezvous record", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecRendezvous, ref(16, 1<<30))
+		{"rendezvous past arena", "out of bounds", func(tx *shmring.Dir) error {
+			// A region 4 KiB before the arena's end claiming 8 KiB.
+			return tx.Push(shmring.RecRendezvous, ref(uint64(len(mapped(tx, "arena")))-4080, 8<<10))
+		}, false},
+		{"rendezvous above frame bound", "exceeds", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, ref(16, maxFrame+1))
+		}, false},
+		{"rendezvous reference length", "17-byte reference", func(tx *shmring.Dir) error {
+			return tx.Push(shmring.RecRendezvous, append(ref(16, 64), 0))
 		}, false},
 		{"rendezvous never carved", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, ref(512<<10+16, 0))
@@ -341,11 +347,11 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 		{"rendezvous delivered twice", "corrupt rendezvous record", func(tx *shmring.Dir) error {
 			return tx.Push(shmring.RecRendezvous, append([]byte(nil), mapped(tx, "ring")[16:32]...))
 		}, false},
-		{"jumbo beyond int", "corrupt jumbo header", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecJumboStart, jumboStart(1<<63+1))
+		{"retired kind", "unknown kind 3", func(tx *shmring.Dir) error {
+			return tx.Push(3, ref(0, 1<<62)[8:])
 		}, false},
-		{"jumbo beyond address space", "corrupt jumbo header", func(tx *shmring.Dir) error {
-			return tx.Push(shmring.RecJumboStart, jumboStart(1<<62))
+		{"unknown kind", "unknown kind 99", func(tx *shmring.Dir) error {
+			return tx.Push(99, []byte("sixteen bytes ok"))
 		}, false},
 		{"region state forged while held", "arena region", func(tx *shmring.Dir) error {
 			// The state word follows the first region's 8-byte length.
@@ -398,4 +404,73 @@ func TestHostileRecordsRailDownOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAttachRefusesSmallArena: the creator chooses the geometry, so an
+// attacher refuses a segment whose arena cannot hold one region of the
+// largest frame, naming both sizes, and the creator sees its peer go.
+func TestAttachRefusesSmallArena(t *testing.T) {
+	skipUnsupported(t)
+	name := shmring.RandomName()
+	seg, err := shmring.Create(name, shmring.Config{ArenaBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	d, err := Attach(name, testOptions())
+	if err == nil {
+		d.Close()
+		t.Fatal("attached to a 1 MiB arena")
+	}
+	for _, want := range []string{"1048576-byte arena", fmt.Sprintf("%d-byte frame", maxFrame)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if gone, _ := seg.PeerGone(); !gone {
+		t.Fatal("refused attacher left its side open")
+	}
+}
+
+// TestLargestMessagesCrossTheArena sends, through a fifo engine pair
+// over one shm rail, a message one byte past two maximal packets. Its
+// chunks take the arena one region at a time; the message arrives
+// byte-exact, and once both engines close no arena region or pool lease
+// is left live.
+func TestLargestMessagesCrossTheArena(t *testing.T) {
+	skipUnsupported(t)
+	arenaBefore, poolBefore := shmring.ArenaStats().Live, core.PoolStats().Live
+	a, b, err := Pair(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engA := core.New(core.Config{Strategy: strategy.Must("fifo")})
+	engB := core.New(core.Config{Strategy: strategy.Must("fifo")})
+	gA, gB := engA.NewGate("B"), engB.NewGate("A")
+	gA.AddRail(a)
+	gB.AddRail(b)
+
+	msg := make([]byte, 2*core.MaxPayload+1)
+	for i := range msg {
+		msg[i] = byte(i * 7)
+	}
+	recv := make([]byte, len(msg))
+	rr := gB.Irecv(1, recv)
+	sr := gA.Isend(1, msg)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := engA.WaitCtx(ctx, sr); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if err := engB.WaitCtx(ctx, rr); err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if !bytes.Equal(recv, msg) {
+		t.Fatal("payload mismatch")
+	}
+	engA.Close()
+	engB.Close()
+	waitFor(t, "arena regions and pool leases released", func() bool {
+		return shmring.ArenaStats().Live == arenaBefore && core.PoolStats().Live == poolBefore
+	})
 }

@@ -3,8 +3,10 @@ package tcpdrv
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,3 +204,41 @@ func (s *countSink) Arrive(_ int, p *core.Packet) {
 }
 
 func (s *countSink) RailDown(int, error) {}
+
+// TestBadFrameLengthRailDownOnce: the length prefix is the peer's to
+// forge, and the reader bounds it by the longest frame the engine posts
+// (core.HeaderLen + core.MaxPayload) and the shortest, a bare header. A
+// prefix one past either bound is exactly one RailDown naming it, with
+// nothing delivered and nothing allocated for the claimed length.
+func TestBadFrameLengthRailDownOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    uint32
+	}{
+		{"above the frame bound", core.HeaderLen + core.MaxPayload + 1},
+		{"below a header", core.HeaderLen - 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			d := New(a, Options{})
+			t.Cleanup(func() { d.Close(); b.Close() })
+			rec := &recorder{}
+			d.Bind(0, rec)
+			var prefix [4]byte
+			binary.LittleEndian.PutUint32(prefix[:], c.n)
+			if _, err := b.Write(prefix[:]); err != nil {
+				t.Fatal(err)
+			}
+			waitUntil(t, func() bool { rec.mu.Lock(); defer rec.mu.Unlock(); return len(rec.downs) > 0 })
+			time.Sleep(20 * time.Millisecond)
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if len(rec.downs) != 1 || len(rec.arrivals) != 0 {
+				t.Fatalf("%d RailDowns and %d arrivals, want 1 and 0", len(rec.downs), len(rec.arrivals))
+			}
+			if want := fmt.Sprintf("bad frame length %d", c.n); !strings.Contains(rec.downs[0].Error(), want) {
+				t.Fatalf("RailDown %q does not name %q", rec.downs[0], want)
+			}
+		})
+	}
+}

@@ -256,7 +256,7 @@ func (d *Driver) reader() {
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n < core.HeaderLen || n > 256<<20 {
+		if n < core.HeaderLen || n > core.HeaderLen+core.MaxPayload {
 			d.readerDone(fmt.Errorf("tcpdrv: bad frame length %d", n))
 			return
 		}

@@ -29,7 +29,7 @@ import (
 var ErrClosed = errors.New("udpdrv: closed")
 
 // DefaultMTU bounds relnet datagrams. 8 KiB keeps fragmentation cheap
-// on loopback and LAN paths with jumbo support; set Options.MTU to
+// on loopback and on LAN paths with 9000-byte frames; set Options.MTU to
 // ~1400 for conservative WAN paths. Both ends of a rail must agree —
 // a datagram above the receiver's MTU is truncated by the socket layer
 // and discarded as garbage.

@@ -725,6 +725,11 @@ func (d *Driver) absorbLocked(rs *rseg, evs *[]core.DriverEvent) {
 			d.failLocked(fmt.Errorf("protocol violation: frame starts at offset %d", rs.frameOff), evs)
 			return
 		}
+		if rs.frameLen > core.HeaderLen+core.MaxPayload {
+			rs.buf.Release()
+			d.failLocked(fmt.Errorf("protocol violation: %d-byte frame exceeds %d", rs.frameLen, core.HeaderLen+core.MaxPayload), evs)
+			return
+		}
 		if rs.flags&segFlagLast != 0 && int(rs.frameLen) == len(rs.pay) {
 			// Whole frame in one segment: deliver zero-copy by reslicing
 			// the datagram lease down to the frame bytes.

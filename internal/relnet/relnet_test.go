@@ -3,6 +3,7 @@ package relnet_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -467,5 +468,27 @@ func TestRTOFloorFollowsClock(t *testing.T) {
 				t.Fatalf("backed-off RTO %v, want the 64× cap %v", got, 64*tc.want)
 			}
 		})
+	}
+}
+
+// TestOversizeFrameRailDownOnce: a frame length is the peer's to forge,
+// and one above the longest frame the engine posts (core.HeaderLen +
+// core.MaxPayload) is a protocol violation — exactly one RailDown,
+// nothing delivered, no buffer allocated for the claim.
+func TestOversizeFrameRailDownOnce(t *testing.T) {
+	leakCheck(t)
+	d, s, send := hostileRail(t.Name())
+	t.Cleanup(func() { _ = d.Close() })
+	send(dataSeg(1, 0, core.HeaderLen+core.MaxPayload+1, false, make([]byte, 64)))
+	waitUntil(t, "rail down", func() bool { _, _, downs := s.counts(); return downs > 0 })
+	time.Sleep(20 * time.Millisecond)
+	if arr, _, downs := s.counts(); downs != 1 || arr != 0 {
+		t.Fatalf("%d RailDowns and %d arrivals, want 1 and 0", downs, arr)
+	}
+	s.mu.Lock()
+	err := s.downs[0]
+	s.mu.Unlock()
+	if !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("RailDown %q does not name the bound", err)
 	}
 }

@@ -128,8 +128,10 @@ func Create(name string, cfg Config) (*Seg, error) {
 
 // Open maps an existing segment as side 1 and opens its doorbells. The
 // creator may still be mid-initialisation (attach-or-create races), so
-// the magic is polled briefly before giving up. Only one attacher wins
-// the side-1 slot.
+// the magic is polled briefly before giving up. The header is the
+// creator's to forge, so a geometry Create could not have written is
+// refused before anything is mapped. Only one attacher wins the side-1
+// slot.
 func Open(name string, cfg Config) (*Seg, error) {
 	if !Supported() {
 		return nil, ErrUnsupported
@@ -159,6 +161,9 @@ func Open(name string, cfg Config) (*Seg, error) {
 		RingBytes:   int(getU32(hdr[hdrRing:])),
 		ArenaBytes:  int(getU32(hdr[hdrArena:])),
 		PeerTimeout: cfg.PeerTimeout,
+	}
+	if err := geo.checkGeometry(); err != nil {
+		return nil, fmt.Errorf("shmring: open %s: %w", name, err)
 	}
 	size := segSize(geo)
 	if st, err := f.Stat(); err != nil || st.Size() < int64(size) {

@@ -34,8 +34,10 @@
 // 16-byte reference record; the consumer hands the region's bytes
 // upward zero-copy and marks it freed when the packet lease is
 // released — the RDMA-write analogue, with the region header's state
-// word standing in for the remote completion. Payloads too large for
-// the arena stream through the ring as jumbo records.
+// word standing in for the remote completion. Nothing else crosses: a
+// record or region that cannot fit even an empty ring or arena is
+// refused with ErrTooLarge, and the default arena holds one region of
+// the largest frame the engine posts.
 //
 // # Blocking
 //
@@ -79,7 +81,7 @@ var (
 	// heartbeating past the timeout.
 	ErrPeerGone = errors.New("shmring: peer gone")
 	// ErrTooLarge reports a record or region that cannot fit the ring or
-	// arena even when empty; callers fall back to the jumbo path.
+	// arena even when empty.
 	ErrTooLarge = errors.New("shmring: payload exceeds capacity")
 )
 
@@ -89,18 +91,22 @@ type Config struct {
 	// RingBytes is the per-direction ring capacity (default 256 KiB).
 	RingBytes int
 	// ArenaBytes is the per-direction rendezvous arena capacity
-	// (default 16 MiB — two 8 MiB pool-class frames in flight).
+	// (default 16 MiB: one region of the largest engine frame, an 8 MiB
+	// payload behind its header, fits, and a second waits for it).
 	ArenaBytes int
 	// PeerTimeout is how stale the peer's heartbeat may grow before
 	// blocked operations fail with ErrPeerGone (default 2s).
 	PeerTimeout time.Duration
 }
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the smallest geometry.
 const (
 	DefaultRingBytes   = 256 << 10
 	DefaultArenaBytes  = 16 << 20
 	DefaultPeerTimeout = 2 * time.Second
+
+	minRingBytes  = 4 << 10
+	minArenaBytes = 64 << 10
 )
 
 func (c Config) withDefaults() Config {
@@ -110,19 +116,28 @@ func (c Config) withDefaults() Config {
 	if c.ArenaBytes <= 0 {
 		c.ArenaBytes = DefaultArenaBytes
 	}
-	c.RingBytes = ceilPow2(c.RingBytes)
-	c.ArenaBytes = ceilPow2(c.ArenaBytes)
-	if c.RingBytes < 4096 {
-		c.RingBytes = 4096
-	}
-	if c.ArenaBytes < 64<<10 {
-		c.ArenaBytes = 64 << 10
-	}
+	c.RingBytes = max(ceilPow2(c.RingBytes), minRingBytes)
+	c.ArenaBytes = max(ceilPow2(c.ArenaBytes), minArenaBytes)
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = DefaultPeerTimeout
 	}
 	return c
 }
+
+// checkGeometry refuses a geometry read from a segment header that
+// withDefaults could not have produced: the ring and arena cursors are
+// masked, so each size must be a power of two, and at least the minimum.
+func (c Config) checkGeometry() error {
+	pow2 := func(n, least int) bool { return n >= least && n&(n-1) == 0 }
+	if !pow2(c.RingBytes, minRingBytes) || !pow2(c.ArenaBytes, minArenaBytes) {
+		return fmt.Errorf("ring %d and arena %d bytes: each must be a power of two, at least %d and %d",
+			c.RingBytes, c.ArenaBytes, minRingBytes, minArenaBytes)
+	}
+	return nil
+}
+
+// MaxRegion is the largest region Alloc can carve from an empty arena.
+func (c Config) MaxRegion() int { return c.ArenaBytes - regHdrLen }
 
 func ceilPow2(n int) int {
 	p := 1
@@ -133,18 +148,15 @@ func ceilPow2(n int) int {
 }
 
 // Record kinds pushed through a direction's ring. The ring itself is
-// agnostic; these are declared here so both ends of shmdrv agree.
+// agnostic; these are declared here so both ends of shmdrv agree. Kinds
+// 3 and 4 are retired: a peer that pushes one, or any other kind, is
+// forging records.
 const (
 	// RecInline carries one full wire frame copied through the ring.
 	RecInline uint32 = 1
 	// RecRendezvous carries a 16-byte arena reference: u64 region
 	// offset, u64 frame length.
 	RecRendezvous uint32 = 2
-	// RecJumboStart opens a streamed frame too large for the arena:
-	// u64 total frame length.
-	RecJumboStart uint32 = 3
-	// RecJumboSeg carries one slice of a streamed jumbo frame.
-	RecJumboSeg uint32 = 4
 )
 
 // Segment geometry constants. Every offset and advance is a multiple of

@@ -568,3 +568,42 @@ func TestCorruptRecordRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenRefusesForgedGeometry: the header's ring and arena sizes are
+// the creator's to forge, and the cursors are masked by them, so Open
+// refuses a size that is not a power of two or is below the minimum,
+// naming the sizes, before it maps anything.
+func TestOpenRefusesForgedGeometry(t *testing.T) {
+	skipUnsupported(t)
+	for _, c := range []struct {
+		name        string
+		ring, arena uint32
+		want        string
+	}{
+		{"ring not a power of two", 5000, 64 << 10, "ring 5000"},
+		{"arena not a power of two", 4 << 10, 100 << 10, "arena 102400"},
+		{"arena below minimum", 4 << 10, 4 << 10, "arena 4096"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			name := RandomName()
+			img := make([]byte, hdrSize)
+			putU32(img[hdrVer:], segVersion)
+			putU32(img[hdrRing:], c.ring)
+			putU32(img[hdrArena:], c.arena)
+			putU64(img[hdrPID:], uint64(os.Getpid()))
+			putU64(img[hdrMagic:], segMagic)
+			if err := os.WriteFile(SegPath(name), img, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(SegPath(name))
+			s, err := Open(name, Config{})
+			if err == nil {
+				s.Close()
+				t.Fatal("opened a forged geometry")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %q", err, c.want)
+			}
+		})
+	}
+}

@@ -62,8 +62,8 @@ func (s *scheduler) bite(b *core.Backlog, r *core.Rail) *core.Packet {
 	}
 	if wR <= 0 {
 		// r is down: it takes nothing and the body stays queued for the
-		// surviving rails. ChunkFrom treats 0 as "no limit", so a zero
-		// bite must not be passed through.
+		// surviving rails. ChunkFrom treats 0 as "up to MaxPayload", so a
+		// zero bite must not be passed through.
 		return nil
 	}
 	u := b.Body(0)
@@ -130,7 +130,7 @@ func (s *scheduler) fromPlan(b *core.Backlog, r *core.Rail) *core.Packet {
 			if n > 2*b.MinChunk() {
 				n = max(n/2, b.MinChunk())
 			}
-			return b.ChunkSpan(u, from, from+n)
+			return b.ChunkSpan(u, from, from+min(n, core.MaxPayload))
 		}
 	}
 	return nil
@@ -174,14 +174,14 @@ func (s *scheduler) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail
 		wSum += w
 	}
 	if len(cands) == 0 || rem <= 0 {
-		return []railShare{{rail: requester.Index(), from: from, to: to}}
+		return appendCut(nil, requester.Index(), from, to)
 	}
 	// Every participating rail gets at least MinChunk, so a body only
 	// spreads over as many rails as MinChunk-sized shares fit; the
 	// highest-weight rails are kept when it does not fit all.
 	if maxRails := rem / b.MinChunk(); maxRails < len(cands) {
 		if maxRails < 1 {
-			return []railShare{{rail: requester.Index(), from: from, to: to}}
+			return appendCut(nil, requester.Index(), from, to)
 		}
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].w > cands[j].w })
 		cands = cands[:maxRails]
@@ -212,8 +212,17 @@ func (s *scheduler) makePlan(b *core.Backlog, u *core.Unit, requester *core.Rail
 	shares := make([]railShare, 0, len(cands))
 	cursor := from
 	for i, c := range cands {
-		shares = append(shares, railShare{rail: c.rail, from: cursor, to: cursor + sizes[i]})
+		shares = appendCut(shares, c.rail, cursor, cursor+sizes[i])
 		cursor += sizes[i]
 	}
 	return shares
+}
+
+// appendCut appends rail's share [from, to) to shares, cut into
+// consecutive pieces of at most MaxPayload that the rail takes in order.
+func appendCut(shares []railShare, rail, from, to int) []railShare {
+	for ; to-from > core.MaxPayload; from += core.MaxPayload {
+		shares = append(shares, railShare{rail: rail, from: from, to: from + core.MaxPayload})
+	}
+	return append(shares, railShare{rail: rail, from: from, to: to})
 }

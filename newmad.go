@@ -435,9 +435,10 @@ func NewUDP(conn *net.UDPConn, peer *net.UDPAddr, opts UDPOptions) *ReliableDriv
 
 // Shared-memory rails (same-host peers; Linux /dev/shm).
 
-// ShmOptions configures a shared-memory rail: profile, ring and
-// rendezvous-arena sizes and the liveness knobs. Frames up to 4 KiB
-// copy through the ring; larger ones take an arena region.
+// ShmOptions configures a shared-memory rail: its profile and the
+// liveness knobs. Frames up to 4 KiB copy through the ring; larger ones
+// take a region of the 16 MiB rendezvous arena, which holds one frame
+// of the largest payload the engine posts (core.MaxPayload, 8 MiB).
 type ShmOptions = shmdrv.Options
 
 // ShmDriver is one side of a shared-memory rail.
