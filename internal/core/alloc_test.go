@@ -225,3 +225,17 @@ func BenchmarkSmallMessageAggregation(b *testing.B) {
 		}
 	}
 }
+
+// TestFullFrameBufPooled: the largest frame the engine posts, a
+// MaxPayload chunk behind its header, leases from the top size class,
+// so reading one in steady state allocates nothing.
+func TestFullFrameBufPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	round := func() { core.GetBuf(core.HeaderLen + core.MaxPayload).Release() }
+	round()
+	if avg := testing.AllocsPerRun(allocRuns, round); avg != 0 {
+		t.Errorf("a full-frame GetBuf + Release allocates %.2f times, want 0", avg)
+	}
+}

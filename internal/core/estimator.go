@@ -114,13 +114,6 @@ func (e *Estimator) Observe(bytes int, durNS int64) {
 	}
 }
 
-// Samples reports how many completions have been observed.
-func (e *Estimator) Samples() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.latN + e.bwN
-}
-
 // Latency returns the estimated per-packet latency: the small-packet EWMA
 // once samples exist, the profile prior before that.
 func (e *Estimator) Latency() time.Duration {

@@ -237,11 +237,6 @@ func (g *Gate) isendv(tag uint32, segs [][]byte) *SendReq {
 		g.eng.strat.Submit(g.backlog, u)
 	}
 	g.eng.kick(g)
-	if total == 0 {
-		// A zero-byte message still sends one (empty) packet; completion
-		// follows from packet accounting.
-		_ = total
-	}
 	return req
 }
 

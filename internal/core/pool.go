@@ -17,9 +17,9 @@ import (
 // lease is leaked. See README "Performance" for the ownership rules.
 
 // Buf is one leased buffer from the arena. B is the usable region, sized
-// exactly as requested from GetBuf; the backing array is a power-of-two
-// size class. Release returns the lease; the holder must not touch B
-// afterwards.
+// exactly as requested from GetBuf; the backing array is a size class:
+// a power of two, or for the top class one full frame. Release returns
+// the lease; the holder must not touch B afterwards.
 type Buf struct {
 	B []byte
 
@@ -32,9 +32,12 @@ type Buf struct {
 
 const (
 	poolMinBits = 6  // smallest class: 64 B (one header)
-	poolMaxBits = 23 // largest class: 8 MiB (big rendezvous chunks)
+	poolMaxBits = 23 // largest class: 8 MiB, widened to poolMaxBytes
 	poolClasses = poolMaxBits - poolMinBits + 1
-	poisonByte  = 0xDB
+	// poolMaxBytes is the top class's size and the largest pooled
+	// request: a full frame, a MaxPayload chunk behind its header.
+	poolMaxBytes = HeaderLen + MaxPayload
+	poisonByte   = 0xDB
 )
 
 var bufPools [poolClasses]sync.Pool
@@ -77,10 +80,18 @@ func classFor(n int) int {
 	if n <= 1<<poolMinBits {
 		return 0
 	}
-	if n > 1<<poolMaxBits {
+	if n > poolMaxBytes {
 		return -1
 	}
-	return bits.Len(uint(n-1)) - poolMinBits
+	return min(bits.Len(uint(n-1))-poolMinBits, poolClasses-1)
+}
+
+// classSize is the backing size of class c.
+func classSize(c int) int {
+	if c == poolClasses-1 {
+		return poolMaxBytes
+	}
+	return 1 << (c + poolMinBits)
 }
 
 // GetBuf leases a buffer of exactly n usable bytes from the arena.
@@ -104,7 +115,7 @@ func GetBuf(n int) *Buf {
 		b.B = b.full[:n]
 		return b
 	}
-	full := make([]byte, 1<<(c+poolMinBits))
+	full := make([]byte, classSize(c))
 	return &Buf{B: full[:n], full: full, class: int8(c)}
 }
 

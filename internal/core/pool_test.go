@@ -10,7 +10,8 @@ func TestClassForBoundaries(t *testing.T) {
 		{128, 1},
 		{129, 2},
 		{1 << poolMaxBits, poolClasses - 1},
-		{1<<poolMaxBits + 1, -1},
+		{HeaderLen + MaxPayload, poolClasses - 1},
+		{HeaderLen + MaxPayload + 1, -1},
 	}
 	for _, c := range cases {
 		if got := classFor(c.n); got != c.want {

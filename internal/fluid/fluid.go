@@ -94,10 +94,6 @@ func (l *Link) Cancel(f *Flow) int64 {
 	return rem
 }
 
-// Rate reports the flow's current allocated rate in bytes/sec (0 when not
-// active).
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Remaining reports how many bytes the flow still has to transfer, as of
 // the link's last advancement.
 func (f *Flow) Remaining() float64 { return f.remaining }

@@ -72,7 +72,7 @@ func RandomName() string {
 func SegPath(name string) string { return filepath.Join(shmDir, name) }
 
 // Create builds a fresh segment under name and maps it as side 0, with
-// a fresh doorbell FIFO per direction beside it. The file is created
+// its four fresh doorbell FIFOs beside it. The file is created
 // O_EXCL: a live name collision is an error, but a collision with an
 // orphan — a dead creator's leftover — is reaped and retried once, so
 // crashed runs can't poison a name forever.
@@ -194,7 +194,7 @@ func Open(name string, cfg Config) (*Seg, error) {
 	return s, nil
 }
 
-// openBells opens both directions' doorbells, making any that is not
+// openBells opens the segment's doorbells, making any that is not
 // there yet: the creator makes them before it publishes the magic, so
 // an attacher normally finds them, but either side may.
 func (s *Seg) openBells() error {
@@ -222,7 +222,7 @@ func (s *Seg) closeBells() {
 
 // removeBells unlinks a segment's doorbell FIFOs.
 func removeBells(segPath string) {
-	for i := 0; i < 2; i++ {
+	for i := range nBells {
 		os.Remove(bellPath(segPath, i))
 	}
 }

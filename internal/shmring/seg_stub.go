@@ -2,12 +2,9 @@
 
 package shmring
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Non-Linux stub: shared-memory rails need /dev/shm, FIFOs and futexes. Every
+// Non-Linux stub: shared-memory rails need /dev/shm and FIFOs. Every
 // constructor fails with ErrUnsupported and Supported reports false, so
 // callers gate and skip instead of breaking the build.
 
@@ -40,19 +37,8 @@ func (s *Seg) Unlinked() bool { return true }
 
 func (s *Seg) unmap() {}
 
-// futexWait degrades to a bounded sleep; no Seg exists to wait on.
-func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) bool {
-	if timeout <= 0 || timeout > time.Millisecond {
-		timeout = time.Millisecond
-	}
-	time.Sleep(timeout)
-	return true
-}
-
-func futexWake(addr *atomic.Uint32) {}
-
-// doorbell is never opened here: no Seg exists to ring.
+// doorbell is never opened here: no Seg exists to ring or wait on.
 type doorbell struct{}
 
-func (b *doorbell) ring()                           {}
-func (b *doorbell) wait(timeout time.Duration) bool { return futexWait(nil, 0, timeout) }
+func (b *doorbell) ring()                   {}
+func (b *doorbell) wait(time.Duration) bool { return false }

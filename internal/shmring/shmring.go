@@ -15,8 +15,9 @@
 //	direction 0     ring control · ring data · arena control · arena data
 //	direction 1     (same, side 1 → side 0)
 //
-// Beside the segment file sit two FIFOs, <name>.bell0 and <name>.bell1:
-// each direction's data doorbell. They share the segment's lifecycle —
+// Beside the segment file sit four FIFOs, <name>.bell0 to <name>.bell3:
+// bell0 and bell1 are the data doorbells of directions 0 and 1, bell2
+// and bell3 their space doorbells. They share the segment's lifecycle —
 // made with it, unlinked with it, reaped with it.
 //
 // Each direction is strictly single-producer/single-consumer: the
@@ -41,12 +42,13 @@
 //
 // # Blocking
 //
-// Waiting peers do not spin. A consumer waiting for data parks in Go's
-// netpoller on the direction's doorbell, a FIFO beside the segment that
-// both processes open by path: one goroutine wake per arrival, as for a
-// socket reader, and no OS thread blocked in a syscall. A producer
-// waiting for ring or arena space parks on a futex word instead (the
-// rare side, when the consumer falls behind). Every wait sits behind a
+// Waiting peers do not spin, and every wait parks the same way: in Go's
+// netpoller on a doorbell, a FIFO beside the segment that both
+// processes open by path — one goroutine wake per ring, as for a socket
+// reader, and no OS thread blocked in a syscall. A consumer waiting for
+// data parks on its direction's data doorbell; a producer waiting for
+// ring or arena space (the rare side, when the consumer falls behind)
+// parks on the direction's space doorbell. Every wait sits behind a
 // waiter-present word in the control line: the waiter raises it before
 // its final re-check of the cursors, and the other side rings only when
 // it reads non-zero — so a busy stream makes no wake syscall at all,
@@ -57,7 +59,7 @@
 // goes stale past the configured timeout — fails blocked operations
 // with ErrPeerGone instead of parking them forever.
 //
-// Linux-only: segments need /dev/shm, FIFOs and futexes. On other platforms
+// Linux-only: segments need /dev/shm and FIFOs. On other platforms
 // Supported reports false and Create/Open fail with ErrUnsupported;
 // callers gate with Supported and skip.
 package shmring
@@ -72,7 +74,7 @@ import (
 
 // Errors reported by segment operations.
 var (
-	// ErrUnsupported reports a platform without /dev/shm, FIFOs and futexes.
+	// ErrUnsupported reports a platform without /dev/shm and FIFOs.
 	ErrUnsupported = errors.New("shmring: shared-memory segments unsupported on this platform")
 	// ErrClosed reports an operation on a locally closed (or killed)
 	// segment.
@@ -163,7 +165,7 @@ const (
 // recAlign, so record and region headers never wrap the ring edge.
 const (
 	segMagic   = uint64(0x314d48534d57454e) // "NEWMSHM1"
-	segVersion = uint32(2)
+	segVersion = uint32(3)
 
 	hdrSize    = 4096
 	side0Off   = 1024
@@ -173,13 +175,12 @@ const (
 	dirCtlSize = 256
 	ctlHead    = 0
 	ctlTail    = 64
-	ctlData    = 128 // data line: u32 reserved (the doorbell is a FIFO), waiter word
-	ctlSpace   = 192 // u32 futex: ring space released, then its waiter word
+	ctlData    = 128 // u32 waiter word: consumer parked for data
+	ctlSpace   = 192 // u32 waiter word: producer parked for ring space
 	arCtlSize  = 192
 	arHead     = 0
 	arTail     = 64
-	arSpace    = 128 // u32 futex: arena region freed, then its waiter word
-	waitWord   = 4   // offset of a line's u32 waiter-present word
+	arSpace    = 128 // u32 waiter word: producer parked for arena space
 
 	recAlign  = 16
 	recHdrLen = 16 // u32 kind, u32 reserved, u64 payload length
@@ -227,6 +228,10 @@ func ArenaStats() ArenaStat {
 	return ArenaStat{Allocs: arenaAllocs.Load(), Frees: arenaFrees.Load(), Live: arenaLive.Load()}
 }
 
+// nBells is the number of doorbells per segment: bell i is direction
+// i's data doorbell, bell 2+i its space doorbell.
+const nBells = 4
+
 // Seg is one mapped shared-memory segment: this process's side of a
 // rail. The mapping is reference-counted — Retain/Unref — so payload
 // slices handed out zero-copy stay valid until their leases release,
@@ -237,7 +242,7 @@ type Seg struct {
 	mem   []byte
 	side  int // 0 creator, 1 attacher
 	cfg   Config
-	bells [2]*doorbell // data doorbell of each direction
+	bells [nBells]*doorbell
 
 	tx, rx Dir
 
@@ -260,13 +265,13 @@ type Dir struct {
 	seg *Seg
 
 	head, tail        *atomic.Uint64
-	dataWait          *atomic.Uint32 // consumer parked on bell
-	bell              *doorbell
-	spcSeq, spcWait   *atomic.Uint32 // ring space: futex, producer parked
+	dataWait          *atomic.Uint32 // consumer parked on dataBell
+	spcWait           *atomic.Uint32 // producer parked on spcBell for ring space
 	ring              []byte
 	aHead, aTail      *atomic.Uint64
-	aSpcSeq, aSpcWait *atomic.Uint32 // arena space: futex, producer parked
+	aSpcWait          *atomic.Uint32 // producer parked on spcBell for arena space
 	arena             []byte
+	dataBell, spcBell *doorbell
 	ringMask, arMask  uint64
 }
 
@@ -286,11 +291,11 @@ func (s *Seg) bind() {
 			seg:      s,
 			head:     (*atomic.Uint64)(unsafe.Pointer(&ctl[ctlHead])),
 			tail:     (*atomic.Uint64)(unsafe.Pointer(&ctl[ctlTail])),
-			dataWait: u32(ctl, ctlData+waitWord),
-			bell:     s.bells[i],
-			spcSeq:   u32(ctl, ctlSpace),
-			spcWait:  u32(ctl, ctlSpace+waitWord),
+			dataWait: u32(ctl, ctlData),
+			spcWait:  u32(ctl, ctlSpace),
 			ring:     s.mem[off+dirCtlSize : off+dirCtlSize+s.cfg.RingBytes],
+			dataBell: s.bells[i],
+			spcBell:  s.bells[2+i],
 			ringMask: uint64(s.cfg.RingBytes - 1),
 			arMask:   uint64(s.cfg.ArenaBytes - 1),
 		}
@@ -298,8 +303,7 @@ func (s *Seg) bind() {
 		arCtl := s.mem[arOff:]
 		d.aHead = (*atomic.Uint64)(unsafe.Pointer(&arCtl[arHead]))
 		d.aTail = (*atomic.Uint64)(unsafe.Pointer(&arCtl[arTail]))
-		d.aSpcSeq = u32(arCtl, arSpace)
-		d.aSpcWait = u32(arCtl, arSpace+waitWord)
+		d.aSpcWait = u32(arCtl, arSpace)
 		d.arena = s.mem[arOff+arCtlSize : arOff+arCtlSize+s.cfg.ArenaBytes]
 		return d
 	}
@@ -430,17 +434,9 @@ func (s *Seg) wakeAll() {
 		return
 	}
 	defer s.exit()
-	for _, d := range []*Dir{&s.tx, &s.rx} {
-		d.bell.ring()
-		wakeSeq(d.spcSeq)
-		wakeSeq(d.aSpcSeq)
+	for _, b := range s.bells {
+		b.ring()
 	}
-}
-
-// wakeSeq bumps a futex word and wakes whoever is parked on it.
-func wakeSeq(seq *atomic.Uint32) {
-	seq.Add(1)
-	futexWake(seq)
 }
 
 // lostWakes counts waits that ran out their slice although what they
@@ -448,18 +444,28 @@ func wakeSeq(seq *atomic.Uint32) {
 // A peer that is merely slow leaves nothing to find and is not counted.
 var lostWakes atomic.Uint64
 
-// waitSeq parks a producer on a futex word until ready holds. The
-// waiter word goes up after the sequence is read and before the final
-// re-check: a waker that reads it as zero published before that check,
-// and one that reads it non-zero bumps the sequence after this read, so
-// the futex either refuses to sleep or is woken.
-func waitSeq(seq, waiting *atomic.Uint32, ready func() bool) {
-	v := seq.Load()
+// park waits on bell until ready holds, the bell rings, or the slice of
+// timeout passes. Callers loop: a wake is a hint, not a guarantee. The
+// waiter word goes up before the final look at ready, so the other side
+// either made ready true before that look or reads the word non-zero
+// and rings.
+func park(waiting *atomic.Uint32, bell *doorbell, ready func() bool, timeout time.Duration) {
+	if timeout <= 0 || timeout > waitSlice {
+		timeout = waitSlice
+	}
 	waiting.Add(1)
-	if !ready() && futexWait(seq, v, waitSlice) && ready() {
+	if !ready() && bell.wait(timeout) && ready() {
 		lostWakes.Add(1)
 	}
 	waiting.Add(^uint32(0))
+}
+
+// wake rings bell if a waiter is parked behind the word: a busy stream,
+// whose waiter words stay zero, makes no syscall.
+func wake(waiting *atomic.Uint32, bell *doorbell) {
+	if waiting.Load() != 0 {
+		bell.ring()
+	}
 }
 
 // Kill abandons the segment as a crash would: local operations fail
@@ -509,7 +515,7 @@ func (d *Dir) copyIn(cur uint64, src []byte) {
 }
 
 // Push appends one record — kind plus the concatenated parts — to the
-// ring, blocking on the space futex while the ring is full. The
+// ring, parking on the space doorbell while the ring is full. The
 // scatter parts spare callers an intermediate concatenation: a frame
 // header and its payload push as one record, one copy each.
 func (d *Dir) Push(kind uint32, parts ...[]byte) error {
@@ -534,7 +540,7 @@ func (d *Dir) Push(kind uint32, parts ...[]byte) error {
 		if err := d.seg.waitErr(); err != nil {
 			return err
 		}
-		waitSeq(d.spcSeq, d.spcWait, fits)
+		park(d.spcWait, d.spcBell, fits, waitSlice)
 	}
 	head := d.head.Load()
 	pos := head & d.ringMask
@@ -547,9 +553,7 @@ func (d *Dir) Push(kind uint32, parts ...[]byte) error {
 		cur += uint64(len(p))
 	}
 	d.head.Store(head + need)
-	if d.dataWait.Load() != 0 {
-		d.bell.ring()
-	}
+	wake(d.dataWait, d.dataBell)
 	return nil
 }
 
@@ -597,9 +601,7 @@ func (d *Dir) TryPop(fn func(kind uint32, a, b []byte)) bool {
 	}
 	fn(kind, a, b)
 	d.tail.Store(tail + uint64(recHdrLen+align16(n)))
-	if d.spcWait.Load() != 0 {
-		wakeSeq(d.spcSeq)
-	}
+	wake(d.spcWait, d.spcBell)
 	return true
 }
 
@@ -615,31 +617,23 @@ func (d *Dir) Empty() bool {
 		return true
 	}
 	defer d.seg.exit()
-	return d.head.Load() == d.tail.Load()
+	return !d.hasData()
 }
 
 // WaitData parks the consumer on the data doorbell until the producer
 // publishes, someone wakes the segment, or the slice of timeout passes.
-// Callers loop: a wakeup is a hint, not a guarantee. The waiter word
-// goes up before the final look at the cursors, so a producer either
-// published before that look or sees the word and rings.
+// Callers loop: a wakeup is a hint, not a guarantee.
 func (d *Dir) WaitData(timeout time.Duration) {
 	if !d.seg.enter() {
 		return
 	}
 	defer d.seg.exit()
-	if d.head.Load() != d.tail.Load() {
-		return
+	if !d.hasData() {
+		park(d.dataWait, d.dataBell, d.hasData, timeout)
 	}
-	if timeout <= 0 || timeout > waitSlice {
-		timeout = waitSlice
-	}
-	d.dataWait.Add(1)
-	if d.head.Load() == d.tail.Load() && d.bell.wait(timeout) && d.head.Load() != d.tail.Load() {
-		lostWakes.Add(1)
-	}
-	d.dataWait.Add(^uint32(0))
 }
+
+func (d *Dir) hasData() bool { return d.head.Load() != d.tail.Load() }
 
 // ---- arena: producer side -----------------------------------------------
 
@@ -671,7 +665,7 @@ func (d *Dir) reclaim() {
 }
 
 // Alloc carves a contiguous n-byte region out of the shared arena,
-// blocking on the arena futex while the consumer still holds too much
+// parking on the space doorbell while the consumer still holds too much
 // of it. The returned offset — the region's start within the arena —
 // names it for the ring record and for Free; the slice aliases the
 // mapping, sized exactly n.
@@ -715,10 +709,10 @@ func (d *Dir) Alloc(n int) (uint64, []byte, error) {
 		if err := d.seg.waitErr(); err != nil {
 			return 0, nil, err
 		}
-		waitSeq(d.aSpcSeq, d.aSpcWait, func() bool {
+		park(d.aSpcWait, d.spcBell, func() bool {
 			d.reclaim()
 			return capa-(d.aHead.Load()-d.aTail.Load()) >= need
-		})
+		}, waitSlice)
 	}
 }
 
@@ -766,9 +760,7 @@ func (d *Dir) Free(off uint64) {
 	}
 	arenaFrees.Add(1)
 	arenaLive.Add(-1)
-	if d.aSpcWait.Load() != 0 {
-		wakeSeq(d.aSpcSeq)
-	}
+	wake(d.aSpcWait, d.spcBell)
 }
 
 // ---- unaligned little-endian helpers ------------------------------------

@@ -1,3 +1,5 @@
+//go:build linux
+
 package shmring
 
 import (
@@ -69,10 +71,32 @@ func TestSegCreateOpen(t *testing.T) {
 }
 
 // segFiles lists the files a segment keeps in /dev/shm: the segment
-// itself and one doorbell per direction.
+// itself and its doorbells.
 func segFiles(s *Seg) []string {
 	path := SegPath(s.Name())
-	return []string{path, bellPath(path, 0), bellPath(path, 1)}
+	return append([]string{path}, bells(path)...)
+}
+
+// bells lists a segment path's doorbell paths.
+func bells(segPath string) []string {
+	var out []string
+	for i := range nBells {
+		out = append(out, bellPath(segPath, i))
+	}
+	return out
+}
+
+// checkSpaceWakes fails the test unless a producer parked since the
+// counters read lost and parks, and no wait ran out its slice with the
+// space it waited for already released.
+func checkSpaceWakes(t *testing.T, lost, parks uint64) {
+	t.Helper()
+	if n := lostWakes.Load() - lost; n != 0 {
+		t.Fatalf("%d waits ran out their slice with the space already released: a wake was lost", n)
+	}
+	if parkCalls.Load() == parks {
+		t.Fatal("no side ever parked: the space doorbell went unexercised")
+	}
 }
 
 // popOne blocks until one record arrives and returns a copy of its
@@ -97,10 +121,12 @@ func popOne(t *testing.T, d *Dir) []byte {
 // TestRingWrapAndOrder streams thousands of variable-size records
 // through a tiny ring from another goroutine: every record must arrive
 // intact and in order across many wrap points, with the producer
-// blocking on ring-full along the way.
+// parking on ring-full along the way and every TryPop that frees space
+// under it waking it.
 func TestRingWrapAndOrder(t *testing.T) {
 	skipUnsupported(t)
 	a, b := pair(t, Config{RingBytes: 4 << 10, ArenaBytes: 64 << 10})
+	lost, parks := lostWakes.Load(), parkCalls.Load()
 	const n = 5000
 	errc := make(chan error, 1)
 	go func() {
@@ -134,16 +160,18 @@ func TestRingWrapAndOrder(t *testing.T) {
 	if !b.RX().Empty() {
 		t.Fatal("ring not drained")
 	}
+	checkSpaceWakes(t, lost, parks)
 }
 
 // TestArenaWrapAndReclaim cycles rendezvous regions through a small
-// arena so allocation crosses the wrap (skip regions) and blocks on
-// arena-full until the consumer frees, with the lease counters
+// arena so allocation crosses the wrap (skip regions) and parks on
+// arena-full until the consumer's Free wakes it, with the lease counters
 // balancing at the end.
 func TestArenaWrapAndReclaim(t *testing.T) {
 	skipUnsupported(t)
 	before := ArenaStats()
 	a, b := pair(t, Config{RingBytes: 8 << 10, ArenaBytes: 64 << 10})
+	lost, parks := lostWakes.Load(), parkCalls.Load()
 	const n = 200
 	errc := make(chan error, 1)
 	go func() {
@@ -194,6 +222,7 @@ func TestArenaWrapAndReclaim(t *testing.T) {
 	if after.Allocs-before.Allocs != n {
 		t.Fatalf("allocs: %d", after.Allocs-before.Allocs)
 	}
+	checkSpaceWakes(t, lost, parks)
 }
 
 // TestBusyStreamMakesNoWakeSyscall pins the waiter-present words: in a
@@ -498,7 +527,7 @@ func TestReapOrphans(t *testing.T) {
 	// The orphan's doorbells go with it; a doorbell whose segment is
 	// already gone is a stray and goes too.
 	stray := bellPath(SegPath(RandomName()), 1)
-	planted := []string{bellPath(orphan, 0), bellPath(orphan, 1), stray}
+	planted := append(bells(orphan), stray)
 	for _, path := range planted {
 		if err := syscall.Mkfifo(path, 0o600); err != nil {
 			t.Fatal(err)

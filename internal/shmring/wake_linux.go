@@ -13,51 +13,23 @@ import (
 	"unsafe"
 )
 
-// Wake and park accounting, process-wide: every futex wake and doorbell
-// ring counts in wakeCalls, every futex wait and doorbell wait in
-// parkCalls. Tests read them to prove which operations reach the kernel.
+// Wake and park accounting, process-wide: every doorbell ring counts in
+// wakeCalls, every doorbell wait in parkCalls. Tests read them to prove
+// which operations reach the kernel.
 var wakeCalls, parkCalls atomic.Uint64
 
-// Futex operation codes. The non-PRIVATE forms are required: the waiter
-// and the waker sit in different processes, sharing the word through
-// the MAP_SHARED segment.
-const (
-	futexWaitOp = 0 // FUTEX_WAIT
-	futexWakeOp = 1 // FUTEX_WAKE
-)
-
-// futexWait parks the caller on the word while it still holds val, for
-// at most timeout, and reports whether the timeout ran out. Spurious
-// returns (EINTR, EAGAIN on a raced value change) are fine by
-// construction — every caller loops on the real condition.
-func futexWait(addr *atomic.Uint32, val uint32, timeout time.Duration) (expired bool) {
-	parkCalls.Add(1)
-	ts := syscall.NsecToTimespec(timeout.Nanoseconds())
-	_, _, errno := syscall.Syscall6(syscall.SYS_FUTEX,
-		uintptr(unsafe.Pointer(addr)), futexWaitOp, uintptr(val),
-		uintptr(unsafe.Pointer(&ts)), 0, 0)
-	return errno == syscall.ETIMEDOUT
-}
-
-// futexWake wakes every waiter parked on the word.
-func futexWake(addr *atomic.Uint32) {
-	wakeCalls.Add(1)
-	syscall.Syscall6(syscall.SYS_FUTEX,
-		uintptr(unsafe.Pointer(addr)), futexWakeOp, uintptr(^uint32(0)>>1),
-		0, 0, 0)
-}
-
-// doorbell is a direction's data doorbell: a FIFO beside the segment
-// that both sides open read-write and non-blocking. The consumer parks
-// in Go's netpoller reading it — a parked goroutine, not a thread in a
-// syscall — and the producer rings it with one byte.
+// doorbell is one of a segment's wake channels — a direction's data or
+// space doorbell: a FIFO beside the segment that both sides open
+// read-write and non-blocking. The waiting side parks in Go's netpoller
+// reading it — a parked goroutine, not a thread in a syscall — and the
+// other side rings it with one byte.
 type doorbell struct {
 	f  *os.File
 	rc syscall.RawConn
 	fd uintptr
-	// The consumer's state, one consumer per direction: drain is the
-	// read callback, bound once so a wait allocates nothing, and
-	// deadline the read deadline last set.
+	// The waiter's state, one waiter per doorbell: drain is the read
+	// callback, bound once so a wait allocates nothing, and deadline the
+	// read deadline last set.
 	drain    func(fd uintptr) bool
 	deadline time.Time
 	buf      [64]byte

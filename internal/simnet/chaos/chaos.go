@@ -46,9 +46,6 @@ func NewSchedule(name string) *Schedule { return &Schedule{name: name} }
 // Name returns the schedule's label.
 func (s *Schedule) Name() string { return s.name }
 
-// Faults returns the scheduled faults in insertion order.
-func (s *Schedule) Faults() []Fault { return s.faults }
-
 // Add appends a fault, validating its timing.
 func (s *Schedule) Add(f Fault) *Schedule {
 	if f.At < 0 || f.Dur < 0 {

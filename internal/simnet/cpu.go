@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"time"
-
-	"newmad/internal/des"
-)
+import "newmad/internal/des"
 
 // CPU models host processor time consumed by the communication engine:
 // per-packet overheads, PIO copies, memory copies and polling. Work is
@@ -64,9 +60,6 @@ func (c *CPU) Charge(d int64) int64 {
 	c.lanes[i] = start + des.Time(d)
 	return int64(c.lanes[i])
 }
-
-// ChargeDuration is Charge for time.Duration costs.
-func (c *CPU) ChargeDuration(d time.Duration) int64 { return c.Charge(d.Nanoseconds()) }
 
 // BusyUntil reports when all lanes are free (useful in tests).
 func (c *CPU) BusyUntil() des.Time {

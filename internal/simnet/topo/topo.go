@@ -48,12 +48,6 @@ func New() *Builder {
 	return &Builder{hostModel: simnet.Opteron(), oversub: 1}
 }
 
-// HostModel sets the host parameters used for every host.
-func (b *Builder) HostModel(p simnet.HostParams) *Builder {
-	b.hostModel = p
-	return b
-}
-
 // Rack appends a rack of n hosts.
 func (b *Builder) Rack(n int) *Builder {
 	if n <= 0 {

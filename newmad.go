@@ -136,20 +136,6 @@ func StrategySplit() Strategy { return strategy.Must("split") }
 // Figure 7 comparison point.
 func StrategySplitIso() Strategy { return strategy.Must("split-iso") }
 
-// StrategySplitDyn returns the dynamic work-stealing stripping extension:
-// idle rails repeatedly take their bandwidth share of the remaining body
-// rather than committing to a one-shot plan, adapting to competing
-// traffic and failures (not in the paper; see the strategy package doc).
-func StrategySplitDyn() Strategy { return strategy.Must("split-dyn") }
-
-// StrategySplitDynAdaptive returns the estimator-adaptive stripping
-// variant of StrategySplitDyn: each idle rail's bite is sized from the
-// bandwidth its online estimator has observed it deliver, not the one
-// its profile declared, so shares migrate as rails degrade, recover or
-// get resurrected (fresh rails start from an optimistic prior and are
-// never starved).
-func StrategySplitDynAdaptive() Strategy { return strategy.Must("split-dyn-adaptive") }
-
 // HedgeStrategy wraps an inner strategy with tail-latency hedging: an
 // eligible small send whose primary packet blows past the rail's
 // completion-time quantile races a speculative duplicate down a second
