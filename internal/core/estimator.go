@@ -18,11 +18,11 @@ import (
 //
 // Until a rail has produced samples the estimator answers from an
 // optimistic prior seeded from the rail's declared Profile, so a freshly
-// added or just-resurrected rail is offered work instead of being starved;
-// the EWMA decay (alpha 0.25) then converges it onto reality within a few
-// packets. Measured bandwidth is floored at a fraction of the prior so a
-// rail that had one terrible draw cannot starve itself out of the samples
-// it needs to recover.
+// added rail is offered work instead of being starved; the EWMA decay
+// (alpha 0.25) then converges it onto reality within a few packets.
+// Measured bandwidth is floored at a fraction of the prior so a rail that
+// had one terrible draw cannot starve itself out of the samples it needs
+// to recover.
 //
 // Writes arrive under the owning gate's progress domain; reads come from
 // strategies (same domain) but also from selector re-fits and tooling on
@@ -129,7 +129,7 @@ func (e *Estimator) Latency() time.Duration {
 // large-packet EWMA once samples exist (floored at a fraction of the
 // prior so one bad draw cannot starve the rail), the profile prior before
 // that. The no-sample prior is the optimistic seed that keeps freshly
-// added and just-resurrected rails in the split rotation.
+// added rails in the split rotation.
 func (e *Estimator) Bandwidth() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -109,9 +109,8 @@ func (g *Gate) Backlog() *Backlog { return g.backlog }
 // its own goroutines at once are deferred until the rail is in place.
 //
 // Adding a rail to a dead gate revives it: the gate was dead only because
-// nothing could ever drain its work, and the new rail can (this is how
-// session-layer rail resurrection brings a fully failed peer back).
-// Requests that already failed stay failed.
+// nothing could ever drain its work, and the new rail can. Requests that
+// already failed stay failed.
 func (g *Gate) AddRail(drv Driver) *Rail {
 	g.dom.Lock()
 	r := &Rail{gate: g, index: len(g.rails), drv: drv}

@@ -60,8 +60,8 @@ func TestLossyConformance(t *testing.T) {
 	drvtest.RunLossy(t, drvtest.LossyHarness{
 		New: func(t *testing.T) drvtest.LossyPair {
 			ca, cb, aa, ab := udpSockets(t)
-			ta := NewTransport(ca, ab, 0, DefaultProfile())
-			tb := NewTransport(cb, aa, 0, DefaultProfile())
+			ta := NewTransport(ca, ab, DefaultProfile())
+			tb := NewTransport(cb, aa, DefaultProfile())
 			fa, fb := relnet.NewFlaky(ta), relnet.NewFlaky(tb)
 			da, db := relnet.Wrap(fa, udpRelCfg()), relnet.Wrap(fb, udpRelCfg())
 			ta.Start()

@@ -29,22 +29,22 @@ import (
 var ErrClosed = errors.New("udpdrv: closed")
 
 // DefaultMTU bounds relnet datagrams. 8 KiB keeps fragmentation cheap
-// on loopback and on LAN paths with 9000-byte frames; set Options.MTU to
-// ~1400 for conservative WAN paths. Both ends of a rail must agree —
-// a datagram above the receiver's MTU is truncated by the socket layer
-// and discarded as garbage.
+// on loopback and on LAN paths with 9000-byte frames.
 const DefaultMTU = 8 << 10
+
+// sockBuf is the socket buffer New requests in each direction. Linux
+// caps it at rmem_max and doubles it, so the grant is read back.
+const sockBuf = 4 << 20
 
 // Options parameterizes a UDP rail.
 type Options struct {
 	// Profile declares the rail characteristics; zero gets
 	// DefaultProfile.
 	Profile core.Profile
-	// MTU caps datagram size; zero gets DefaultMTU.
-	MTU int
 	// Rel tunes the reliability layer (RTO, retry budget, window).
-	// Zero values derive from the profile and MTU; leave Clock nil, so
-	// the layer runs on the wall clock a real socket wants.
+	// Zero values derive from the profile and MTU, and a zero Window
+	// from the socket's receive buffer (see New); leave Clock nil,
+	// so the layer runs on the wall clock a real socket wants.
 	Rel relnet.Config
 }
 
@@ -64,12 +64,31 @@ func DefaultProfile() core.Profile {
 // socket is treated as unconnected and every datagram is sent to (and
 // accepted only from) that address; a nil peer requires a connected
 // socket (net.DialUDP). The returned driver is live: its reader is
-// running, and Close tears it down.
+// running, and Close tears it down. Unless opts.Rel.Window is set, the
+// window is sized to the receive buffer granted (windowFor): one that
+// overruns the peer's socket buffer drops datagrams on every burst.
 func New(conn *net.UDPConn, peer *net.UDPAddr, opts Options) *relnet.Driver {
-	tr := NewTransport(conn, peer, opts.MTU, opts.Profile)
-	d := relnet.Wrap(tr, opts.Rel)
+	// A refused request shows up as a smaller grant, read back below.
+	_ = conn.SetReadBuffer(sockBuf)
+	_ = conn.SetWriteBuffer(sockBuf)
+	rel := opts.Rel
+	if rel.Window == 0 {
+		if grant, err := recvBuffer(conn); err == nil {
+			rel.Window = windowFor(grant)
+		}
+	}
+	tr := NewTransport(conn, peer, opts.Profile)
+	d := relnet.Wrap(tr, rel)
 	tr.Start()
 	return d
+}
+
+// windowFor is the relnet window for a receive buffer of grant bytes:
+// grant/(4·DefaultMTU), clamped to [1, relnet.DefaultWindow]. On loopback
+// an 8 KiB datagram costs ~19 KiB of buffer; the rest is headroom. At
+// Linux's default 212992 bytes this gives 6; 8 ran clean, 12 lost 1.6 %.
+func windowFor(grant int) int {
+	return min(max(grant/(4*DefaultMTU), 1), relnet.DefaultWindow)
 }
 
 // Transport is the raw datagram half of the driver, split out so tests
@@ -79,7 +98,6 @@ func New(conn *net.UDPConn, peer *net.UDPAddr, opts Options) *relnet.Driver {
 type Transport struct {
 	conn *net.UDPConn
 	peer *net.UDPAddr
-	mtu  int
 	prof core.Profile
 
 	recv func(*core.Buf)
@@ -90,16 +108,13 @@ type Transport struct {
 	wg     sync.WaitGroup
 }
 
-// NewTransport builds the transport without starting its reader; mtu
-// and prof zero values get the package defaults.
-func NewTransport(conn *net.UDPConn, peer *net.UDPAddr, mtu int, prof core.Profile) *Transport {
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
+// NewTransport builds the transport without starting its reader; a
+// zero prof gets DefaultProfile.
+func NewTransport(conn *net.UDPConn, peer *net.UDPAddr, prof core.Profile) *Transport {
 	if prof == (core.Profile{}) {
 		prof = DefaultProfile()
 	}
-	return &Transport{conn: conn, peer: peer, mtu: mtu, prof: prof}
+	return &Transport{conn: conn, peer: peer, prof: prof}
 }
 
 // Start launches the reader goroutine. Call once, after SetRecv and
@@ -116,7 +131,7 @@ func (t *Transport) Name() string { return "udp:" + t.conn.LocalAddr().String() 
 func (t *Transport) Profile() core.Profile { return t.prof }
 
 // MTU implements relnet.Transport.
-func (t *Transport) MTU() int { return t.mtu }
+func (t *Transport) MTU() int { return DefaultMTU }
 
 // SetRecv implements relnet.Transport.
 func (t *Transport) SetRecv(fn func(*core.Buf)) { t.recv = fn }
@@ -152,7 +167,7 @@ func (t *Transport) Send(f *core.Buf) error {
 func (t *Transport) reader() {
 	defer t.wg.Done()
 	for {
-		f := core.GetBuf(t.mtu)
+		f := core.GetBuf(DefaultMTU)
 		n, src, err := t.conn.ReadFromUDP(f.B)
 		if err != nil {
 			f.Release()

@@ -11,23 +11,22 @@
 // may mix all three kinds — heterogeneous rails are the point of the
 // multi-rail design.
 //
-// Between sessions the server holds only its control listener (and the
-// resurrection listener, if enabled). Every rail kind is one leg of
-// three steps, run per session: the server offers a fresh endpoint — a
-// listener per tcp rail, a data socket per udp rail, a segment per shm
-// rail — and names it in the hello; the client attaches to it and
-// presents the session token in a preamble; the server confirms the
-// preamble — on the accepted tcp connection, on the udp data socket
-// (answered on the control connection), or on the control connection
-// for shm. A revival runs the same leg over a resurrection connection
-// (see resurrect.go).
+// Between sessions the server holds only its control listener. Every
+// rail kind is one leg of three steps, run per session: the server
+// offers a fresh endpoint — a listener per tcp rail, a data socket per
+// udp rail, a segment per shm rail — and names it in the hello; the
+// client attaches to it and presents the session token in a preamble;
+// the server confirms the preamble — on the accepted tcp connection, on
+// the udp data socket (answered on the control connection), or on the
+// control connection for shm.
 //
 // Each session gate is its own progress domain: traffic to different
 // peers on one engine proceeds in parallel, and each rail's I/O
 // goroutines report its events into the gate as they happen. If the
-// peer process dies, the rails' readers fail, the
-// drivers report RailDown, and the engine fails the gate's outstanding
-// requests — waiters get an error instead of hanging.
+// peer process dies, the rails' readers fail, the drivers report
+// RailDown, and the engine fails the gate's outstanding requests —
+// waiters get an error instead of hanging. A downed rail stays down; the
+// strategies route around it for the rest of the session.
 package session
 
 import (
@@ -62,7 +61,8 @@ import (
 // version-4 client would wait for an ack datagram that never comes.
 // Bumped to 6 when a tcp rail revival moved off the coordination
 // connection onto a fresh listener named in the ack: a version-5 client
-// would run engine frames over the coordination connection.
+// would run engine frames over the coordination connection. Revival's
+// optional hello and ack fields were later dropped without a bump.
 const Version = 6
 
 // DefaultHandshakeTimeout bounds a session handshake when Options leaves
@@ -78,20 +78,6 @@ type Options struct {
 	// is tighter wins; it replaces the previously hardcoded 30-second
 	// socket deadlines.
 	HandshakeTimeout time.Duration
-	// Resurrect (server side) opens an extra TCP listener, advertised to
-	// clients in the server hello, through which a downed tcp or udp rail
-	// of an established session can be brought back: the client presents
-	// the session token and rail index, the rail's leg of the first
-	// bring-up runs again on a fresh endpoint, and scheduling (hedging,
-	// adaptive stripping) picks the revived rail up through its
-	// estimator. See resurrect.go.
-	Resurrect bool
-	// Probe (client side) enables periodic rail resurrection: every
-	// Probe interval a background goroutine re-dials any downed tcp or
-	// udp rail against the server's resurrection listener. Zero, or a
-	// server without Resurrect, disables probing. Call StopProbe(gate)
-	// before closing the engine.
-	Probe time.Duration
 }
 
 // handshakeDeadline computes the absolute deadline for one handshake:
@@ -129,15 +115,14 @@ type RailSpec struct {
 	Profile core.Profile
 }
 
-// hello is the control-channel negotiation message. ResurrectAddr is
-// optional (a field absent on either side just disables resurrection),
-// so adding it needed no Version bump.
+// hello is the control-channel negotiation message. Unknown fields are
+// ignored on decode, so a peer that still sends fields this end dropped
+// interoperates at the same Version.
 type hello struct {
-	Version       int        `json:"version"`
-	Name          string     `json:"name"`
-	Token         string     `json:"token,omitempty"`
-	Rails         []railInfo `json:"rails,omitempty"`
-	ResurrectAddr string     `json:"resurrect_addr,omitempty"`
+	Version int        `json:"version"`
+	Name    string     `json:"name"`
+	Token   string     `json:"token,omitempty"`
+	Rails   []railInfo `json:"rails,omitempty"`
 }
 
 type railInfo struct {
@@ -164,13 +149,9 @@ type preamble struct {
 	Rail  int    `json:"rail"`
 }
 
-// railAck answers a rail handshake step on a TCP connection: a udp
-// rail's confirmation, and every answer of the resurrection listener,
-// whose Addr names the revived rail's freshly offered endpoint.
+// railAck confirms a udp rail's preamble on the control connection.
 type railAck struct {
-	OK   bool   `json:"ok"`
-	Addr string `json:"addr,omitempty"`
-	Err  string `json:"err,omitempty"`
+	OK bool `json:"ok"`
 }
 
 // Server accepts multi-rail sessions.
@@ -180,20 +161,14 @@ type Server struct {
 	ctrl  net.Listener
 	specs []RailSpec
 	opts  Options
-	// res is the rail resurrection listener (nil unless Options.Resurrect).
-	res net.Listener
 
 	mu     sync.Mutex
 	closed bool
-	// sessions registers accepted sessions by token for rail
-	// resurrection (see resurrect.go); nil unless Options.Resurrect.
-	sessions map[string]*sessionRec
 }
 
 // Listen starts a server for the given engine: a control listener on
-// ctrlAddr, plus the resurrection listener if opts.Resurrect is set.
-// Rail endpoints are opened per session by Accept. ctx bounds the
-// listener setup; opts.HandshakeTimeout governs each subsequent Accept.
+// ctrlAddr. Rail endpoints are opened per session by Accept. ctx bounds
+// the listener setup; opts.HandshakeTimeout governs each Accept.
 func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails []RailSpec, opts Options) (*Server, error) {
 	if len(rails) == 0 {
 		return nil, fmt.Errorf("session: no rails offered")
@@ -222,22 +197,7 @@ func Listen(ctx context.Context, eng *core.Engine, name, ctrlAddr string, rails 
 	if err != nil {
 		return nil, fmt.Errorf("session: control listen: %w", err)
 	}
-	s := &Server{name: name, eng: eng, ctrl: ctrl, specs: rails, opts: opts}
-	if opts.Resurrect {
-		host, _, err := net.SplitHostPort(ctrl.Addr().String())
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("session: resurrect listener: %w", err)
-		}
-		res, err := lc.Listen(ctx, "tcp", net.JoinHostPort(host, "0"))
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("session: resurrect listen: %w", err)
-		}
-		s.res = res
-		go s.resurrectLoop()
-	}
-	return s, nil
+	return &Server{name: name, eng: eng, ctrl: ctrl, specs: rails, opts: opts}, nil
 }
 
 // ControlAddr returns the bound control address (useful with ":0").
@@ -285,9 +245,6 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 			return nil, "", fmt.Errorf("session: rail %d offer: %w", i, err)
 		}
 	}
-	if s.res != nil {
-		srv.ResurrectAddr = advertise(s.res.Addr(), conn.LocalAddr())
-	}
 	if err := writeJSON(conn, srv); err != nil {
 		closeAll(eps)
 		return nil, "", fmt.Errorf("session: write server hello: %w", ctxErrOr(ctx, err))
@@ -299,24 +256,15 @@ func (s *Server) Accept(ctx context.Context) (*core.Gate, string, error) {
 		}
 	}
 	gate := s.eng.NewGate(cli.Name)
-	rls := make([]*core.Rail, len(eps))
 	for i, ep := range eps {
-		rls[i] = gate.AddRail(ep.driver(s.specs[i].Profile))
-	}
-	if s.res != nil {
-		s.mu.Lock()
-		if s.sessions == nil {
-			s.sessions = make(map[string]*sessionRec)
-		}
-		s.sessions[token] = &sessionRec{gate: gate, rails: rls, reviving: make([]bool, len(rls))}
-		s.mu.Unlock()
+		gate.AddRail(ep.driver(s.specs[i].Profile))
 	}
 	return gate, cli.Name, nil
 }
 
-// ctrlConn is the TCP connection that carries a rail leg's control
-// half — the session's control connection or a resurrection connection
-// — with the one reader for everything its peer sends on it.
+// ctrlConn is the session's control connection, which carries every
+// rail leg's control half, with the one reader for everything its peer
+// sends on it.
 type ctrlConn struct {
 	net.Conn
 	r *bufio.Reader
@@ -552,7 +500,7 @@ func (e railEndpoint) driver(prof core.Profile) core.Driver {
 	return tcpdrv.New(e.tcp, tcpdrv.Options{Profile: prof})
 }
 
-// Close shuts every listener down.
+// Close shuts the control listener down.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -560,13 +508,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.ctrl.Close()
-	if s.res != nil {
-		if e := s.res.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
+	return s.ctrl.Close()
 }
 
 // Connect dials a server's control address and brings up every offered
@@ -612,12 +554,8 @@ func Connect(ctx context.Context, eng *core.Engine, name, ctrlAddr string, opts 
 		}
 	}
 	gate := eng.NewGate(srv.Name)
-	rls := make([]*core.Rail, len(eps))
 	for i, ep := range eps {
-		rls[i] = gate.AddRail(ep.driver(srv.Rails[i].profile()))
-	}
-	if opts.Probe > 0 && srv.ResurrectAddr != "" { // else the server offers no resurrection
-		startProber(gate, srv, rls, opts)
+		gate.AddRail(ep.driver(srv.Rails[i].profile()))
 	}
 	return gate, srv.Name, nil
 }

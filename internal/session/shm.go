@@ -10,7 +10,7 @@
 //	  attach segment, side 1
 //	  |--- preamble {token,rail} --->| confirms the attach
 //
-// The server creates a fresh segment per accepted session (offerRails)
+// The server creates a fresh segment per accepted session (offerRail)
 // — names are random and single-use, so concurrent sessions never
 // collide — and the client's preamble on the (reliable, private)
 // control channel both orders the handshake and authenticates the

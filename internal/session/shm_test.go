@@ -1,6 +1,8 @@
 package session
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -55,6 +57,73 @@ func TestSessionTripleSplit(t *testing.T) {
 		if p0 == 0 || p1 == 0 || p2 == 0 {
 			t.Fatalf("a rail carried nothing: tcp=%d udp=%d shm=%d", p0, p1, p2)
 		}
+	}
+}
+
+// TestSessionTripleSplitInFlight streams 400 × 256 KiB over a tcp+udp+shm
+// gate with 8 messages in flight, byte-verified, under a deadline. Split
+// puts a share of every message on the udp rail, so a udp window that
+// overruns its socket buffer stalls the whole stream on retransmit
+// timeouts.
+func TestSessionTripleSplitInFlight(t *testing.T) {
+	skipWithoutShm(t)
+	engA, engB := engines(t)
+	gateAB, gateBA := bringUp(t, engA, engB, tripleRails())
+	const msgs, size, inFlight = 400, 256 << 10, 8
+	pattern := func(i, j int) byte { return byte(j*13 + i) }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	recvDone := make(chan error, 1)
+	go func() {
+		var bufs [inFlight][]byte
+		var reqs [inFlight]*core.RecvReq
+		for i := 0; i < msgs+inFlight; i++ {
+			slot := i % inFlight
+			if i >= inFlight {
+				if err := engB.WaitCtx(ctx, reqs[slot]); err != nil {
+					recvDone <- fmt.Errorf("receive %d: %w", i-inFlight, err)
+					return
+				}
+				for j, b := range bufs[slot] {
+					if b != pattern(i-inFlight, j) {
+						recvDone <- fmt.Errorf("message %d corrupted at byte %d", i-inFlight, j)
+						return
+					}
+				}
+			}
+			if i < msgs {
+				if bufs[slot] == nil {
+					bufs[slot] = make([]byte, size)
+				}
+				reqs[slot] = gateBA.Irecv(uint32(i), bufs[slot])
+			}
+		}
+		recvDone <- nil
+	}()
+	var bufs [inFlight][]byte
+	var reqs [inFlight]*core.SendReq
+	for i := 0; i < msgs+inFlight; i++ {
+		slot := i % inFlight
+		if i >= inFlight {
+			if err := engA.WaitCtx(ctx, reqs[slot]); err != nil {
+				t.Fatalf("send %d: %v", i-inFlight, err)
+			}
+		}
+		if i < msgs {
+			if bufs[slot] == nil {
+				bufs[slot] = make([]byte, size)
+			}
+			for j := range bufs[slot] {
+				bufs[slot][j] = pattern(i, j)
+			}
+			reqs[slot] = gateAB.Isend(uint32(i), bufs[slot])
+		}
+	}
+	if err := <-recvDone; err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := gateAB.Rails()[1].Stats(); p == 0 {
+		t.Fatal("the udp rail carried nothing")
 	}
 }
 

@@ -1,25 +1,24 @@
-// UDP rail bring-up. The first bring-up and a revival run one leg; only
-// the connection that carries its TCP half differs (the session's
-// control connection, or a resurrection connection — see resurrect.go):
+// UDP rail bring-up. The leg's TCP half rides the session's control
+// connection:
 //
 //	client                               server
 //	  |                                    opens fresh data socket S1
-//	  |<-- S1's address ------------------ in the hello (or revival ack)
+//	  |<-- S1's address ------------------ in the hello
 //	  |-- preamble {token,rail} --> S1      (resent until confirmed)
 //	  |                                    learns the client's address
-//	  |<-- ack {ok} ---------------------- on the TCP connection
+//	  |<-- ack {ok} ---------------------- on the control connection
 //	  |
 //	  aim rail at S1                       aim rail at the client
 //
-// S1 belongs to one session (or one revival), so concurrent handshakes
-// never share a socket. Only the preamble rides a datagram, so only the
-// client retries; the confirmation rides TCP and cannot be lost. The
-// random session token authenticates the preamble exactly as it
-// authenticates TCP rail preambles, and the server skips any datagram
-// on S1 that does not authenticate: an open UDP port receives garbage,
-// and none of it may abort a live negotiation. Preamble resends that
-// reach S1 after the driver owns it are dropped by relnet's frame
-// decoder as garbage — a JSON '{' is not a valid segment kind.
+// S1 belongs to one session, so concurrent handshakes never share a
+// socket. Only the preamble rides a datagram, so only the client
+// retries; the confirmation rides TCP and cannot be lost. The random
+// session token authenticates the preamble exactly as it authenticates
+// TCP rail preambles, and the server skips any datagram on S1 that does
+// not authenticate: an open UDP port receives garbage, and none of it
+// may abort a live negotiation. Preamble resends that reach S1 after
+// the driver owns it are dropped by relnet's frame decoder as garbage —
+// a JSON '{' is not a valid segment kind.
 package session
 
 import (
@@ -58,7 +57,7 @@ func confirmUDPRail(ctx context.Context, s1 *net.UDPConn, conn net.Conn, pre pre
 
 // attachUDPRail is the client half of the leg: it announces a fresh
 // socket to the server's data socket at addr, resending pre until the
-// confirmation arrives on r, the TCP connection's reader, whose
+// confirmation arrives on r, the control connection's reader, whose
 // deadline bounds the wait. It returns the socket and the address to
 // aim the rail at.
 func attachUDPRail(r io.ByteReader, addr string, pre preamble) (*net.UDPConn, *net.UDPAddr, error) {

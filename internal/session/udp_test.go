@@ -258,12 +258,11 @@ func concurrentSessions(t *testing.T, rails []RailSpec) {
 // TestSessionAdvertisesRoutableAddrs: rails bound to the wildcard
 // address are advertised under the control connection's local IP, the
 // address the client already reached this server by, so a client on
-// another host can dial them. The resurrection address follows the same
-// rule.
+// another host can dial them.
 func TestSessionAdvertisesRoutableAddrs(t *testing.T) {
 	engA, engB := engines(t)
 	rails := []RailSpec{{Addr: "0.0.0.0:0"}, {Addr: "0.0.0.0:0", Proto: "udp"}}
-	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{Resurrect: true, HandshakeTimeout: 2 * time.Second})
+	srv, err := Listen(context.Background(), engA, "alpha", "127.0.0.1:0", rails, Options{HandshakeTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,17 +293,16 @@ func TestSessionAdvertisesRoutableAddrs(t *testing.T) {
 	if res := <-accepted; res.err == nil {
 		t.Fatal("Accept succeeded after the client hung up")
 	}
-	addrs := []string{srvHello.ResurrectAddr}
-	for _, ri := range srvHello.Rails {
-		addrs = append(addrs, ri.Addr)
+	if len(srvHello.Rails) != len(rails) {
+		t.Fatalf("hello offers %d rails, want %d", len(srvHello.Rails), len(rails))
 	}
-	for _, a := range addrs {
-		host, _, err := net.SplitHostPort(a)
+	for _, ri := range srvHello.Rails {
+		host, _, err := net.SplitHostPort(ri.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if host != "127.0.0.1" {
-			t.Fatalf("advertised %s, want host 127.0.0.1 (hello: %+v)", a, srvHello)
+			t.Fatalf("advertised %s, want host 127.0.0.1 (hello: %+v)", ri.Addr, srvHello)
 		}
 	}
 	go accept()

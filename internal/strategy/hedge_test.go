@@ -336,7 +336,7 @@ func TestHedgeStormTCP(t *testing.T) {
 }
 
 // TestSplitDynAdaptiveFreshRailPrior: a rail with no estimator samples
-// (freshly added or just resurrected) must still be offered its
+// (freshly added to its gate) must still be offered its
 // profile-prior share of a striped body — adaptivity must not starve a
 // rail out of the very samples it needs to earn a share.
 func TestSplitDynAdaptiveFreshRailPrior(t *testing.T) {

@@ -20,10 +20,9 @@ const (
 	SplitIso
 	// splitObserved weighs rails by the bandwidth their online
 	// estimators observe them deliver, re-fit as completions arrive. A
-	// rail with no observations yet — freshly added, or just resurrected
-	// — answers with its optimistic profile prior, so it is offered work
-	// instead of being starved of the samples it would need to earn a
-	// share.
+	// rail with no observations yet answers with its optimistic profile
+	// prior, so it is offered work instead of being starved of the
+	// samples it would need to earn a share.
 	splitObserved
 )
 

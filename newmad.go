@@ -364,19 +364,9 @@ func ListenSession(ctx context.Context, eng *Engine, name, ctrlAddr string, rail
 // ConnectSession dials a session server and brings up every offered
 // rail, returning the gate and the server's name. The negotiation is
 // bounded by opts.HandshakeTimeout and ctx, whichever is tighter.
-//
-// With SessionOptions.Probe set, a background prober re-dials downed
-// tcp/udp rails through the server's resurrection listener (the server
-// must have been started with SessionOptions.Resurrect); call
-// StopSessionProbe before closing the engine.
 func ConnectSession(ctx context.Context, eng *Engine, name, ctrlAddr string, opts SessionOptions) (*Gate, string, error) {
 	return session.Connect(ctx, eng, name, ctrlAddr, opts)
 }
-
-// StopSessionProbe stops the rail-resurrection prober attached to a
-// gate by ConnectSession (a no-op if none is) and returns once the
-// prober goroutine has exited.
-func StopSessionProbe(g *Gate) { session.StopProbe(g) }
 
 // TCP rails (real sockets).
 
@@ -406,7 +396,8 @@ type RelStats = relnet.Stats
 // protocol counters.
 type ReliableDriver = relnet.Driver
 
-// UDPOptions configures a UDP rail (profile, MTU, reliability knobs).
+// UDPOptions configures a UDP rail: its profile and the reliability
+// knobs. A zero Rel.Window is sized to the socket's receive buffer.
 type UDPOptions = udpdrv.Options
 
 // NewUDP builds a reliable UDP rail driver over conn: datagram framing,
