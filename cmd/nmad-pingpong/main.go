@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -29,11 +30,36 @@ const (
 	dataTag = 2
 )
 
+// maxSize bounds one message: the server allocates a buffer of the
+// largest planned size, the client two.
+const maxSize = 256 << 20
+
 // plan is the sweep description the client ships to the server.
 type plan struct {
 	Sizes []int `json:"sizes"`
 	Segs  int   `json:"segs"`
 	Iters int   `json:"iters"`
+}
+
+// check rejects a plan either side could not run: sizes outside
+// [1, maxSize], segment counts outside [1, 65535] (Isendv's limit) and
+// fewer than one iteration per size.
+func (p plan) check() error {
+	if len(p.Sizes) == 0 {
+		return fmt.Errorf("plan has no sizes")
+	}
+	for _, s := range p.Sizes {
+		if s < 1 || s > maxSize {
+			return fmt.Errorf("size %d outside [1, %d]", s, maxSize)
+		}
+	}
+	if p.Segs < 1 || p.Segs > 0xffff {
+		return fmt.Errorf("segs %d outside [1, 65535]", p.Segs)
+	}
+	if p.Iters < 1 {
+		return fmt.Errorf("iters %d below 1", p.Iters)
+	}
+	return nil
 }
 
 func main() {
@@ -73,6 +99,9 @@ func engine(stratName string) (*newmad.Engine, error) {
 }
 
 func runServer(ctrlAddr string, rails int, stratName string, handshake time.Duration) error {
+	if rails < 1 {
+		return fmt.Errorf("-rails %d below 1", rails)
+	}
 	ctx := context.Background()
 	eng, err := engine(stratName)
 	if err != nil {
@@ -108,15 +137,12 @@ func runServer(ctrlAddr string, rails int, stratName string, handshake time.Dura
 	if err := json.Unmarshal(planBuf[:rr.Len()], &p); err != nil {
 		return fmt.Errorf("bad plan: %w", err)
 	}
+	if err := p.check(); err != nil {
+		return fmt.Errorf("bad plan: %w", err)
+	}
 	fmt.Printf("plan: sizes=%v segs=%d iters=%d\n", p.Sizes, p.Segs, p.Iters)
 
-	maxSize := 0
-	for _, s := range p.Sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	buf := make([]byte, maxSize)
+	buf := make([]byte, slices.Max(p.Sizes))
 	for _, size := range p.Sizes {
 		for it := 0; it < p.Iters; it++ {
 			rr := gate.Irecv(dataTag, buf)
@@ -136,15 +162,19 @@ func runServer(ctrlAddr string, rails int, stratName string, handshake time.Dura
 }
 
 func runClient(ctrlAddr, stratName, sizesArg string, segs, iters int, handshake time.Duration) error {
+	sizes, err := parseSizes(sizesArg)
+	if err != nil {
+		return err
+	}
+	p := plan{Sizes: sizes, Segs: segs, Iters: iters}
+	if err := p.check(); err != nil {
+		return err
+	}
 	eng, err := engine(stratName)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
-	sizes, err := parseSizes(sizesArg)
-	if err != nil {
-		return err
-	}
 	gate, srvName, err := newmad.ConnectSession(context.Background(), eng, "pingpong-client", ctrlAddr,
 		newmad.SessionOptions{HandshakeTimeout: handshake})
 	if err != nil {
@@ -152,7 +182,7 @@ func runClient(ctrlAddr, stratName, sizesArg string, segs, iters int, handshake 
 	}
 	fmt.Printf("connected to %q, %d rails, strategy %s\n", srvName, len(gate.Rails()), stratName)
 
-	planJSON, err := json.Marshal(plan{Sizes: sizes, Segs: segs, Iters: iters})
+	planJSON, err := json.Marshal(p)
 	if err != nil {
 		return err
 	}
@@ -160,17 +190,11 @@ func runClient(ctrlAddr, stratName, sizesArg string, segs, iters int, handshake 
 		return err
 	}
 
-	maxSize := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	sendBuf := make([]byte, maxSize)
+	sendBuf := make([]byte, slices.Max(sizes))
 	for i := range sendBuf {
 		sendBuf[i] = byte(i)
 	}
-	recvBuf := make([]byte, maxSize)
+	recvBuf := make([]byte, len(sendBuf))
 
 	fmt.Printf("%10s %14s %14s\n", "size", "half-rtt", "bandwidth")
 	for _, size := range sizes {
@@ -217,7 +241,7 @@ func parseSizes(arg string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(arg, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
+		if err != nil {
 			return nil, fmt.Errorf("bad size %q", f)
 		}
 		out = append(out, n)

@@ -26,7 +26,7 @@ func main() {
 		inFile    = flag.String("i", "", "file to send")
 		outFile   = flag.String("o", "", "file to write")
 		rails     = flag.Int("rails", 2, "rails to offer (receiver)")
-		chunkKB   = flag.Int("chunk", 4096, "chunk size in KiB")
+		chunkKB   = flag.Int("chunk", 4096, "chunk size in KiB (sender; the receiver follows it)")
 		strat     = flag.String("strategy", "split", "scheduling strategy ("+strings.Join(strategy.Names(), ", ")+")")
 		handshake = flag.Duration("handshake-timeout", 30*time.Second, "session handshake timeout")
 	)
@@ -37,7 +37,7 @@ func main() {
 	}
 	var err error
 	if *recvAddr != "" {
-		err = runRecv(*recvAddr, *outFile, *rails, *strat, *chunkKB, *handshake)
+		err = runRecv(*recvAddr, *outFile, *rails, *strat, *handshake)
 	} else {
 		err = runSend(*sendAddr, *inFile, *strat, *chunkKB, *handshake)
 	}
@@ -55,9 +55,12 @@ func engine(strat string) (*newmad.Engine, error) {
 	return newmad.New(newmad.Config{Strategy: s}), nil
 }
 
-func runRecv(ctrlAddr, outFile string, rails int, strat string, chunkKB int, handshake time.Duration) error {
+func runRecv(ctrlAddr, outFile string, rails int, strat string, handshake time.Duration) error {
 	if outFile == "" {
 		return fmt.Errorf("-o is required with -recv")
+	}
+	if rails < 1 {
+		return fmt.Errorf("-rails %d below 1", rails)
 	}
 	eng, err := engine(strat)
 	if err != nil {
@@ -86,7 +89,7 @@ func runRecv(ctrlAddr, outFile string, rails int, strat string, chunkKB int, han
 	}
 	defer f.Close()
 	start := time.Now()
-	n, err := xfer.Recv(eng, gate, f, xfer.Options{ChunkSize: chunkKB << 10})
+	n, err := xfer.Recv(eng, gate, f)
 	if err != nil {
 		return err
 	}

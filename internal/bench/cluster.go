@@ -149,14 +149,14 @@ func ClusterFromTopo(top *topo.Topology, cfg ClusterConfig) *Cluster {
 }
 
 // wire is the one wiring loop behind NewPair, NewCluster and
-// ClusterFromTopo: one engine per host (traces[i], when given, receives
-// engine i's events), then for every host pair i < j in order a gate
+// ClusterFromTopo: one engine per host (trace, when set, receives host
+// 0's engine events), then for every host pair i < j in order a gate
 // each way named after the peer host, and per link class k the NICs
 // link(i, j, k) returns, sampled (cfg.Sample) and added as rails.
 // Sampling charges the poll cost of every NIC already on the host, so
 // NewCluster's link creates a pair's NICs only when the loop reaches it.
 func wire(w *des.World, hosts []*simnet.Host, classes int, cfg ClusterConfig,
-	traces []func(core.TraceEvent), link func(i, j, k int) (*simnet.NIC, *simnet.NIC)) *Cluster {
+	trace func(core.TraceEvent), link func(i, j, k int) (*simnet.NIC, *simnet.NIC)) *Cluster {
 	if cfg.Strategy == nil {
 		panic("bench: a Strategy is required")
 	}
@@ -167,8 +167,8 @@ func wire(w *des.World, hosts []*simnet.Host, classes int, cfg ClusterConfig,
 			Strategy: cfg.Strategy(), Clock: h,
 			AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk,
 		}
-		if traces != nil {
-			ec.Trace = traces[i]
+		if i == 0 {
+			ec.Trace = trace
 		}
 		c.Engines = append(c.Engines, core.New(ec))
 		c.Gates = append(c.Gates, make([]*core.Gate, n))

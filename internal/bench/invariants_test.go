@@ -89,12 +89,3 @@ func TestInvariantRdvBytesConserved(t *testing.T) {
 	}
 	_ = rtsBytes
 }
-
-// The timeline renderer works on real engine traces (smoke).
-func TestTimelineOnRealTrace(t *testing.T) {
-	col := tracedRun(t, func() core.Strategy { return strategy.NewSplit(strategy.SplitRatio) })
-	out := trace.Timeline(col.Events(), 72)
-	if len(out) < 40 {
-		t.Fatalf("timeline too short:\n%s", out)
-	}
-}

@@ -25,8 +25,8 @@ type PairConfig struct {
 	// Sample, when set, runs driver-level sampling at initialization and
 	// installs the measured profiles on every rail (paper §3.4).
 	Sample bool
-	// TraceA and TraceB, when set, receive engine trace events.
-	TraceA, TraceB func(core.TraceEvent)
+	// TraceA, when set, receives node A's engine trace events.
+	TraceA func(core.TraceEvent)
 }
 
 // Pair is a two-node simulated platform with engines on both sides.
@@ -55,7 +55,7 @@ func NewPair(cfg PairConfig) *Pair {
 	}
 	c := wire(w, hosts, len(nics), ClusterConfig{
 		Strategy: cfg.Strategy, AggThreshold: cfg.AggThreshold, MinChunk: cfg.MinChunk, Sample: cfg.Sample,
-	}, []func(core.TraceEvent){cfg.TraceA, cfg.TraceB}, func(_, _, k int) (*simnet.NIC, *simnet.NIC) {
+	}, cfg.TraceA, func(_, _, k int) (*simnet.NIC, *simnet.NIC) {
 		return nics[k][0], nics[k][1]
 	})
 	return &Pair{

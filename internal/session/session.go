@@ -75,8 +75,7 @@ type Options struct {
 	// HandshakeTimeout bounds the negotiation with one peer: the
 	// control-channel hello exchange plus every rail's bring-up and
 	// preamble. Zero gets DefaultHandshakeTimeout. A ctx whose deadline
-	// is tighter wins; it replaces the previously hardcoded 30-second
-	// socket deadlines.
+	// is tighter wins.
 	HandshakeTimeout time.Duration
 }
 

@@ -4,8 +4,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"newmad/internal/core"
@@ -56,25 +54,6 @@ func (c *Collector) Reset() {
 	c.next = 0
 }
 
-// Count returns the number of events matching the filter (nil matches
-// all).
-func (c *Collector) Count(match func(core.TraceEvent) bool) int {
-	n := 0
-	for _, ev := range c.Events() {
-		if match == nil || match(ev) {
-			n++
-		}
-	}
-	return n
-}
-
-// Posted counts packets of the given kind posted to rail (-1 = any rail).
-func (c *Collector) Posted(kind core.Kind, rail int) int {
-	return c.Count(func(ev core.TraceEvent) bool {
-		return ev.Ev == "post" && ev.Kind == kind && (rail < 0 || ev.Rail == rail)
-	})
-}
-
 // BytesOnRail sums posted payload bytes per rail.
 func (c *Collector) BytesOnRail(rail int) int {
 	n := 0
@@ -96,12 +75,4 @@ func (c *Collector) MaxAgg() int {
 		}
 	}
 	return max
-}
-
-// Dump writes a human-readable event log.
-func (c *Collector) Dump(w io.Writer) {
-	for _, ev := range c.Events() {
-		fmt.Fprintf(w, "%10d %-9s gate=%s rail=%d %-5s agg=%d len=%d tag=%d msg=%d\n",
-			ev.Now, ev.Ev, ev.Gate, ev.Rail, ev.Kind, ev.Agg, ev.Len, ev.Tag, ev.Msg)
-	}
 }

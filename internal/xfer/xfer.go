@@ -25,8 +25,9 @@ const (
 
 // Options shapes a transfer.
 type Options struct {
-	// ChunkSize is the bytes per message (default 4 MiB). Each message
-	// is independently scheduled, so several are kept in flight.
+	// ChunkSize is the bytes per message (default 4 MiB, at most
+	// MaxChunk). Each message is independently scheduled, so several are
+	// kept in flight. The receiver follows the sender's ChunkSize.
 	ChunkSize int
 	// Window is the number of messages in flight (default 4).
 	Window int
@@ -41,29 +42,47 @@ func (o *Options) defaults() {
 	}
 }
 
-// header is the transfer announcement: total length.
+// MaxChunk bounds Options.ChunkSize: the receiver allocates two buffers
+// of the chunk size the sender announces.
+const MaxChunk = 64 << 20
+
+// header is the transfer announcement: the total length and the
+// sender's chunk size, which the receiver's chunk count follows.
 type header struct {
 	Total int64
+	Chunk int64
 }
 
 func (h header) marshal() []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(h.Total))
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], uint64(h.Total))
+	binary.LittleEndian.PutUint64(b[8:], uint64(h.Chunk))
 	return b[:]
 }
 
 func parseHeader(b []byte) (header, error) {
-	if len(b) != 8 {
+	if len(b) != 16 {
 		return header{}, fmt.Errorf("xfer: bad header length %d", len(b))
 	}
-	return header{Total: int64(binary.LittleEndian.Uint64(b))}, nil
+	h := header{
+		Total: int64(binary.LittleEndian.Uint64(b[:8])),
+		Chunk: int64(binary.LittleEndian.Uint64(b[8:])),
+	}
+	if h.Total < 0 || h.Chunk <= 0 || h.Chunk > MaxChunk {
+		return header{}, fmt.Errorf("xfer: bad header: total %d, chunk %d", h.Total, h.Chunk)
+	}
+	return h, nil
 }
 
 // Send streams total bytes from r over the gate. The reader must supply
 // exactly total bytes.
 func Send(eng *core.Engine, gate *core.Gate, r io.Reader, total int64, opts Options) error {
 	opts.defaults()
-	if err := eng.Wait(gate.Isend(tagHeader, header{Total: total}.marshal())); err != nil {
+	if opts.ChunkSize > MaxChunk {
+		return fmt.Errorf("xfer: chunk size %d above %d", opts.ChunkSize, MaxChunk)
+	}
+	hdr := header{Total: total, Chunk: int64(opts.ChunkSize)}
+	if err := eng.Wait(gate.Isend(tagHeader, hdr.marshal())); err != nil {
 		return fmt.Errorf("xfer: send header: %w", err)
 	}
 	sum := fnv.New64a()
@@ -111,10 +130,10 @@ func Send(eng *core.Engine, gate *core.Gate, r io.Reader, total int64, opts Opti
 }
 
 // Recv receives one transfer from the gate into w and returns the byte
-// count. The checksum trailer is verified.
-func Recv(eng *core.Engine, gate *core.Gate, w io.Writer, opts Options) (int64, error) {
-	opts.defaults()
-	hbuf := make([]byte, 8)
+// count. Chunks follow the size the sender announced; a chunk of any
+// other length, and a checksum mismatch, fail the transfer.
+func Recv(eng *core.Engine, gate *core.Gate, w io.Writer) (int64, error) {
+	hbuf := make([]byte, 16)
 	hr := gate.Irecv(tagHeader, hbuf)
 	if err := eng.Wait(hr); err != nil {
 		return 0, fmt.Errorf("xfer: recv header: %w", err)
@@ -126,10 +145,13 @@ func Recv(eng *core.Engine, gate *core.Gate, w io.Writer, opts Options) (int64, 
 	sum := fnv.New64a()
 	// Double-buffer receives so the next chunk is already landing while
 	// this one is written out.
-	bufs := [][]byte{make([]byte, opts.ChunkSize), make([]byte, opts.ChunkSize)}
+	bufs := [][]byte{make([]byte, hdr.Chunk), make([]byte, hdr.Chunk)}
 	var reqs [2]*core.RecvReq
 	var got int64
-	totalChunks := (hdr.Total + int64(opts.ChunkSize) - 1) / int64(opts.ChunkSize)
+	totalChunks := hdr.Total / hdr.Chunk
+	if hdr.Total%hdr.Chunk != 0 {
+		totalChunks++
+	}
 	posted := int64(0)
 	for ; posted < 2 && posted < totalChunks; posted++ {
 		reqs[posted] = gate.Irecv(tagData, bufs[posted])
@@ -140,6 +162,9 @@ func Recv(eng *core.Engine, gate *core.Gate, w io.Writer, opts Options) (int64, 
 		req := reqs[slot]
 		if err := eng.Wait(req); err != nil {
 			return got, fmt.Errorf("xfer: recv chunk: %w", err)
+		}
+		if want := min(hdr.Chunk, hdr.Total-got); int64(req.Len()) != want {
+			return got, fmt.Errorf("xfer: chunk of %d bytes at offset %d, want %d", req.Len(), got, want)
 		}
 		data := bufs[slot][:req.Len()]
 		sum.Write(data)

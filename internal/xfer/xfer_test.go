@@ -3,6 +3,7 @@ package xfer
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func transfer(t *testing.T, r *rig, payload []byte, opts Options) []byte {
 	var out bytes.Buffer
 	errs := make(chan error, 1)
 	go func() {
-		_, err := Recv(r.engB, r.gateBA, &out, opts)
+		_, err := Recv(r.engB, r.gateBA, &out)
 		errs <- err
 	}()
 	if err := Send(r.engA, r.gateAB, bytes.NewReader(payload), int64(len(payload)), opts); err != nil {
@@ -94,6 +95,54 @@ func TestTransferExactChunkMultiple(t *testing.T) {
 	}
 }
 
+// The receiver has no chunk size of its own: 1 KiB chunks from a sender
+// arrive whole, with a short tail, however the receiving side was
+// configured.
+func TestTransferFollowsSenderChunk(t *testing.T) {
+	r := newRig(t)
+	payload := randomPayload(8<<10+100, 7)
+	got := transfer(t, r, payload, Options{ChunkSize: 1 << 10})
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("got %d bytes, want the %d sent", len(got), len(payload))
+	}
+}
+
+// A header out of range, or a chunk shorter or longer than the header
+// announces, fails Recv with an error and writes nothing past it.
+func TestRecvRejectsBadChunks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hdr    header
+		chunks []int
+	}{
+		{"zero chunk", header{Total: 8 << 10, Chunk: 0}, nil},
+		{"negative chunk", header{Total: 8 << 10, Chunk: -1}, nil},
+		{"chunk above max", header{Total: 8 << 10, Chunk: MaxChunk + 1}, nil},
+		{"negative total", header{Total: -1, Chunk: 4 << 10}, nil},
+		{"short chunk", header{Total: 8 << 10, Chunk: 4 << 10}, []int{100}},
+		{"overlong tail", header{Total: 100, Chunk: 4 << 10}, []int{200}},
+		{"chunk above buffer", header{Total: 8 << 10, Chunk: 4 << 10}, []int{5 << 10}},
+		{"total at the int64 limit", header{Total: math.MaxInt64, Chunk: 4 << 10}, []int{100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			if err := r.engA.Wait(r.gateAB.Isend(tagHeader, tc.hdr.marshal())); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range tc.chunks {
+				r.gateAB.Isend(tagData, make([]byte, n))
+			}
+			var out bytes.Buffer
+			if _, err := Recv(r.engB, r.gateBA, &out); err == nil {
+				t.Fatal("Recv accepted a bad transfer")
+			}
+			if out.Len() != 0 {
+				t.Fatalf("Recv wrote %d bytes of a bad transfer", out.Len())
+			}
+		})
+	}
+}
+
 func TestTransferStripesAcrossRails(t *testing.T) {
 	r := newRig(t)
 	payload := randomPayload(2<<20, 5)
@@ -123,5 +172,13 @@ func TestTransferShortReader(t *testing.T) {
 	err := Send(r.engA, r.gateAB, bytes.NewReader(make([]byte, 10)), 100, Options{})
 	if err == nil {
 		t.Fatal("short reader accepted")
+	}
+}
+
+func TestSendRejectsChunkAboveMax(t *testing.T) {
+	r := newRig(t)
+	err := Send(r.engA, r.gateAB, bytes.NewReader(nil), 0, Options{ChunkSize: MaxChunk + 1})
+	if err == nil {
+		t.Fatal("chunk above MaxChunk accepted")
 	}
 }

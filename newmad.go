@@ -41,9 +41,7 @@ import (
 	"newmad/internal/des"
 	"newmad/internal/drivers/shmdrv"
 	"newmad/internal/drivers/tcpdrv"
-	"newmad/internal/drivers/udpdrv"
 	"newmad/internal/mpl"
-	"newmad/internal/relnet"
 	"newmad/internal/sampling"
 	"newmad/internal/session"
 	"newmad/internal/shmring"
@@ -136,33 +134,6 @@ func StrategySplit() Strategy { return strategy.Must("split") }
 // Figure 7 comparison point.
 func StrategySplitIso() Strategy { return strategy.Must("split-iso") }
 
-// HedgeStrategy wraps an inner strategy with tail-latency hedging: an
-// eligible small send whose primary packet blows past the rail's
-// completion-time quantile races a speculative duplicate down a second
-// rail, the first copy to arrive completes the receive, and the loser is
-// cancelled. Stats exposes the hedge counters.
-type HedgeStrategy = strategy.Hedge
-
-// HedgeStats are the hedging counters: eligible sends, duplicates
-// raced, losers cancelled, primary and duplicate bytes.
-type HedgeStats = strategy.HedgeStats
-
-// StrategyHedge wraps inner with default hedging (p90 stagger, clamped).
-func StrategyHedge(inner Strategy) *HedgeStrategy { return strategy.NewHedge(inner) }
-
-// StrategyHedgeTuned wraps inner with an explicit stagger window: the
-// p90 of the primary rail's completion times, clamped to [minStagger,
-// maxStagger]. Eligible payloads stay within the eager regime (the
-// engine's AggThreshold).
-func StrategyHedgeTuned(inner Strategy, minStagger, maxStagger time.Duration) *HedgeStrategy {
-	return strategy.NewHedgeTuned(inner, minStagger, maxStagger)
-}
-
-// RailEstimator is a rail's online latency/bandwidth/quantile model,
-// fed from packet completions (Rail.Estimator): the source of hedge
-// staggers, adaptive split weights and selector re-fits.
-type RailEstimator = core.Estimator
-
 // StrategyByName builds a strategy from its registry name ("fifo",
 // "aggreg", "balance", "aggrail", "split", "split-iso", "split-dyn",
 // "split-dyn-adaptive", "hedge").
@@ -172,8 +143,6 @@ func StrategyByName(name string) (Strategy, error) { return strategy.New(name) }
 type (
 	// NICParams describes a simulated NIC model.
 	NICParams = simnet.NICParams
-	// HostParams describes a simulated host.
-	HostParams = simnet.HostParams
 	// SimPair is a two-node simulated platform with engines on both
 	// sides.
 	SimPair = bench.Pair
@@ -197,10 +166,6 @@ func QsNetII() NICParams { return simnet.QsNetII() }
 
 // GigE returns a commodity gigabit NIC model for extension experiments.
 func GigE() NICParams { return simnet.GigE() }
-
-// Opteron returns the paper's host model (shared I/O bus, single PIO
-// lane).
-func Opteron() HostParams { return simnet.Opteron() }
 
 // NewSimPair builds a two-node simulated platform.
 func NewSimPair(cfg SimPairConfig) *SimPair { return bench.NewPair(cfg) }
@@ -286,28 +251,6 @@ type ReduceOp = mpl.Op
 // OpSumInt64 sums little-endian int64 elements.
 func OpSumInt64() ReduceOp { return mpl.OpSumInt64() }
 
-// OpSumUint8 sums bytes modulo 256.
-func OpSumUint8() ReduceOp { return mpl.OpSumUint8() }
-
-// OpXor xors bytes.
-func OpXor() ReduceOp { return mpl.OpXor() }
-
-// DefaultCollSelector returns the selector of the default α-β model.
-func DefaultCollSelector() CollSelector { return mpl.DefaultSelector() }
-
-// CollSelectorFromProfiles derives the selector's α-β model from rail
-// profiles (declared by drivers or measured by sampling).
-func CollSelectorFromProfiles(profs []Profile) CollSelector {
-	return mpl.SelectorFromProfiles(profs)
-}
-
-// CollSelectorFromRails derives the selector's α-β model from the rails'
-// online estimators (falling back to profiles while a rail has no
-// samples) — the fit behind Comm.SetAdaptive's re-fit epochs.
-func CollSelectorFromRails(rails []*Rail) CollSelector {
-	return mpl.SelectorFromRails(rails)
-}
-
 // ParseCollAlgo parses "auto", "linear", "tree" or "pipeline".
 func ParseCollAlgo(s string) (CollAlgo, error) { return mpl.ParseAlgo(s) }
 
@@ -315,18 +258,10 @@ func ParseCollAlgo(s string) (CollAlgo, error) { return mpl.ParseAlgo(s) }
 func WaitSim(p *Proc, reqs ...Request) { bench.WaitReqs(p, reqs...) }
 
 // WaitSimCtx parks a simulated process until the requests complete or
-// the virtual-time deadline attached with WithSimDeadline/WithSimTimeout
-// expires — deadlines are read against the simulated clock, not the wall
-// clock.
+// the virtual-time deadline attached with WithSimTimeout expires —
+// deadlines are read against the simulated clock, not the wall clock.
 func WaitSimCtx(ctx context.Context, p *Proc, reqs ...Request) error {
 	return bench.WaitReqsCtx(ctx, p, reqs...)
-}
-
-// WithSimDeadline attaches an absolute virtual-time deadline to ctx,
-// observed by WaitSimCtx and the *Ctx operations of simulated
-// communicators.
-func WithSimDeadline(ctx context.Context, t des.Time) context.Context {
-	return bench.WithSimDeadline(ctx, t)
 }
 
 // WithSimTimeout attaches a virtual-time deadline d from the process's
@@ -346,9 +281,8 @@ type RailSpec = session.RailSpec
 // SessionServer accepts negotiated multi-rail sessions.
 type SessionServer = session.Server
 
-// SessionOptions parameterizes session establishment — most notably
-// HandshakeTimeout, which replaces the previously hardcoded 30-second
-// socket deadlines.
+// SessionOptions parameterizes session establishment. Its one field,
+// HandshakeTimeout, bounds the negotiation with one peer (zero = 30 s).
 type SessionOptions = session.Options
 
 // ListenSession starts a session server: a control listener, and
@@ -378,37 +312,6 @@ func DialTCP(addr string, opts TCPOptions) (Driver, error) { return tcpdrv.Dial(
 
 // AcceptTCP accepts one TCP rail on l.
 func AcceptTCP(l net.Listener, opts TCPOptions) (Driver, error) { return tcpdrv.Accept(l, opts) }
-
-// Reliability layer (ack/retransmit) and UDP rails.
-
-// RelConfig tunes the relnet reliability layer: initial RTO, retry
-// budget, window size and clock (nil = wall clock, else the simulated
-// host's Clock). The zero value derives everything from the rail
-// profile and MTU (SimClusterConfig.Rel, UDPOptions.Rel).
-type RelConfig = relnet.Config
-
-// RelStats are the reliability layer's protocol counters: segments and
-// acks each way, retransmissions (timeout and fast), duplicates and
-// garbage dropped. SimCluster.RelStats sums them across reliable rails.
-type RelStats = relnet.Stats
-
-// ReliableDriver is a relnet-wrapped rail driver; Stats exposes its
-// protocol counters.
-type ReliableDriver = relnet.Driver
-
-// UDPOptions configures a UDP rail: its profile and the reliability
-// knobs. A zero Rel.Window is sized to the socket's receive buffer.
-type UDPOptions = udpdrv.Options
-
-// NewUDP builds a reliable UDP rail driver over conn: datagram framing,
-// pooled reads and peer filtering from udpdrv; sequencing, acks and
-// retransmission from relnet. A non-nil peer treats the socket as
-// unconnected and aims every datagram at that address; a nil peer
-// requires a connected socket (net.DialUDP). Most callers want session
-// rails with Proto "udp" instead — the handshake lands on this.
-func NewUDP(conn *net.UDPConn, peer *net.UDPAddr, opts UDPOptions) *ReliableDriver {
-	return udpdrv.New(conn, peer, opts)
-}
 
 // Shared-memory rails (same-host peers; Linux /dev/shm).
 
@@ -456,12 +359,6 @@ type TraceCollector = trace.Collector
 // NewTraceCollector returns a collector keeping at most max events
 // (0 = unbounded); install its Hook as Config.Trace.
 func NewTraceCollector(max int) *TraceCollector { return trace.New(max) }
-
-// TraceTimeline renders per-rail occupancy lanes from collected events:
-// packet posts marked by kind (D/R/C/K, H for speculative hedge
-// duplicates), '=' while the rail is busy, 'x' where a hedged duplicate
-// was cancelled after losing its race, 'X' where the rail failed.
-func TraceTimeline(events []TraceEvent, width int) string { return trace.Timeline(events, width) }
 
 // Sampling.
 

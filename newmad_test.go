@@ -4,7 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"net"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,5 +211,136 @@ func TestTraceCollectorFacade(t *testing.T) {
 	pair.W.Run()
 	if len(col.Events()) == 0 {
 		t.Fatal("no trace events collected")
+	}
+}
+
+// facadeAllowlist keeps the facade names that no caller in the tree
+// names and no kept facade function's signature names, each with the
+// reason it stays.
+var facadeAllowlist = map[string]string{
+	"ErrCanceled":     "errors.Is target for a cancelled request",
+	"ErrRailDown":     "errors.Is target for a send on a failed rail",
+	"ErrPeerRecvGone": "errors.Is target for a send whose peer cancelled the receive",
+	"ReapShmOrphans":  "the only sweep of shm segments orphaned before attach",
+	"Rail":            "Gate.Rails and Gate.AddRail return it",
+	"SendReq":         "Gate.Isend and Packer.Send return it",
+	"RecvReq":         "Gate.Irecv returns it",
+	"Packer":          "Gate.NewMessage returns it",
+	"Backlog":         "a custom Strategy's Submit and Schedule take it",
+	"Unit":            "a custom Strategy's Submit takes it",
+	"Packet":          "a custom Strategy's Schedule returns it and a custom Driver's Send takes it",
+	"Header":          "Packet.Hdr's type",
+	"Clock":           "Config.Clock's type",
+	"TraceEvent":      "Config.Trace takes it and TraceCollector.Events returns it",
+	"Coll":            "Comm's nonblocking collectives return it",
+	"CollSelector":    "Comm.Selector returns it and Comm.SetSelector takes it",
+	"ChaosFault":      "ChaosSchedule.Add takes it",
+	"ChaosArmed":      "ChaosSchedule.Arm returns it",
+}
+
+// TestFacadeNamesHaveUsers keeps newmad.go to what a caller names. An
+// exported name stays if an example, a command, a root test or an
+// nmbench file names it as newmad.X, if the signature of a facade
+// function kept that way names it, or if facadeAllowlist gives a reason.
+func TestFacadeNamesHaveUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "newmad.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	sigNames := map[string][]string{} // facade func -> names in its signature
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name.Name] = true
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					return false // another package's name
+				case *ast.Ident:
+					sigNames[d.Name.Name] = append(sigNames[d.Name.Name], n.Name)
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					declared[sp.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						declared[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"examples", "cmd", "nmbench"} {
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err == nil && !e.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := map[string]bool{}
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, im := range f.Imports {
+			if im.Path.Value == `"newmad"` {
+				local = "newmad"
+				if im.Name != nil {
+					local = im.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					kept[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for fn, names := range sigNames {
+		if kept[fn] {
+			for _, n := range names {
+				kept[n] = true
+			}
+		}
+	}
+
+	var unused []string
+	for name := range declared {
+		if ast.IsExported(name) && !kept[name] && facadeAllowlist[name] == "" {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("facade names with no user, no kept signature and no allowlist reason: %s",
+			strings.Join(unused, ", "))
+	}
+	for name := range facadeAllowlist {
+		if !declared[name] {
+			t.Errorf("facadeAllowlist names %s, which newmad.go no longer declares", name)
+		}
 	}
 }
